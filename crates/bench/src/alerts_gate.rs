@@ -1,13 +1,12 @@
-//! The alert gate: turn a committed load baseline into page-severity
+//! The load gate: turn a committed load baseline into page-severity
 //! threshold rules, evaluate them against a fresh load report, and scan
 //! a run's alert log for page-severity firings.
 //!
 //! Severity discipline (see [`multidim_obs::alerts`]): overdrive burns
 //! SLO budget *on purpose*, so the standing burn-rate rules are tickets
 //! and never gate anything. Pages are reserved for regressions relative
-//! to the committed `BENCH_load_baseline.json` — the same contract as
-//! the [`regression`](crate::regression) gate, expressed as alert rules
-//! so one rule set serves three places:
+//! to the committed `BENCH_load_baseline.json`, and one rule set serves
+//! three places:
 //!
 //! 1. **in-run** — `load --alert-baseline` appends these rules to the
 //!    load generator's standing set, so a live regression pages during
@@ -20,7 +19,7 @@
 //! A missing metric in either report is an error (exit 2 in the
 //! `check_alerts` binary), never a silent pass.
 
-use crate::regression::{req_f64, AVAILABILITY_ABS_SLACK, SHED_ABS_SLACK};
+use crate::regression::req_f64;
 use multidim_obs::{AlertEngine, AlertRule, AlertSeverity, Comparison, Registry, ThresholdRule};
 use multidim_trace::json::Json;
 
@@ -32,9 +31,22 @@ pub const PAGE_FOR_CYCLES: u64 = 3;
 
 /// Shed-rate pages cap out just below 1.0: a baseline that already
 /// sheds heavily (overdrive pins ~2/3) would otherwise push the
-/// `baseline * tolerance + slack` threshold above any reachable value,
-/// and shedding essentially *everything* is page-worthy regardless.
+/// threshold above any reachable value, and shedding essentially
+/// *everything* is page-worthy regardless.
 pub const SHED_RATE_CEILING: f64 = 0.995;
+
+/// Rate floors: a ratio check on a rate divides by
+/// `max(baseline_rate, floor)` so a near-zero baseline doesn't turn
+/// ordinary wobble into an infinite "slowdown".
+pub const SHED_RATE_FLOOR: f64 = 0.02;
+/// Floor for the `1 - availability` ratio check (see [`SHED_RATE_FLOOR`]).
+pub const UNAVAILABILITY_FLOOR: f64 = 0.01;
+/// A rate only breaches once it also moved by more than this absolute
+/// slack — a 1% → 2.5% shed rate is a 2.5x ratio but still noise on a
+/// short CI run.
+pub const SHED_ABS_SLACK: f64 = 0.05;
+/// Absolute slack for the availability rule (see [`SHED_ABS_SLACK`]).
+pub const AVAILABILITY_ABS_SLACK: f64 = 0.02;
 
 /// The report keys the gate reads — also the gauge names
 /// the load generator publishes for in-run evaluation, so one rule set
@@ -42,19 +54,24 @@ pub const SHED_RATE_CEILING: f64 = 0.995;
 pub const GATE_METRICS: [&str; 3] = ["p99_under_load_us", "shed_rate", "availability"];
 
 /// Build the page-severity rule set from a committed load baseline.
+/// Each rate threshold is the stricter of two formulas, a ratio over a
+/// floored baseline that must also clear an absolute slack, and a
+/// scaled baseline plus or minus that slack:
 ///
 /// * `page-p99-under-load` — p99 latency above `baseline * tolerance`
 ///   (the doctored-2x detector); firing events carry exemplar trace ids
 ///   from the `load_request_seconds` histogram when evaluated in-run.
-/// * `page-shed-rate` — shed rate above
-///   `min(baseline * tolerance + slack, ceiling)`.
-/// * `page-availability` — availability below
-///   `baseline / tolerance - slack`.
+/// * `page-shed-rate` — shed rate above the least of
+///   `max(max(baseline, floor) * tolerance, baseline + slack)`,
+///   `baseline * tolerance + slack` and [`SHED_RATE_CEILING`].
+/// * `page-availability` — availability below the greatest of
+///   `min(1 - max(1 - baseline, floor) * tolerance, baseline - slack)`,
+///   `baseline / tolerance - slack` and 0.
 ///
 /// # Errors
 ///
-/// Returns a message when the baseline is missing a gated metric or the
-/// tolerance is not a finite ratio >= 1.0.
+/// Returns a message when the baseline is missing a gated metric, its
+/// p99 is not positive, or the tolerance is not a finite ratio >= 1.0.
 pub fn rules_from_baseline(baseline: &Json, tolerance: f64) -> Result<Vec<AlertRule>, String> {
     if !(tolerance.is_finite() && tolerance >= 1.0) {
         return Err(format!(
@@ -62,8 +79,21 @@ pub fn rules_from_baseline(baseline: &Json, tolerance: f64) -> Result<Vec<AlertR
         ));
     }
     let p99 = req_f64(baseline, "p99_under_load_us", "baseline")?;
+    if p99 <= 0.0 {
+        return Err(format!(
+            "baseline p99_under_load_us must be positive, got {p99}"
+        ));
+    }
     let shed = req_f64(baseline, "shed_rate", "baseline")?;
     let avail = req_f64(baseline, "availability", "baseline")?;
+    let shed_threshold = (shed.max(SHED_RATE_FLOOR) * tolerance)
+        .max(shed + SHED_ABS_SLACK)
+        .min(shed * tolerance + SHED_ABS_SLACK)
+        .min(SHED_RATE_CEILING);
+    let avail_threshold = (1.0 - (1.0 - avail).max(UNAVAILABILITY_FLOOR) * tolerance)
+        .min(avail - AVAILABILITY_ABS_SLACK)
+        .max(avail / tolerance - AVAILABILITY_ABS_SLACK)
+        .max(0.0);
     Ok(vec![
         AlertRule::Threshold(ThresholdRule {
             name: "page-p99-under-load".to_string(),
@@ -81,7 +111,7 @@ pub fn rules_from_baseline(baseline: &Json, tolerance: f64) -> Result<Vec<AlertR
             metric: "shed_rate".to_string(),
             quantile: None,
             comparison: Comparison::Above,
-            threshold: (shed * tolerance + SHED_ABS_SLACK).min(SHED_RATE_CEILING),
+            threshold: shed_threshold,
             for_cycles: PAGE_FOR_CYCLES,
             exemplar_metric: None,
         }),
@@ -91,7 +121,7 @@ pub fn rules_from_baseline(baseline: &Json, tolerance: f64) -> Result<Vec<AlertR
             metric: "availability".to_string(),
             quantile: None,
             comparison: Comparison::Below,
-            threshold: (avail / tolerance - AVAILABILITY_ABS_SLACK).max(0.0),
+            threshold: avail_threshold,
             for_cycles: PAGE_FOR_CYCLES,
             exemplar_metric: None,
         }),
@@ -243,6 +273,15 @@ mod tests {
         ])
     }
 
+    fn verdict(base: &Json, cur: &Json) -> AlertGateReport {
+        check_alerts(base, cur, None, DEFAULT_TOLERANCE).unwrap()
+    }
+
+    /// Which of the three rules (p99, shed, availability) fired.
+    fn firing(gate: &AlertGateReport) -> [bool; 3] {
+        [0, 1, 2].map(|i| gate.checks[i].firing)
+    }
+
     #[test]
     fn baseline_derives_three_page_rules() {
         let base = load_report(92_000.0, 0.64, 0.36);
@@ -283,6 +322,28 @@ mod tests {
     }
 
     #[test]
+    fn doubled_shed_rate_pages() {
+        // Baseline sheds 30%; doubling to 60% is a 2x ratio AND 30 points
+        // absolute. Availability fell 30 points too, which breaches the
+        // unavailability-ratio threshold (0.442) though not the scaled
+        // baseline (0.363): the stricter one rules.
+        let base = load_report(100_000.0, 0.30, 0.69);
+        let cur = load_report(100_000.0, 0.60, 0.39);
+        let gate = verdict(&base, &cur);
+        assert_eq!(firing(&gate), [false, true, true], "{}", gate.render());
+    }
+
+    #[test]
+    fn tiny_shed_wobble_passes_on_absolute_slack() {
+        // 1% -> 2.5% is a 2.5x ratio over the floored baseline but only
+        // 1.5 points absolute — inside the slack, so noise, not a page.
+        let base = load_report(100_000.0, 0.01, 0.99);
+        let cur = load_report(100_000.0, 0.025, 0.975);
+        let gate = verdict(&base, &cur);
+        assert!(gate.passed(), "{}", gate.render());
+    }
+
+    #[test]
     fn availability_collapse_pages() {
         let base = load_report(92_301.0, 0.30, 0.70);
         let cur = load_report(92_301.0, 0.30, 0.10);
@@ -292,8 +353,20 @@ mod tests {
     }
 
     #[test]
+    fn perfect_baseline_availability_uses_floor() {
+        // Baseline 100% available: without the floor any dip would be an
+        // infinite ratio. With it, a half-point dip passes, a big one
+        // pages.
+        let base = load_report(100_000.0, 0.0, 1.0);
+        let ok = verdict(&base, &load_report(100_000.0, 0.0, 0.995));
+        assert!(ok.passed(), "{}", ok.render());
+        let bad = verdict(&base, &load_report(100_000.0, 0.0, 0.90));
+        assert!(!bad.passed(), "{}", bad.render());
+    }
+
+    #[test]
     fn heavy_shed_baseline_still_pages_on_total_shed() {
-        // 0.64 * 1.8 + slack > 1, so only the ceiling keeps this rule
+        // 0.64 * 1.8 > 1, so only the ceiling keeps this rule
         // meaningful: shedding ~everything must still page.
         let base = load_report(92_301.0, 0.6416, 0.3584);
         let cur = load_report(92_301.0, 0.999, 0.001);
@@ -308,7 +381,10 @@ mod tests {
         let err = check_alerts(&base, &cur, None, DEFAULT_TOLERANCE).unwrap_err();
         assert!(err.contains("shed_rate"), "error was: {err}");
         assert!(rules_from_baseline(&cur, DEFAULT_TOLERANCE).is_err());
+        let zero = load_report(0.0, 0.6416, 0.3584);
+        assert!(rules_from_baseline(&zero, DEFAULT_TOLERANCE).is_err());
         assert!(rules_from_baseline(&base, 0.5).is_err());
+        assert!(rules_from_baseline(&base, f64::NAN).is_err());
     }
 
     #[test]

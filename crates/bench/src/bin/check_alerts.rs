@@ -1,7 +1,7 @@
-//! CI alert gate.
+//! CI load gate.
 //!
 //! ```text
-//! check_alerts <baseline.json> <current.json> [--alerts <log.json>] [--tolerance <ratio>]
+//! check_alerts <baseline.json> <current.json> [--alerts <log.json>]
 //! ```
 //!
 //! Derives page-severity alert rules from the committed load baseline
@@ -14,13 +14,23 @@
 //!
 //! Exit code 0 when no page fires, 1 when one does, 2 on unreadable or
 //! schema-incomplete input — a missing metric is an error, never a
-//! silent pass. The tolerance can also be set with
-//! `MULTIDIM_REGRESSION_TOLERANCE`; the flag wins.
+//! silent pass.
+//!
+//! The gate also prints how many samples back each report's quantiles
+//! and warns loudly below [`MIN_TRUSTED_SAMPLES`] — a pass from a
+//! handful of requests is weaker evidence than the green check implies.
 
 use multidim_bench::alerts_gate::check_alerts;
-use multidim_bench::regression::DEFAULT_TOLERANCE;
+use multidim_bench::regression::{sample_count, DEFAULT_TOLERANCE};
 use multidim_trace::json::Json;
 use std::process::ExitCode;
+
+/// Below this many samples the gated quantiles are noisy enough that the
+/// gate warns on stderr (it still gates — small runs are better than no
+/// gate — but the verdict deserves an asterisk).
+const MIN_TRUSTED_SAMPLES: u64 = 100;
+
+const USAGE: &str = "usage: check_alerts <baseline.json> <current.json> [--alerts <log.json>]";
 
 fn load(path: &str, which: &str) -> Result<Json, String> {
     let text =
@@ -32,28 +42,14 @@ struct Args {
     baseline: String,
     current: String,
     alerts: Option<String>,
-    tolerance: f64,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut tolerance = match std::env::var("MULTIDIM_REGRESSION_TOLERANCE") {
-        Ok(v) => v
-            .parse::<f64>()
-            .map_err(|_| format!("MULTIDIM_REGRESSION_TOLERANCE is not a number: `{v}`"))?,
-        Err(_) => DEFAULT_TOLERANCE,
-    };
     let mut alerts = None;
     let mut positional = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        if arg == "--tolerance" {
-            let v = args
-                .next()
-                .ok_or_else(|| "--tolerance needs a value".to_string())?;
-            tolerance = v
-                .parse::<f64>()
-                .map_err(|_| format!("--tolerance is not a number: `{v}`"))?;
-        } else if arg == "--alerts" {
+        if arg == "--alerts" {
             alerts = Some(
                 args.next()
                     .ok_or_else(|| "--alerts needs a path".to_string())?,
@@ -67,12 +63,23 @@ fn parse_args() -> Result<Args, String> {
             baseline,
             current,
             alerts,
-            tolerance,
         }),
-        Err(_) => Err(
-            "usage: check_alerts <baseline.json> <current.json> [--alerts <log.json>] [--tolerance <ratio>]"
-                .to_string(),
-        ),
+        Err(_) => Err(USAGE.to_string()),
+    }
+}
+
+fn report_samples(report: &Json, which: &str) {
+    match sample_count(report) {
+        Some(n) => {
+            println!("{which:8} samples: {n}");
+            if n < MIN_TRUSTED_SAMPLES {
+                eprintln!(
+                    "WARNING: {which} report's gated quantiles rest on only {n} samples \
+                     (< {MIN_TRUSTED_SAMPLES}); treat this verdict as low-confidence"
+                );
+            }
+        }
+        None => eprintln!("WARNING: {which} report carries no sample count"),
     }
 }
 
@@ -90,7 +97,9 @@ fn main() -> ExitCode {
             Some(path) => Some(load(path, "alert log")?),
             None => None,
         };
-        check_alerts(&baseline, &current, run_log.as_ref(), args.tolerance)
+        report_samples(&baseline, "baseline");
+        report_samples(&current, "current");
+        check_alerts(&baseline, &current, run_log.as_ref(), DEFAULT_TOLERANCE)
     });
     match gate {
         Ok(report) => {

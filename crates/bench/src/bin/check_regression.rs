@@ -1,29 +1,18 @@
 //! CI perf-regression gate.
 //!
 //! ```text
-//! check_regression <baseline.json> <current.json> [--tolerance <ratio>] [--schema warm|load]
+//! check_regression <baseline.json> <current.json>
 //! ```
 //!
-//! Both files are `--report` JSON from the throughput bench (warm
-//! schema, gated on warm throughput and p99) or from the `load` bin
-//! (load schema, gated on p99-under-load, shed rate, and availability).
-//! The schema is auto-detected from the baseline's keys; `--schema`
-//! forces it. Exit code 0 when every gated metric is within tolerance of
-//! the baseline, 1 on a regression, 2 on unreadable input. The tolerance
-//! can also be set with `MULTIDIM_REGRESSION_TOLERANCE`; the flag wins.
-//!
-//! The gate also prints how many samples back each report's quantiles
-//! and warns loudly below [`MIN_TRUSTED_SAMPLES`] — a pass from a
-//! handful of requests is weaker evidence than the green check implies.
+//! Both files are `--report` JSON from the throughput bench, gated on
+//! warm throughput and p99 at [`DEFAULT_TOLERANCE`]. Exit code 0 when
+//! every gated metric is within tolerance of the baseline, 1 on a
+//! regression, 2 on unreadable or schema-incomplete input. Load reports
+//! are gated by `check_alerts`.
 
-use multidim_bench::regression::{sample_count, Schema, DEFAULT_TOLERANCE};
+use multidim_bench::regression::{check, DEFAULT_TOLERANCE};
 use multidim_trace::json::Json;
 use std::process::ExitCode;
-
-/// Below this many samples the gated quantiles are noisy enough that the
-/// gate warns on stderr (it still gates — small runs are better than no
-/// gate — but the verdict deserves an asterisk).
-const MIN_TRUSTED_SAMPLES: u64 = 100;
 
 fn load(path: &str, which: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path)
@@ -31,103 +20,15 @@ fn load(path: &str, which: &str) -> Result<Json, String> {
     Json::parse(&text).map_err(|e| format!("{which} report `{path}` is not valid JSON: {e}"))
 }
 
-struct Args {
-    baseline: String,
-    current: String,
-    tolerance: f64,
-    schema: Option<Schema>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut tolerance = match std::env::var("MULTIDIM_REGRESSION_TOLERANCE") {
-        Ok(v) => v
-            .parse::<f64>()
-            .map_err(|_| format!("MULTIDIM_REGRESSION_TOLERANCE is not a number: `{v}`"))?,
-        Err(_) => DEFAULT_TOLERANCE,
-    };
-    let mut schema = None;
-    let mut positional = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--tolerance" {
-            let v = args
-                .next()
-                .ok_or_else(|| "--tolerance needs a value".to_string())?;
-            tolerance = v
-                .parse::<f64>()
-                .map_err(|_| format!("--tolerance is not a number: `{v}`"))?;
-        } else if arg == "--schema" {
-            let v = args
-                .next()
-                .ok_or_else(|| "--schema needs a value (warm|load)".to_string())?;
-            schema = Some(match v.as_str() {
-                "warm" => Schema::Warm,
-                "load" => Schema::Load,
-                _ => return Err(format!("unknown schema `{v}` (expected warm|load)")),
-            });
-        } else {
-            positional.push(arg);
-        }
-    }
-    match <[String; 2]>::try_from(positional) {
-        Ok([baseline, current]) => Ok(Args {
-            baseline,
-            current,
-            tolerance,
-            schema,
-        }),
-        Err(_) => Err(
-            "usage: check_regression <baseline.json> <current.json> [--tolerance <ratio>] [--schema warm|load]"
-                .to_string(),
-        ),
-    }
-}
-
-fn report_samples(report: &Json, which: &str) {
-    match sample_count(report) {
-        Some(n) => {
-            println!("{which:8} samples: {n}");
-            if n < MIN_TRUSTED_SAMPLES {
-                eprintln!(
-                    "WARNING: {which} report's gated quantiles rest on only {n} samples \
-                     (< {MIN_TRUSTED_SAMPLES}); treat this verdict as low-confidence"
-                );
-            }
-        }
-        None => eprintln!("WARNING: {which} report carries no sample count"),
-    }
-}
-
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let [baseline, current] = args.as_slice() else {
+        eprintln!("usage: check_regression <baseline.json> <current.json>");
+        return ExitCode::from(2);
     };
-    let gate = load(&args.baseline, "baseline").and_then(|baseline| {
-        let current = load(&args.current, "current")?;
-        let schema = match args.schema.or_else(|| Schema::detect(&baseline)) {
-            Some(s) => s,
-            None => {
-                return Err(format!(
-                    "cannot detect report schema of `{}` (no warm_rps or p99_under_load_us key); \
-                     pass --schema warm|load",
-                    args.baseline
-                ))
-            }
-        };
-        println!(
-            "schema: {}",
-            match schema {
-                Schema::Warm => "warm (throughput bench)",
-                Schema::Load => "load (zipf load bench)",
-            }
-        );
-        report_samples(&baseline, "baseline");
-        report_samples(&current, "current");
-        schema.check(&baseline, &current, args.tolerance)
+    let gate = load(baseline, "baseline").and_then(|baseline| {
+        let current = load(current, "current")?;
+        check(&baseline, &current, DEFAULT_TOLERANCE)
     });
     match gate {
         Ok(report) => {
@@ -136,10 +37,7 @@ fn main() -> ExitCode {
                 println!("perf gate: PASS");
                 ExitCode::SUCCESS
             } else {
-                println!(
-                    "perf gate: FAIL (regression beyond {:.2}x tolerance)",
-                    args.tolerance
-                );
+                println!("perf gate: FAIL (regression beyond {DEFAULT_TOLERANCE:.2}x tolerance)");
                 ExitCode::FAILURE
             }
         }

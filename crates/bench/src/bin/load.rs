@@ -5,7 +5,7 @@
 //! zipf-distributed request schedule, and prints the load dashboard
 //! (availability, shed rate, deadline-miss rate, SLO burn rates,
 //! overload sparklines, per-workload and per-tenant tail latency). With
-//! `--report PATH` it also writes the JSON report the `check_regression`
+//! `--report PATH` it also writes the JSON report the `check_alerts`
 //! gate compares against `BENCH_load_baseline.json`.
 //!
 //! ```text

@@ -10,12 +10,12 @@
 //! `BENCH_baseline.json` and fails CI when warm throughput or p99 latency
 //! regresses beyond tolerance (see the `check_regression` binary). The
 //! [`loadgen`] module is the zipf load generator behind the `load`
-//! binary, whose `--report` output the same gate checks against
-//! `BENCH_load_baseline.json` (p99-under-load, shed rate, availability).
-//! The [`alerts_gate`] module expresses the same baseline contract as
-//! page-severity alert rules: the `load` bin evaluates them live
-//! (`--alert-baseline`), and the `check_alerts` binary fails CI when a
-//! page fires against a fresh report or fired during the run.
+//! binary. The [`alerts_gate`] module is the one gate over its `--report`
+//! output: it derives page-severity alert rules (p99-under-load, shed
+//! rate, availability) from `BENCH_load_baseline.json`, which the `load`
+//! bin evaluates live (`--alert-baseline`) and the `check_alerts` binary
+//! replays, failing CI when a page fires against a fresh report or fired
+//! during the run.
 
 pub mod alerts_gate;
 pub mod loadgen;

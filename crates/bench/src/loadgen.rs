@@ -482,7 +482,7 @@ pub struct SeriesReport {
 
 /// Everything one load run produced. Render with
 /// [`LoadReport::render_text`] (dashboard) or [`LoadReport::to_json`]
-/// (the `--report` schema the regression gate consumes).
+/// (the `--report` schema the `check_alerts` gate consumes).
 pub struct LoadReport {
     /// Clients that ran.
     pub clients: usize,
@@ -592,7 +592,7 @@ impl LoadReport {
         self.latency.quantile(0.99).unwrap_or(f64::NAN) * 1e6
     }
 
-    /// The `--report` JSON. Top-level keys are the regression-gate
+    /// The `--report` JSON. Top-level keys are the load-gate
     /// schema (`p99_under_load_us`, `shed_rate`, `availability`,
     /// `samples`); the rest nests under `per_workload`, `slo`, `series`.
     pub fn to_json(&self) -> Json {

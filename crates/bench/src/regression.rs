@@ -1,27 +1,14 @@
 //! The perf-regression gate: compare a fresh `--report` JSON from the
-//! throughput bench (or the `load` bin) against a committed baseline and
-//! fail when the serving path got slower beyond tolerance.
-//!
-//! The **warm** schema ([`check`], vs `BENCH_baseline.json`) gates:
+//! throughput bench against the committed `BENCH_baseline.json` and fail
+//! when the warm serving path got slower beyond tolerance ([`check`]):
 //!
 //! * **warm_rps** — warm-path throughput must not fall below
 //!   `baseline / tolerance`;
 //! * **p99_us** — tail latency must not rise above
 //!   `baseline * tolerance`.
 //!
-//! The **load** schema ([`check_load`], vs `BENCH_load_baseline.json`)
-//! gates the overdrive run:
-//!
-//! * **p99_under_load_us** — tail latency under overload must not rise
-//!   above `baseline * tolerance`;
-//! * **shed_rate** — backpressure sheds must not grow beyond tolerance
-//!   *and* by more than an absolute slack ([`SHED_ABS_SLACK`]) — overdrive
-//!   pins the expected shed rate near `1 - 1/factor`, so a real loss of
-//!   capacity shows as both;
-//! * **availability** — the *unavailability* `1 - availability` must not
-//!   grow beyond tolerance (with floor [`UNAVAILABILITY_FLOOR`] so a
-//!   near-perfect baseline doesn't make any failure infinite) *and* by
-//!   more than [`AVAILABILITY_ABS_SLACK`] absolute.
+//! Load reports (the `load` bin, vs `BENCH_load_baseline.json`) are gated
+//! by [`alerts_gate`](crate::alerts_gate) with the same tolerance.
 //!
 //! The default tolerance is deliberately loose ([`DEFAULT_TOLERANCE`]):
 //! the gate runs on shared CI machines where a 20–40% wobble is noise,
@@ -36,19 +23,6 @@ use multidim_trace::json::Json;
 /// warm throughput may drop to 1/1.8 of baseline and p99 may grow 1.8x;
 /// a doctored 2x-slower report must always fail.
 pub const DEFAULT_TOLERANCE: f64 = 1.8;
-
-/// Rate floors: ratio checks on a rate divide by
-/// `max(baseline_rate, floor)` so a near-zero baseline doesn't turn
-/// ordinary wobble into an infinite "slowdown".
-pub const SHED_RATE_FLOOR: f64 = 0.02;
-/// Floor for the `1 - availability` ratio check (see [`SHED_RATE_FLOOR`]).
-pub const UNAVAILABILITY_FLOOR: f64 = 0.01;
-/// A rate check only fails when the ratio exceeds tolerance AND the rate
-/// grew by more than this absolute slack — a 1% → 2.5% shed rate is a 2.5x
-/// ratio but still noise on a short CI run.
-pub const SHED_ABS_SLACK: f64 = 0.05;
-/// Absolute slack for the availability check (see [`SHED_ABS_SLACK`]).
-pub const AVAILABILITY_ABS_SLACK: f64 = 0.02;
 
 /// One gated metric's outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -156,108 +130,6 @@ pub fn check(baseline: &Json, current: &Json, tolerance: f64) -> Result<GateRepo
     Ok(GateReport { checks, tolerance })
 }
 
-/// Gate a load run (`load --report` JSON) against its committed
-/// baseline. See the module docs for the three gated metrics and the
-/// ratio-plus-absolute-slack rule on the rate checks.
-///
-/// # Errors
-///
-/// Returns a message when either report is missing a gated metric —
-/// a missing key is a gate failure, never a silent pass.
-pub fn check_load(baseline: &Json, current: &Json, tolerance: f64) -> Result<GateReport, String> {
-    if !(tolerance.is_finite() && tolerance >= 1.0) {
-        return Err(format!(
-            "tolerance must be a finite ratio >= 1.0, got {tolerance}"
-        ));
-    }
-    let mut checks = Vec::new();
-
-    // Tail latency under overload: higher is worse.
-    let base_p99 = req_f64(baseline, "p99_under_load_us", "baseline")?;
-    let cur_p99 = req_f64(current, "p99_under_load_us", "current")?;
-    let p99_slowdown = if base_p99 > 0.0 {
-        cur_p99 / base_p99
-    } else {
-        f64::INFINITY
-    };
-    checks.push(GateCheck {
-        metric: "p99_under_load_us",
-        baseline: base_p99,
-        current: cur_p99,
-        slowdown: p99_slowdown,
-        regressed: p99_slowdown > tolerance,
-    });
-
-    // Shed rate: higher is worse. Ratio over a floored baseline, and the
-    // absolute growth must also exceed the slack — both conditions, so
-    // neither a tiny-baseline ratio blowup nor a large-baseline creep
-    // alone trips the gate.
-    let base_shed = req_f64(baseline, "shed_rate", "baseline")?;
-    let cur_shed = req_f64(current, "shed_rate", "current")?;
-    let shed_ratio = cur_shed / base_shed.max(SHED_RATE_FLOOR);
-    checks.push(GateCheck {
-        metric: "shed_rate",
-        baseline: base_shed,
-        current: cur_shed,
-        slowdown: shed_ratio,
-        regressed: shed_ratio > tolerance && cur_shed - base_shed > SHED_ABS_SLACK,
-    });
-
-    // Availability: lower is worse; gate the growth of unavailability.
-    let base_avail = req_f64(baseline, "availability", "baseline")?;
-    let cur_avail = req_f64(current, "availability", "current")?;
-    let unavail_ratio = (1.0 - cur_avail) / (1.0 - base_avail).max(UNAVAILABILITY_FLOOR);
-    checks.push(GateCheck {
-        metric: "availability",
-        baseline: base_avail,
-        current: cur_avail,
-        slowdown: unavail_ratio,
-        regressed: unavail_ratio > tolerance && base_avail - cur_avail > AVAILABILITY_ABS_SLACK,
-    });
-
-    Ok(GateReport { checks, tolerance })
-}
-
-/// Which report schema a JSON document carries, detected by its keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Schema {
-    /// The throughput bench's warm/cold report (`BENCH_baseline.json`).
-    Warm,
-    /// The `load` bin's under-load report (`BENCH_load_baseline.json`).
-    Load,
-}
-
-impl Schema {
-    /// Detect the schema from a report's keys: `p99_under_load_us` marks
-    /// a load report, `warm_rps` a warm report.
-    pub fn detect(report: &Json) -> Option<Schema> {
-        if report.get("p99_under_load_us").is_some() {
-            Some(Schema::Load)
-        } else if report.get("warm_rps").is_some() {
-            Some(Schema::Warm)
-        } else {
-            None
-        }
-    }
-
-    /// Run the matching gate.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying gate's missing-metric errors.
-    pub fn check(
-        self,
-        baseline: &Json,
-        current: &Json,
-        tolerance: f64,
-    ) -> Result<GateReport, String> {
-        match self {
-            Schema::Warm => check(baseline, current, tolerance),
-            Schema::Load => check_load(baseline, current, tolerance),
-        }
-    }
-}
-
 /// The report's sample count — completions backing the gated quantiles
 /// (`samples` in load reports; `requests * warm_rounds` in warm reports).
 pub fn sample_count(report: &Json) -> Option<u64> {
@@ -272,6 +144,7 @@ pub fn sample_count(report: &Json) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alerts_gate::{check_alerts, AlertGateReport};
 
     fn report(warm_rps: f64, p99_us: f64) -> Json {
         Json::Obj(vec![
@@ -350,6 +223,9 @@ mod tests {
         assert!(check(&base, &base, f64::NAN).is_err());
     }
 
+    // Load reports have one gate, `alerts_gate::check_alerts`, at the
+    // same tolerance: it must still catch every load regression below.
+
     fn load_report(p99_us: f64, shed: f64, avail: f64) -> Json {
         Json::Obj(vec![
             ("p99_under_load_us".to_string(), Json::Num(p99_us)),
@@ -359,10 +235,14 @@ mod tests {
         ])
     }
 
+    fn load_gate(base: &Json, cur: &Json) -> Result<AlertGateReport, String> {
+        check_alerts(base, cur, None, DEFAULT_TOLERANCE)
+    }
+
     #[test]
     fn load_identical_reports_pass() {
         let base = load_report(100_000.0, 0.66, 0.33);
-        let gate = check_load(&base, &base, DEFAULT_TOLERANCE).unwrap();
+        let gate = load_gate(&base, &base).unwrap();
         assert!(gate.passed(), "{}", gate.render());
         assert_eq!(gate.checks.len(), 3);
     }
@@ -371,55 +251,22 @@ mod tests {
     fn load_doubled_p99_fails() {
         let base = load_report(100_000.0, 0.66, 0.33);
         let cur = load_report(200_000.0, 0.66, 0.33);
-        let gate = check_load(&base, &cur, DEFAULT_TOLERANCE).unwrap();
+        let gate = load_gate(&base, &cur).unwrap();
         assert!(!gate.passed());
-        assert!(gate.checks[0].regressed, "{}", gate.render());
-        assert!(!gate.checks[1].regressed);
-        assert!(!gate.checks[2].regressed);
-    }
-
-    #[test]
-    fn load_doubled_shed_rate_fails() {
-        // Baseline sheds 30%; doubling to 60% is a 2x ratio AND 30 points
-        // absolute — both conditions trip.
-        let base = load_report(100_000.0, 0.30, 0.69);
-        let cur = load_report(100_000.0, 0.60, 0.39);
-        let gate = check_load(&base, &cur, DEFAULT_TOLERANCE).unwrap();
-        assert!(!gate.passed());
-        assert!(gate.checks[1].regressed, "{}", gate.render());
-        assert!(gate.checks[2].regressed, "availability fell 30 points too");
-    }
-
-    #[test]
-    fn load_tiny_shed_wobble_passes_on_absolute_slack() {
-        // 1% -> 2.5% is a 2.5x ratio over the floored baseline but only
-        // 1.5 points absolute — inside the slack, so noise, not a gate.
-        let base = load_report(100_000.0, 0.01, 0.99);
-        let cur = load_report(100_000.0, 0.025, 0.975);
-        let gate = check_load(&base, &cur, DEFAULT_TOLERANCE).unwrap();
-        assert!(gate.passed(), "{}", gate.render());
+        assert!(gate.checks[0].firing, "{}", gate.render());
+        assert!(!gate.checks[1].firing);
+        assert!(!gate.checks[2].firing);
     }
 
     #[test]
     fn load_availability_collapse_fails() {
+        // 95% -> 80% triples the unavailability: a page, though the
+        // scaled-baseline threshold alone (0.508) would let it pass.
         let base = load_report(100_000.0, 0.05, 0.95);
         let cur = load_report(100_000.0, 0.05, 0.80);
-        let gate = check_load(&base, &cur, DEFAULT_TOLERANCE).unwrap();
+        let gate = load_gate(&base, &cur).unwrap();
         assert!(!gate.passed());
-        assert!(gate.checks[2].regressed, "{}", gate.render());
-    }
-
-    #[test]
-    fn load_perfect_baseline_availability_uses_floor() {
-        // Baseline 100% available: without the floor any dip would be an
-        // infinite ratio. With it, a half-point dip passes, a big one fails.
-        let base = load_report(100_000.0, 0.0, 1.0);
-        let ok = load_report(100_000.0, 0.0, 0.995);
-        let gate = check_load(&base, &ok, DEFAULT_TOLERANCE).unwrap();
-        assert!(gate.passed(), "{}", gate.render());
-        let bad = load_report(100_000.0, 0.0, 0.90);
-        let gate = check_load(&base, &bad, DEFAULT_TOLERANCE).unwrap();
-        assert!(!gate.passed());
+        assert!(gate.checks[2].firing, "{}", gate.render());
     }
 
     #[test]
@@ -429,20 +276,23 @@ mod tests {
             "p99_under_load_us".to_string(),
             Json::Num(100_000.0),
         )]);
-        let err = check_load(&base, &cur, DEFAULT_TOLERANCE).unwrap_err();
+        let err = load_gate(&base, &cur).unwrap_err();
         assert!(err.contains("shed_rate"), "error was: {err}");
     }
 
     #[test]
     fn schema_detection_and_dispatch() {
+        // Each gate reads only its own schema's keys, so a report of the
+        // other schema, or of none, is an error and never a pass.
         let warm = report(5000.0, 800.0);
         let load = load_report(100_000.0, 0.5, 0.5);
-        assert_eq!(Schema::detect(&warm), Some(Schema::Warm));
-        assert_eq!(Schema::detect(&load), Some(Schema::Load));
-        assert_eq!(Schema::detect(&Json::Obj(vec![])), None);
-        assert!(Schema::Warm.check(&warm, &warm, 1.8).unwrap().passed());
-        assert!(Schema::Load.check(&load, &load, 1.8).unwrap().passed());
-        assert!(Schema::Load.check(&warm, &warm, 1.8).is_err());
+        let empty = Json::Obj(vec![]);
+        assert!(check(&warm, &warm, DEFAULT_TOLERANCE).unwrap().passed());
+        assert!(load_gate(&load, &load).unwrap().passed());
+        assert!(check(&load, &load, DEFAULT_TOLERANCE).is_err());
+        assert!(load_gate(&warm, &warm).is_err());
+        assert!(check(&empty, &empty, DEFAULT_TOLERANCE).is_err());
+        assert!(load_gate(&empty, &empty).is_err());
     }
 
     #[test]

@@ -146,7 +146,6 @@ pub struct Compiler {
     weights: Weights,
     fusion: bool,
     checks: bool,
-    prune: bool,
     dynpar: DynParConfig,
 }
 
@@ -166,7 +165,6 @@ impl Compiler {
             weights: Weights::default(),
             fusion: true,
             checks: true,
-            prune: true,
             dynpar: DynParConfig::default(),
         }
     }
@@ -251,17 +249,6 @@ impl Compiler {
         self
     }
 
-    /// Enable/disable lower-bound pruning inside [`Compiler::autotune`]
-    /// (on by default). Pruning discards candidates whose proven locality
-    /// lower bound already exceeds the best measured cost; selection is
-    /// bit-identical to the unpruned loop (see
-    /// [`multidim_mapping::tune_pruned`]), so this knob exists for A/B
-    /// verification, not correctness.
-    pub fn prune(mut self, on: bool) -> Self {
-        self.prune = on;
-        self
-    }
-
     /// The codegen options actually passed to lowering: the user's
     /// options with the shared-memory budget defaulted to the target
     /// device's capacity, so the Section V-B prefetch skips itself instead
@@ -292,19 +279,41 @@ impl Compiler {
             (program.clone(), 0)
         };
         program.validate()?;
+        let (mapping, analysis) = self.choose_mapping(&program, bindings);
+        self.compile_mapped(program, bindings, mapping, analysis, fused)
+    }
 
-        let (mapping, analysis) = match self.strategy {
+    /// The mapping [`Compiler::compile`] picks for an already fused and
+    /// validated program: the analysis's decision under *MultiDim*, else
+    /// the fixed strategy's mapping.
+    fn choose_mapping(
+        &self,
+        program: &Program,
+        bindings: &Bindings,
+    ) -> (MappingDecision, Option<Analysis>) {
+        match self.strategy {
             Strategy::MultiDim => {
-                let a = analyze_with(&program, bindings, &self.gpu, &self.weights);
+                let a = analyze_with(program, bindings, &self.gpu, &self.weights);
                 (a.decision.clone(), Some(a))
             }
             fixed => {
-                let nest = NestInfo::of(&program);
-                let cs = collect_constraints(&program, &nest, bindings, &self.gpu, &self.weights);
+                let nest = NestInfo::of(program);
+                let cs = collect_constraints(program, &nest, bindings, &self.gpu, &self.weights);
                 (fixed_mapping(fixed, &nest, &cs), None)
             }
-        };
-        self.compile_mapped(program, bindings, mapping, analysis, fused)
+        }
+    }
+
+    /// The mapping [`Compiler::compile`] would pick for the program of a
+    /// prepared tuning run — the analytic baseline a tuned mapping is
+    /// compared against. It need not be one of the plan's candidates
+    /// (the analysis's DOP control may rewrite spans).
+    pub fn analytic_mapping(
+        &self,
+        prepared: &TunePrepared,
+        bindings: &Bindings,
+    ) -> MappingDecision {
+        self.choose_mapping(&prepared.program, bindings).0
     }
 
     /// Empirically auto-tune the mapping: enumerate the hard-valid
@@ -312,7 +321,8 @@ impl Compiler {
     /// inputs, and return the executable for the fastest one.
     ///
     /// This recovers the Figure 17 "region C" false negatives the static
-    /// score misses, at the cost of one simulation per candidate.
+    /// score misses, at the cost of one simulation per candidate that its
+    /// proven locality floor cannot rule out.
     ///
     /// # Errors
     ///
@@ -325,44 +335,41 @@ impl Compiler {
         options: &multidim_mapping::TuneOptions,
     ) -> Result<(Executable, multidim_mapping::TuneResult), CompileError> {
         let prepared = self.prepare_tune(program, bindings, options)?;
-        let result = if self.prune {
-            // Locality-proof pruning: a candidate whose *proven* memory
-            // transaction / launch-overhead floor already exceeds the best
-            // simulated time so far cannot win, so skip its simulation.
-            // Selection stays bit-identical to the unpruned loop because
-            // the bound is sound (`cost >= lower bound > best so far`) and
-            // pruning only triggers on a strict comparison.
-            let facts = LocalityFacts::of(&prepared.program, bindings);
-            multidim_mapping::tune_pruned(
-                &prepared.plan,
-                options.max_measurements,
-                |cand| self.candidate_bound(&prepared, bindings, &facts, &cand.mapping),
-                |cand| self.measure_candidate(&prepared, bindings, inputs, &cand.mapping),
-            )
-        } else {
-            let mut costs = Vec::new();
-            let mut successes = 0usize;
-            for cand in &prepared.plan.candidates {
-                if successes >= options.max_measurements {
-                    break;
-                }
-                let cost = self.measure_candidate(&prepared, bindings, inputs, &cand.mapping);
-                if cost.is_some() {
-                    successes += 1;
-                }
-                costs.push(cost);
-            }
-            multidim_mapping::select(&prepared.plan, &costs)
-        }
+        // Locality-proof pruning: a candidate whose *proven* memory
+        // transaction / launch-overhead floor already exceeds the best
+        // simulated time so far cannot win, so skip its simulation.
+        // Selection stays bit-identical to measuring every candidate
+        // because the bound is sound (`cost >= lower bound > best so far`)
+        // and pruning only triggers on a strict comparison.
+        let facts = LocalityFacts::of(&prepared.program, bindings);
+        let result = multidim_mapping::tune_pruned(
+            &prepared.plan,
+            options.max_measurements,
+            |cand| self.candidate_bound(&prepared, bindings, &facts, &cand.mapping),
+            |cand| self.measure_candidate(&prepared, bindings, inputs, &cand.mapping),
+        )
         .ok_or_else(|| CompileError("no mapping candidate was executable".into()))?;
         let exe = self.compile_tuned(&prepared, bindings, result.best.clone())?;
         Ok((exe, result))
     }
 
+    /// Lower one tuning candidate with the prepared consolidation plan and
+    /// validate it against device limits; `None` when either fails.
+    fn lower_candidate(
+        &self,
+        prepared: &TunePrepared,
+        mapping: &MappingDecision,
+    ) -> Option<KernelProgram> {
+        let opts = self.effective_options();
+        let kernels = lower_planned(&prepared.program, mapping, &opts, &prepared.dynpar).ok()?;
+        multidim_codegen::validate_kernels(&kernels, self.gpu.smem_per_sm).ok()?;
+        Some(kernels)
+    }
+
     /// Proven lower bound (simulated seconds) for one tuning candidate, or
     /// `None` when the candidate does not lower/validate (it then falls
     /// through to measurement, which fails the same way and records the
-    /// failure exactly as the unpruned loop would).
+    /// failure exactly as an unpruned run would).
     fn candidate_bound(
         &self,
         prepared: &TunePrepared,
@@ -370,16 +377,14 @@ impl Compiler {
         facts: &LocalityFacts,
         mapping: &MappingDecision,
     ) -> Option<f64> {
-        let opts = self.effective_options();
-        let kernels = lower_planned(&prepared.program, mapping, &opts, &prepared.dynpar).ok()?;
-        multidim_codegen::validate_kernels(&kernels, self.gpu.smem_per_sm).ok()?;
+        let kernels = self.lower_candidate(prepared, mapping)?;
         let summary = locality_of(
             facts,
             mapping,
             &kernels,
             bindings,
             &self.gpu,
-            opts.smem_prefetch,
+            self.options.smem_prefetch,
         );
         Some(summary.seconds_lower_bound)
     }
@@ -387,10 +392,10 @@ impl Compiler {
     /// The serial front half of [`Compiler::autotune`]: fuse + validate the
     /// program once and enumerate the score-ordered candidate plan. The
     /// measurements over the plan are independent of each other, so a
-    /// service layer can fan them out across worker threads and fold them
-    /// back with [`multidim_mapping::select`] — selection tie-breaks on
-    /// candidate index, so the parallel outcome is identical to the serial
-    /// one.
+    /// service layer can fan them out across worker threads and replay the
+    /// costs through [`multidim_mapping::tune_pruned`] — selection
+    /// tie-breaks on candidate index, so the parallel outcome is identical
+    /// to the serial one.
     ///
     /// # Errors
     ///
@@ -432,14 +437,7 @@ impl Compiler {
         inputs: &HashMap<ArrayId, Vec<f64>>,
         mapping: &MappingDecision,
     ) -> Option<f64> {
-        let kernels = lower_planned(
-            &prepared.program,
-            mapping,
-            &self.effective_options(),
-            &prepared.dynpar,
-        )
-        .ok()?;
-        multidim_codegen::validate_kernels(&kernels, self.gpu.smem_per_sm).ok()?;
+        let kernels = self.lower_candidate(prepared, mapping)?;
         let sim = run_program(&kernels, &self.gpu, bindings, inputs).ok()?;
         Some(sim.total_seconds)
     }

@@ -657,12 +657,14 @@ impl Engine {
     /// across the worker pool**, then persist the winner so subsequent
     /// [`Engine::submit`]s of the same request transparently use it.
     ///
-    /// Selection tie-breaks on candidate index (see
-    /// [`multidim_mapping::select`]), so the result is identical to the
-    /// serial [`Compiler::autotune`]. Candidates that cannot be enqueued
-    /// (full queue) are measured inline on the calling thread — tuning
-    /// degrades to partial parallelism under load rather than failing or
-    /// deadlocking.
+    /// Every candidate is measured (no locality pruning), then the costs
+    /// are replayed in score order through
+    /// [`multidim_mapping::tune_pruned`], which applies
+    /// `max_measurements` and tie-breaks on candidate index, so the result
+    /// is identical to the serial [`Compiler::autotune`]. Candidates that
+    /// cannot be enqueued (full queue) are measured inline on the calling
+    /// thread — tuning degrades to partial parallelism under load rather
+    /// than failing or deadlocking.
     ///
     /// # Errors
     ///
@@ -728,29 +730,32 @@ impl Engine {
             }
         }
 
-        // Honor `max_measurements` with serial semantics: the serial tuner
-        // attempts candidates in score order and stops once that many have
-        // measured successfully, so discard exactly the costs it would
-        // never have observed.
-        let mut successes = 0usize;
-        for cost in costs.iter_mut() {
-            if successes >= options.max_measurements {
-                *cost = None;
-            } else if cost.is_some() {
-                successes += 1;
-            }
-        }
-
-        let result = multidim_mapping::select(&prepared.plan, &costs).ok_or_else(|| {
+        // Replay the costs through the serial measurement loop, which
+        // visits candidates in score order and honors `max_measurements`
+        // exactly as `Compiler::autotune` does. No bound, so every
+        // candidate is visited in turn until the cap.
+        let mut replay = costs.into_iter();
+        let result = multidim_mapping::tune_pruned(
+            &prepared.plan,
+            options.max_measurements,
+            |_| None,
+            |_| replay.next().flatten(),
+        )
+        .ok_or_else(|| {
             EngineError::Compile(multidim::CompileError(
                 "no mapping candidate was executable".into(),
             ))
         })?;
 
-        // The analytic winner is the plan's highest-scored candidate
-        // (index 0): record its measured cost for the analytic-vs-tuned
-        // delta.
-        let analytic_cost = costs.first().copied().flatten();
+        // The analytic baseline is the mapping `Compiler::compile` picks;
+        // its cost is known only when it was one of the measured
+        // candidates.
+        let analytic = compiler.analytic_mapping(&prepared, bindings);
+        let analytic_cost = result
+            .measured
+            .iter()
+            .find(|m| m.candidate.mapping == analytic)
+            .map(|m| m.cost);
         let record = TuneRecord {
             fingerprint: compiler.fingerprint(program, bindings),
             program: program.name.clone(),
@@ -763,8 +768,8 @@ impl Engine {
         let _ = self.shared.store.save();
         self.shared.metrics.autotune_total.inc();
         if let Some(delta) = record.analytic_delta() {
-            // Positive = the measured mapping beat the analytic winner by
-            // this fraction of the analytic cost.
+            // The ratio analytic cost / tuned cost: above 1 when the
+            // tuned mapping beat the analytic one.
             self.shared
                 .registry
                 .gauge(
@@ -831,14 +836,6 @@ impl Engine {
     /// fingerprints.
     pub fn fingerprint_of(&self, program: &Program, bindings: &Bindings) -> Fingerprint {
         self.shared.compiler.fingerprint(program, bindings)
-    }
-
-    /// `true` when a ready executable for `fp` is resident in the
-    /// compilation cache (hit counters unaffected) — lets a front door
-    /// tell a cold compile from a warm hit when deciding whether to
-    /// coalesce onto an in-flight shard.
-    pub fn cache_contains(&self, fp: Fingerprint) -> bool {
-        self.shared.cache.peek(fp).is_some()
     }
 
     /// Exponential moving average of per-request service time, `None`

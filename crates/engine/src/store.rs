@@ -1,6 +1,6 @@
 //! Persistent store for empirically tuned mappings.
 //!
-//! `mapping::tune` measurements are expensive (one simulation per
+//! Autotune measurements are expensive (one simulation per
 //! candidate); throwing them away on process exit means every restart
 //! re-pays the whole search. This store keeps the winners: versioned JSON
 //! on disk (through the hand-rolled `multidim_trace::json` model — the
@@ -38,9 +38,11 @@ pub struct TuneRecord {
     pub mapping: MappingDecision,
     /// Its measured cost (simulated seconds).
     pub tuned_cost: f64,
-    /// Measured cost of the *analytic* (static-score) winner, when it was
-    /// among the measured candidates — the analytic-vs-tuned delta is
-    /// `analytic_cost / tuned_cost`.
+    /// Measured cost of the *analytic* mapping (the one
+    /// `Compiler::compile` picks), when it was among the measured
+    /// candidates — the analytic-vs-tuned delta is
+    /// `analytic_cost / tuned_cost`. `None` otherwise: the analysis's DOP
+    /// control may pick a mapping outside the tuning plan.
     pub analytic_cost: Option<f64>,
     /// How many candidates were measured to find this.
     pub measured: u64,

@@ -65,4 +65,4 @@ pub use search::{
     size_set, Analysis, ScoredMapping,
 };
 pub use strategy::{figure7_dop, fixed_mapping, Strategy};
-pub use tune::{plan, select, tune, tune_pruned, Measured, TuneOptions, TunePlan, TuneResult};
+pub use tune::{plan, select, tune_pruned, Measured, TuneOptions, TunePlan, TuneResult};

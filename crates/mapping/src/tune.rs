@@ -4,9 +4,10 @@
 //! auto-tuners to explore the mapping space", and the Figure 17 discussion
 //! notes the static score has false negatives that only measurement can
 //! recover. This module provides that exploration: enumerate the
-//! hard-valid candidates, optionally pre-filter by static score, measure
-//! each with a caller-provided cost function, and return the empirically
-//! best mapping.
+//! hard-valid candidates, optionally pre-filter by static score ([`plan`]),
+//! measure each with a caller-provided cost function ([`tune_pruned`], the
+//! one measurement loop), and fold the costs into the empirically best
+//! mapping ([`select`]).
 
 use crate::constraint::Weights;
 use crate::params::MappingDecision;
@@ -61,7 +62,7 @@ pub struct TuneResult {
     pub skipped: usize,
     /// Candidates discarded *without measurement* because a sound static
     /// lower bound already exceeded the best measured cost (only
-    /// [`tune_pruned`] sets this; plain [`tune`]/[`select`] report 0).
+    /// [`tune_pruned`] sets this; plain [`select`] reports 0).
     pub pruned: usize,
 }
 
@@ -79,9 +80,9 @@ pub struct TunePlan {
 
 /// Enumerate and pre-filter the candidates to measure (the serial phase of
 /// tuning). Applies `options.score_floor`; `options.max_measurements`
-/// caps *successful* measurements and is enforced by [`tune`]'s serial
-/// loop (a parallel driver caps attempted candidates instead — see
-/// `TunePlan::candidates`).
+/// caps *successful* measurements and is enforced by [`tune_pruned`]'s
+/// loop (a parallel tuner measures every candidate, then replays the
+/// costs through that loop to apply the same cap).
 pub fn plan(
     program: &Program,
     bindings: &Bindings,
@@ -139,53 +140,26 @@ pub fn select(plan: &TunePlan, costs: &[Option<f64>]) -> Option<TuneResult> {
     })
 }
 
-/// Exhaustively (or score-guided) tune `program`'s mapping with the given
-/// measurement function. `measure` returns the cost of one candidate, or
-/// `None` when the candidate cannot be compiled/executed.
+/// The measurement loop: attempt the plan's candidates in score order,
+/// stopping once `max_measurements` of them measured successfully, and
+/// fold the costs with [`select`]. `measure` returns a candidate's cost,
+/// or `None` when it cannot be compiled/executed.
 ///
-/// Returns `None` when no candidate could be measured.
-pub fn tune(
-    program: &Program,
-    bindings: &Bindings,
-    gpu: &GpuSpec,
-    weights: &Weights,
-    options: &TuneOptions,
-    mut measure: impl FnMut(&MappingDecision) -> Option<f64>,
-) -> Option<TuneResult> {
-    let plan = plan(program, bindings, gpu, weights, options);
-    // `costs` only covers attempted candidates: `select` zips, so
-    // candidates past the measurement cap count as neither measured nor
-    // skipped (matching the serial semantics engine drivers rely on).
-    let mut costs = Vec::new();
-    let mut successes = 0usize;
-    for cand in &plan.candidates {
-        if successes >= options.max_measurements {
-            break;
-        }
-        let cost = measure(&cand.mapping);
-        if cost.is_some() {
-            successes += 1;
-        }
-        costs.push(cost);
-    }
-    select(&plan, &costs)
-}
-
-/// Like the serial measurement loop inside [`tune`], but with a **sound
-/// lower-bound pruning hook**: before measuring a candidate, `bound` may
-/// return a proven lower bound on its cost (e.g. the locality analysis's
-/// roofline memory floor). A candidate whose bound *strictly exceeds* the
-/// best measured cost so far is discarded without measurement.
+/// Before measuring a candidate, `bound` may return a **sound lower
+/// bound** on its cost (e.g. the locality analysis's roofline memory
+/// floor); pass `|_| None` to measure every candidate. A candidate whose
+/// bound *strictly exceeds* the best measured cost so far is discarded
+/// without measurement.
 ///
-/// # Selection is bit-identical to the unpruned loop
+/// # Selection is bit-identical to measuring everything
 ///
 /// The best cost only decreases over the run, so a pruned candidate's true
 /// cost satisfies `cost ≥ bound > best_so_far ≥ best_final` — it can never
 /// win or even tie the final selection ([`select`] breaks cost ties on
 /// candidate index, and the inequality is strict). Pruned candidates *do*
 /// count against `max_measurements`, mirroring the successful measurement
-/// the unpruned loop would have made; the two loops can only diverge under
-/// a finite cap when a pruned candidate would in fact have *failed* to
+/// they stand in for; pruned and unpruned runs can only diverge under a
+/// finite cap when a pruned candidate would in fact have *failed* to
 /// measure (the default cap is unbounded).
 ///
 /// Returns `None` when no candidate was measured.
@@ -251,21 +225,34 @@ mod tests {
         (p, bind)
     }
 
+    /// The test program's plan under `options`.
+    fn plan_with(options: &TuneOptions) -> TunePlan {
+        let (p, bind) = program();
+        plan(
+            &p,
+            &bind,
+            &GpuSpec::tesla_k20c(),
+            &Weights::default(),
+            options,
+        )
+    }
+
+    /// Measure every candidate of the default plan with `cost`, unpruned
+    /// and uncapped.
+    fn tune_all(cost: impl FnMut(&ScoredMapping) -> Option<f64>) -> Option<TuneResult> {
+        tune_pruned(
+            &plan_with(&TuneOptions::default()),
+            usize::MAX,
+            |_| None,
+            cost,
+        )
+    }
+
     #[test]
     fn finds_the_synthetic_optimum() {
         // Synthetic cost: block_threads distance from 128 — the tuner must
         // find a 128-thread candidate.
-        let (p, bind) = program();
-        let gpu = GpuSpec::tesla_k20c();
-        let r = tune(
-            &p,
-            &bind,
-            &gpu,
-            &Weights::default(),
-            &TuneOptions::default(),
-            |m| Some((m.block_threads() as f64 - 128.0).abs()),
-        )
-        .unwrap();
+        let r = tune_all(|c| Some((c.mapping.block_threads() as f64 - 128.0).abs())).unwrap();
         assert_eq!(r.best.block_threads(), 128);
         assert_eq!(r.best_cost, 0.0);
         assert!(r.measured.len() > 10);
@@ -273,70 +260,33 @@ mod tests {
 
     #[test]
     fn score_floor_prunes() {
-        let (p, bind) = program();
-        let gpu = GpuSpec::tesla_k20c();
-        let full = tune(
-            &p,
-            &bind,
-            &gpu,
-            &Weights::default(),
-            &TuneOptions::default(),
-            |_| Some(1.0),
-        )
-        .unwrap();
-        let pruned = tune(
-            &p,
-            &bind,
-            &gpu,
-            &Weights::default(),
-            &TuneOptions {
-                score_floor: 0.9,
-                ..Default::default()
-            },
-            |_| Some(1.0),
-        )
-        .unwrap();
+        let full = tune_all(|_| Some(1.0)).unwrap();
+        let floored = plan_with(&TuneOptions {
+            score_floor: 0.9,
+            ..Default::default()
+        });
+        let pruned = tune_pruned(&floored, usize::MAX, |_| None, |_| Some(1.0)).unwrap();
         assert!(pruned.measured.len() < full.measured.len());
     }
 
     #[test]
     fn measurement_cap() {
-        let (p, bind) = program();
-        let gpu = GpuSpec::tesla_k20c();
-        let r = tune(
-            &p,
-            &bind,
-            &gpu,
-            &Weights::default(),
-            &TuneOptions {
-                max_measurements: 5,
-                ..Default::default()
-            },
-            |_| Some(1.0),
-        )
-        .unwrap();
+        let plan = plan_with(&TuneOptions::default());
+        let r = tune_pruned(&plan, 5, |_| None, |_| Some(1.0)).unwrap();
         assert_eq!(r.measured.len(), 5);
     }
 
     #[test]
     fn unmeasurable_candidates_are_skipped() {
-        let (p, bind) = program();
-        let gpu = GpuSpec::tesla_k20c();
-        let r = tune(
-            &p,
-            &bind,
-            &gpu,
-            &Weights::default(),
-            &TuneOptions::default(),
-            |m| {
-                // Pretend splits are not executable.
-                if m.levels().iter().any(|l| matches!(l.span, Span::Split(_))) {
-                    None
-                } else {
-                    Some(m.block_threads() as f64)
-                }
-            },
-        )
+        let r = tune_all(|c| {
+            // Pretend splits are not executable.
+            let m = &c.mapping;
+            if m.levels().iter().any(|l| matches!(l.span, Span::Split(_))) {
+                None
+            } else {
+                Some(m.block_threads() as f64)
+            }
+        })
         .unwrap();
         assert!(!r.measured.is_empty());
     }
@@ -345,26 +295,10 @@ mod tests {
     fn selection_is_order_independent() {
         // Measure the same candidates through `select` with costs that tie
         // everywhere: the winner must be the lowest-index candidate, the
-        // same one the serial `tune` loop picks — no matter which thread
-        // or order produced the measurements.
-        let (p, bind) = program();
-        let gpu = GpuSpec::tesla_k20c();
-        let serial = tune(
-            &p,
-            &bind,
-            &gpu,
-            &Weights::default(),
-            &TuneOptions::default(),
-            |m| Some((m.block_threads() % 7) as f64),
-        )
-        .unwrap();
-        let plan = plan(
-            &p,
-            &bind,
-            &gpu,
-            &Weights::default(),
-            &TuneOptions::default(),
-        );
+        // same one the serial loop picks — no matter which thread or order
+        // produced the measurements.
+        let serial = tune_all(|c| Some((c.mapping.block_threads() % 7) as f64)).unwrap();
+        let plan = plan_with(&TuneOptions::default());
         // "Parallel" measurement: compute all costs, in reverse order.
         let mut costs = vec![None; plan.candidates.len()];
         for i in (0..plan.candidates.len()).rev() {
@@ -378,16 +312,6 @@ mod tests {
 
     #[test]
     fn none_when_nothing_measurable() {
-        let (p, bind) = program();
-        let gpu = GpuSpec::tesla_k20c();
-        assert!(tune(
-            &p,
-            &bind,
-            &gpu,
-            &Weights::default(),
-            &TuneOptions::default(),
-            |_| None
-        )
-        .is_none());
+        assert!(tune_all(|_| None).is_none());
     }
 }

@@ -1,25 +1,22 @@
 //! The fleet front door: N engine shards behind one submit surface.
 //!
-//! A request travels admission → routing → coalescing → shedding →
-//! shard queue:
+//! A request travels admission → routing → shedding → shard queue:
 //!
 //! 1. **Admission** — the tenant's token bucket (then the shared spare
 //!    bucket) must yield a token, else the request is rejected with
 //!    [`ServeError::QuotaExceeded`] and a retry hint.
 //! 2. **Routing** — the request's program fingerprint picks its *home*
 //!    shard by rendezvous hashing ([`Router`]), so a program always
-//!    lands on the shard whose hot cache holds it.
-//! 3. **Coalescing** — a front-door single-flight table maps each
-//!    fingerprint that is cold-compiling *somewhere* to that shard;
-//!    concurrent submissions of the same program are steered there and
-//!    pile onto the one in-flight compile (the per-shard cache then
-//!    single-flights them onto the same executable) instead of
-//!    compiling once per shard they spill to.
-//! 4. **Shedding** — if the target shard's estimated drain time already
+//!    lands on the shard whose hot cache holds it. That is also what
+//!    makes cold compiles single-flight fleet-wide: every submission of
+//!    a program queues on one shard, whose compile cache runs one
+//!    compile and parks the concurrent requests on it (only a spilled
+//!    request can compile it again, on its spill shard).
+//! 3. **Shedding** — if the home shard's estimated drain time already
 //!    exceeds the request's deadline, the front door sheds at admission
 //!    ([`ServeError::DeadlineUnmeetable`]) instead of queueing doomed
 //!    work.
-//! 5. **Spill** — if the home shard rejects by backpressure, the
+//! 4. **Spill** — if the home shard rejects by backpressure, the
 //!    request falls to the least-loaded other shard; if that rejects
 //!    too, the request is shed ([`ServeError::Overloaded`]) with
 //!    per-tenant accounting.
@@ -44,7 +41,7 @@ use multidim_obs::{
     SloStatus, SloTracker,
 };
 use multidim_trace::{instant_us, SpanRecord, TraceContext, TraceOutcome};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -62,10 +59,6 @@ pub struct FrontDoorConfig {
     /// Spill to the least-loaded shard when the home shard rejects.
     /// Default on.
     pub spill: bool,
-    /// How long a coalescing-table claim may outlive its compile before
-    /// expiring (covers compiles that fail and never populate the
-    /// cache). Default 10 s.
-    pub coalesce_ttl: Duration,
     /// The SLO each tenant's tracker is judged against. Default 99%
     /// availability, p99 ≤ 50 ms.
     pub tenant_slo: Slo,
@@ -81,7 +74,6 @@ impl Default for FrontDoorConfig {
             shard: EngineConfig::default(),
             quota: QuotaPolicy::default(),
             spill: true,
-            coalesce_ttl: Duration::from_secs(10),
             tenant_slo: Slo::new("tenant", 0.99, 0.050),
             slo_windows: 64,
         }
@@ -98,7 +90,6 @@ struct FrontMetrics {
     shed_deadline: Arc<Counter>,
     shed_overload: Arc<Counter>,
     spilled: Arc<Counter>,
-    coalesced: Arc<Counter>,
     preloaded: Arc<Counter>,
     latency: Arc<Histogram>,
     tenant_requests: Arc<CounterFamily>,
@@ -144,10 +135,6 @@ impl FrontMetrics {
             spilled: registry.counter(
                 "serve_spilled_total",
                 "requests spilled off their home shard",
-            ),
-            coalesced: registry.counter(
-                "serve_coalesced_total",
-                "requests steered onto an in-flight compile",
             ),
             preloaded: registry
                 .counter("serve_preloaded_total", "catalog entries warmed by preload"),
@@ -286,13 +273,6 @@ impl DoorShared {
     }
 }
 
-/// A coalescing-table claim: the shard compiling this fingerprint and
-/// when the claim was made.
-struct Inflight {
-    shard: usize,
-    since: Instant,
-}
-
 /// Record the door-owned root span and seal the trace in the installed
 /// store: the root covers admission → outcome and carries the routing
 /// facts, so a stored trace reads as one stitched tree (serve root, then
@@ -300,14 +280,12 @@ struct Inflight {
 /// the tail sampler kept the trace; `None` when the door didn't mint the
 /// context (`trace` is `None`), tracing is off, or the trace was
 /// sampled out.
-#[allow(clippy::too_many_arguments)]
 fn finish_door_trace(
     trace: Option<TraceContext>,
     admitted: Option<Instant>,
     tenant: &str,
     shard: Option<usize>,
     spilled: bool,
-    coalesced: bool,
     outcome: TraceOutcome,
     latency_seconds: Option<f64>,
 ) -> Option<u128> {
@@ -318,7 +296,6 @@ fn finish_door_trace(
         ("tenant", tenant.to_string().into()),
         ("outcome", outcome.as_str().into()),
         ("spilled", spilled.into()),
-        ("coalesced", coalesced.into()),
     ];
     if let Some(shard) = shard {
         args.push(("shard", (shard as u64).into()));
@@ -369,7 +346,7 @@ fn record_door_span(
 }
 
 /// A front-door completion handle: the shard ticket plus the routing
-/// facts (tenant, shard, spill/coalesce flags) that annotate the
+/// facts (tenant, shard, spill flag) that annotate the
 /// response and drive per-tenant accounting when the result lands.
 pub struct Ticket {
     inner: EngineTicket,
@@ -385,19 +362,14 @@ pub struct Ticket {
     /// `true` when the home shard rejected and the request ran on the
     /// spill target instead.
     pub spilled: bool,
-    /// `true` when the request was steered onto another submission's
-    /// in-flight compile.
-    pub coalesced: bool,
 }
 
 impl Ticket {
-    #[allow(clippy::too_many_arguments)]
     fn conclude(
         shared: &DoorShared,
         tenant: &str,
         shard: usize,
         spilled: bool,
-        coalesced: bool,
         trace: Option<TraceContext>,
         admitted: Option<Instant>,
         outcome: Result<Response, EngineError>,
@@ -417,7 +389,6 @@ impl Ticket {
             tenant,
             Some(shard),
             spilled,
-            coalesced,
             trace_outcome,
             latency,
         );
@@ -427,7 +398,6 @@ impl Ticket {
                 tenant: tenant.to_string(),
                 shard,
                 spilled,
-                coalesced,
                 response,
             }),
             Err(e) => Err(ServeError::Engine(e)),
@@ -442,7 +412,6 @@ impl Ticket {
             &self.tenant,
             self.shard,
             self.spilled,
-            self.coalesced,
             self.trace,
             self.admitted,
             outcome,
@@ -459,7 +428,6 @@ impl Ticket {
             &self.tenant,
             self.shard,
             self.spilled,
-            self.coalesced,
             self.trace,
             self.admitted,
             outcome,
@@ -481,7 +449,6 @@ impl Ticket {
             &self.tenant,
             self.shard,
             self.spilled,
-            self.coalesced,
             self.trace,
             self.admitted,
             outcome,
@@ -498,8 +465,6 @@ pub struct ServeResponse {
     pub shard: usize,
     /// `true` when the request ran off its home shard.
     pub spilled: bool,
-    /// `true` when the request was steered onto an in-flight compile.
-    pub coalesced: bool,
     /// The shard's response.
     pub response: Response,
 }
@@ -535,20 +500,18 @@ pub struct FrontDoorStats {
     pub shed_overload: u64,
     /// Requests that ran off their home shard.
     pub spilled: u64,
-    /// Requests steered onto an in-flight compile.
+    /// Requests that waited on another request's in-flight compile in a
+    /// shard's cache: the sum of the shards' `CacheStats::coalesced`.
     pub coalesced: u64,
 }
 
 /// The sharded, multi-tenant serving tier: N [`Engine`]s behind
-/// admission control, rendezvous routing, fleet-wide coalescing, and
-/// overload shedding. See the [module docs](self) for the request
+/// admission control, rendezvous routing, and overload shedding. See the [module docs](self) for the request
 /// path.
 pub struct FrontDoor {
     shards: Vec<Engine>,
     router: Router,
     admission: Admission,
-    inflight: Mutex<HashMap<Fingerprint, Inflight>>,
-    coalesce_ttl: Duration,
     spill: bool,
     shard_deadline: Option<Duration>,
     epoch: Instant,
@@ -558,7 +521,7 @@ pub struct FrontDoor {
 impl FrontDoor {
     /// A front door whose shards all share one compiler configuration
     /// (identical configurations ⇒ identical fingerprints ⇒ coherent
-    /// routing and coalescing).
+    /// routing).
     pub fn new(compiler: Compiler, config: FrontDoorConfig) -> FrontDoor {
         let shards: Vec<Engine> = (0..config.shards.max(1))
             .map(|_| Engine::new(compiler.clone(), config.shard.clone()))
@@ -568,8 +531,6 @@ impl FrontDoor {
         FrontDoor {
             router: Router::new(shards.len()),
             admission: Admission::new(config.quota),
-            inflight: Mutex::new(HashMap::new()),
-            coalesce_ttl: config.coalesce_ttl,
             spill: config.spill,
             shard_deadline: config.shard.default_deadline,
             epoch: Instant::now(),
@@ -691,7 +652,6 @@ impl FrontDoor {
                 tenant,
                 None,
                 false,
-                false,
                 TraceOutcome::QuotaRejected,
                 None,
             );
@@ -701,22 +661,14 @@ impl FrontDoor {
             });
         }
 
-        // 2. Routing + 3. coalescing: claim the fingerprint if it is
-        // about to cold-compile, or join the shard already compiling it.
+        // 2. Routing: the fingerprint's home shard.
         let fp = self.fingerprint_of(&request.program, &request.bindings);
         let home = self.router.route(fp);
-        let (target, coalesced, claimed) = self.coalesce(fp, home);
-        if coalesced {
-            m.coalesced.inc();
-        }
 
-        // 4. Shed-by-deadline: don't queue work that cannot finish.
+        // 3. Shed-by-deadline: don't queue work that cannot finish.
         let deadline = request.deadline.or(self.shard_deadline);
-        if let (Some(deadline), Some(estimated_wait)) = (deadline, self.estimated_wait(target)) {
+        if let (Some(deadline), Some(estimated_wait)) = (deadline, self.estimated_wait(home)) {
             if estimated_wait > deadline {
-                if claimed {
-                    self.unclaim(fp, target);
-                }
                 m.shed_deadline.inc();
                 m.tenant_shed.with(tenant).inc();
                 self.shared.record_slo(tenant, 0.0, false);
@@ -724,42 +676,36 @@ impl FrontDoor {
                     door_trace,
                     admitted,
                     tenant,
-                    Some(target),
+                    Some(home),
                     false,
-                    coalesced,
                     TraceOutcome::Shed,
                     None,
                 );
                 return Err(ServeError::DeadlineUnmeetable {
-                    shard: target,
+                    shard: home,
                     estimated_wait,
                     deadline,
                 });
             }
         }
 
-        // 5. Queue on the target; spill once on backpressure.
-        let spillable = self.spill && !coalesced && self.shards.len() > 1;
+        // 4. Queue on the home shard; spill once on backpressure.
+        let spillable = self.spill && self.shards.len() > 1;
         let retry = spillable.then(|| request.clone());
-        match self.shards[target].submit(request) {
-            Ok(inner) => Ok(self.admitted(
-                inner, tenant, target, false, coalesced, door_trace, admitted,
-            )),
+        match self.shards[home].submit(request) {
+            Ok(inner) => Ok(self.admitted(inner, tenant, home, false, door_trace, admitted)),
             Err(EngineError::Rejected {
                 queue_depth,
                 retry_after,
                 ..
             }) => {
                 if let Some(request) = retry {
-                    let alt = self.least_loaded_except(target);
+                    let alt = self.least_loaded_except(home);
                     let spill_started = Instant::now();
                     match self.shards[alt].submit(request) {
                         Ok(inner) => {
                             m.spilled.inc();
                             m.shard_spills.with(&alt.to_string()).inc();
-                            if claimed {
-                                self.reclaim(fp, target, alt);
-                            }
                             // The retry clone carries the same context,
                             // so the spill hop shows up inside the one
                             // trace rather than starting a second one.
@@ -769,23 +715,18 @@ impl FrontDoor {
                                     "spill",
                                     spill_started,
                                     vec![
-                                        ("from_shard", (target as u64).into()),
+                                        ("from_shard", (home as u64).into()),
                                         ("to_shard", (alt as u64).into()),
                                     ],
                                 );
                             }
-                            Ok(self.admitted(
-                                inner, tenant, alt, true, coalesced, door_trace, admitted,
-                            ))
+                            Ok(self.admitted(inner, tenant, alt, true, door_trace, admitted))
                         }
                         Err(EngineError::Rejected {
                             queue_depth,
                             retry_after,
                             ..
                         }) => {
-                            if claimed {
-                                self.unclaim(fp, target);
-                            }
                             self.shed_overload(tenant);
                             finish_door_trace(
                                 door_trace,
@@ -793,21 +734,17 @@ impl FrontDoor {
                                 tenant,
                                 Some(alt),
                                 true,
-                                coalesced,
                                 TraceOutcome::Shed,
                                 None,
                             );
                             Err(ServeError::Overloaded {
-                                home_shard: target,
+                                home_shard: home,
                                 spill_shard: Some(alt),
                                 queue_depth,
                                 retry_after,
                             })
                         }
                         Err(e) => {
-                            if claimed {
-                                self.unclaim(fp, target);
-                            }
                             self.failed(tenant);
                             finish_door_trace(
                                 door_trace,
@@ -815,7 +752,6 @@ impl FrontDoor {
                                 tenant,
                                 Some(alt),
                                 true,
-                                coalesced,
                                 TraceOutcome::Failed,
                                 None,
                             );
@@ -823,22 +759,18 @@ impl FrontDoor {
                         }
                     }
                 } else {
-                    if claimed {
-                        self.unclaim(fp, target);
-                    }
                     self.shed_overload(tenant);
                     finish_door_trace(
                         door_trace,
                         admitted,
                         tenant,
-                        Some(target),
+                        Some(home),
                         false,
-                        coalesced,
                         TraceOutcome::Shed,
                         None,
                     );
                     Err(ServeError::Overloaded {
-                        home_shard: target,
+                        home_shard: home,
                         spill_shard: None,
                         queue_depth,
                         retry_after,
@@ -846,17 +778,13 @@ impl FrontDoor {
                 }
             }
             Err(e) => {
-                if claimed {
-                    self.unclaim(fp, target);
-                }
                 self.failed(tenant);
                 finish_door_trace(
                     door_trace,
                     admitted,
                     tenant,
-                    Some(target),
+                    Some(home),
                     false,
-                    coalesced,
                     TraceOutcome::Failed,
                     None,
                 );
@@ -866,14 +794,12 @@ impl FrontDoor {
     }
 
     /// Wrap a shard ticket after a successful queue.
-    #[allow(clippy::too_many_arguments)]
     fn admitted(
         &self,
         inner: EngineTicket,
         tenant: &str,
         shard: usize,
         spilled: bool,
-        coalesced: bool,
         trace: Option<TraceContext>,
         admitted: Option<Instant>,
     ) -> Ticket {
@@ -890,63 +816,6 @@ impl FrontDoor {
             admitted,
             shard,
             spilled,
-            coalesced,
-        }
-    }
-
-    /// One pass over the coalescing table: prune claims that resolved
-    /// (the executable reached the claimant's cache) or expired, then
-    /// either join an existing claim or — when the home shard would
-    /// cold-compile — record a new one. Returns
-    /// `(target shard, joined an existing claim, made a new claim)`.
-    fn coalesce(&self, fp: Fingerprint, home: usize) -> (usize, bool, bool) {
-        // Warm fast path: the home shard already holds the executable,
-        // so this is a cache hit wherever the claim table points —
-        // serve it at home without touching the table lock.
-        if self.shards[home].cache_contains(fp) {
-            return (home, false, false);
-        }
-        let mut table = self.inflight.lock().expect("coalesce lock poisoned");
-        let ttl = self.coalesce_ttl;
-        let shards = &self.shards;
-        table.retain(|f, e| e.since.elapsed() < ttl && !shards[e.shard].cache_contains(*f));
-        match table.get(&fp) {
-            Some(entry) => (entry.shard, true, false),
-            None => {
-                let cold = !shards[home].cache_contains(fp);
-                if cold {
-                    table.insert(
-                        fp,
-                        Inflight {
-                            shard: home,
-                            since: Instant::now(),
-                        },
-                    );
-                }
-                (home, false, cold)
-            }
-        }
-    }
-
-    /// Withdraw a claim this submission made but did not follow through
-    /// on (shed or failed before queueing).
-    fn unclaim(&self, fp: Fingerprint, shard: usize) {
-        let mut table = self.inflight.lock().expect("coalesce lock poisoned");
-        if let Some(entry) = table.get(&fp) {
-            if entry.shard == shard {
-                table.remove(&fp);
-            }
-        }
-    }
-
-    /// Move a claim to the spill target: the compile will happen there,
-    /// so followers must be steered there too.
-    fn reclaim(&self, fp: Fingerprint, from: usize, to: usize) {
-        let mut table = self.inflight.lock().expect("coalesce lock poisoned");
-        if let Some(entry) = table.get_mut(&fp) {
-            if entry.shard == from {
-                entry.shard = to;
-            }
         }
     }
 
@@ -1045,7 +914,7 @@ impl FrontDoor {
             shed_deadline: m.shed_deadline.get(),
             shed_overload: m.shed_overload.get(),
             spilled: m.spilled.get(),
-            coalesced: m.coalesced.get(),
+            coalesced: self.shards.iter().map(|e| e.cache_stats().coalesced).sum(),
         }
     }
 

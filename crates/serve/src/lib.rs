@@ -3,21 +3,19 @@
 //! The paper's serving story ("heavy traffic from millions of users")
 //! outgrows a single in-process [`Engine`](multidim_engine::Engine)
 //! pool. This crate is the fleet layer above it: a [`FrontDoor`] that
-//! owns N engine shards and gives every request the same five-step
+//! owns N engine shards and gives every request the same four-step
 //! path —
 //!
 //! * **routing** — each program's fingerprint picks its *home* shard by
 //!   deterministic rendezvous hashing ([`Router`]), so a program always
 //!   returns to the shard whose hot executable cache holds it, across
-//!   restarts and with minimal reshuffle when the fleet resizes;
+//!   restarts and with minimal reshuffle when the fleet resizes; that
+//!   shard's cache single-flights a cold compile, so N clients during a
+//!   cold compile produce one compile fleet-wide;
 //! * **admission control** — per-tenant token-bucket quotas
 //!   ([`QuotaPolicy`], [`Admission`]) with a typed
 //!   [`QuotaExceeded`](ServeError::QuotaExceeded) rejection and a
 //!   shared spare bucket that shares leftover capacity fairly;
-//! * **cross-shard coalescing** — a front-door single-flight table
-//!   steers concurrent submissions of a cold program onto the one shard
-//!   already compiling it, so N clients during a cold compile produce
-//!   one compile fleet-wide;
 //! * **tiered caching** — shard-local hot executables over the shared
 //!   persistent tuning store as a warm tier, with optional catalog
 //!   [`preload`](FrontDoor::preload) at startup;

@@ -607,6 +607,8 @@ mod tests {
     /// Tests touching the process-global shared sink (or asserting the
     /// *absence* of any sink) serialize on this lock so they cannot see
     /// each other's installations across the test harness's threads.
+    /// Every test that emits takes it too: an emit also reaches whatever
+    /// shared sink another test has installed.
     static GLOBAL_SINK_LOCK: Mutex<()> = Mutex::new(());
 
     fn global_lock() -> std::sync::MutexGuard<'static, ()> {
@@ -731,6 +733,7 @@ mod tests {
 
     #[test]
     fn memory_sink_collects_and_guard_restores() {
+        let _lock = global_lock();
         let outer = Rc::new(MemorySink::new());
         let inner = Rc::new(MemorySink::new());
         let _g1 = set_sink(outer.clone());
@@ -748,6 +751,7 @@ mod tests {
 
     #[test]
     fn span_measures_wall_time() {
+        let _lock = global_lock();
         let sink = Rc::new(MemorySink::new());
         let _g = set_sink(sink.clone());
         {

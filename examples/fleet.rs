@@ -1,6 +1,6 @@
 //! Capstone demo of the serving tier: a 4-shard front door serving the
 //! workload catalog on behalf of several tenants, with quotas,
-//! rendezvous routing, fleet-wide coalescing, and overload shedding
+//! rendezvous routing, fleet-wide single-flight, and overload shedding
 //! all visible in the final dashboard.
 //!
 //! ```text
@@ -11,8 +11,8 @@
 //! program's home shard), then serves three rounds of tenant traffic:
 //! a well-behaved tenant under its quota, a greedy tenant that blows
 //! through its bucket into the shared spare capacity, and a burst of
-//! identical submissions that the coalescing table folds onto one
-//! compile. It ends with per-tenant SLO status and the front door's
+//! identical submissions that routing sends to one home shard, whose
+//! cache folds them onto one executable. It ends with per-tenant SLO status and the front door's
 //! metric exposition.
 
 use multidim::Compiler;
@@ -77,8 +77,8 @@ fn main() -> Result<(), Box<dyn Error>> {
             }
         }
     }
-    // A burst of one identical cold-ish program: the coalescing table
-    // folds concurrent submissions onto a single shard.
+    // A burst of one identical cold-ish program: every submission
+    // routes to the same home shard, whose cache single-flights them.
     for _ in 0..8 {
         if let Ok(t) = door.submit("bursty", request(&entries[0])) {
             tickets.push(t);

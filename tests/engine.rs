@@ -1,8 +1,9 @@
 //! Stress and integration tests for the concurrent engine: correctness
 //! under contention (bit-identical to serial compiles), single-flight
 //! compilation, shared executables, panic isolation, deadline handling,
-//! parallel-vs-serial autotune equivalence, and tuning-store persistence
-//! plus corruption fallback.
+//! parallel-vs-serial autotune equivalence (with and without a
+//! measurement cap), the analytic baseline of a tuning record, and
+//! tuning-store persistence plus corruption fallback.
 
 use multidim::Compiler;
 use multidim_engine::{Engine, EngineConfig, EngineError, Request};
@@ -219,22 +220,78 @@ fn run_batch_preserves_order_under_backpressure() {
 fn parallel_autotune_matches_serial_selection() {
     let entries = catalog();
     let engine = Engine::new(Compiler::new(), small_config());
+    let capped = multidim_mapping::TuneOptions {
+        max_measurements: 5,
+        ..Default::default()
+    };
+    for options in [multidim_mapping::TuneOptions::default(), capped] {
+        for e in entries.iter().take(3) {
+            let (_serial_exe, serial) = Compiler::new()
+                .autotune(&e.program, &e.bindings, &e.inputs, &options)
+                .expect("serial tune");
+            let (_exe, record) = engine
+                .autotune(&e.program, &e.bindings, &e.inputs, &options)
+                .expect("parallel tune");
+            assert_eq!(
+                record.mapping,
+                serial.best,
+                "{}: parallel tuning must select the same mapping as serial",
+                e.name()
+            );
+            assert_eq!(record.tuned_cost, serial.best_cost);
+            if options.max_measurements == 5 {
+                assert_eq!(
+                    record.measured,
+                    5,
+                    "{}: the cap bounds measurements",
+                    e.name()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn analytic_cost_is_the_compiled_mappings_measured_cost() {
+    let entries = catalog();
+    let engine = Engine::new(Compiler::new(), small_config());
+    let compiler = Compiler::new();
     let options = multidim_mapping::TuneOptions::default();
-    for e in entries.iter().take(3) {
-        let (_serial_exe, serial) = Compiler::new()
-            .autotune(&e.program, &e.bindings, &e.inputs, &options)
-            .expect("serial tune");
+    // Tune one catalog entry; also report where its compiled mapping sits
+    // in the plan and that candidate's measured cost.
+    let tune = |name: &str| {
+        let e = entries.iter().find(|e| e.name() == name).expect(name);
+        let compiled = compiler.compile(&e.program, &e.bindings).expect("compile");
+        let prepared = compiler
+            .prepare_tune(&e.program, &e.bindings, &options)
+            .expect("plan");
+        let candidates = &prepared.plan.candidates;
+        let index = candidates
+            .iter()
+            .position(|c| c.mapping == compiled.mapping);
+        let cost = index.and_then(|_| {
+            compiler.measure_candidate(&prepared, &e.bindings, &e.inputs, &compiled.mapping)
+        });
         let (_exe, record) = engine
             .autotune(&e.program, &e.bindings, &e.inputs, &options)
-            .expect("parallel tune");
-        assert_eq!(
-            record.mapping,
-            serial.best,
-            "{}: parallel tuning must select the same mapping as serial",
-            e.name()
-        );
-        assert_eq!(record.tuned_cost, serial.best_cost);
-    }
+            .expect("tune");
+        (index, cost, record)
+    };
+
+    // hotspot compiles to the plan's third candidate: its measured cost
+    // is the analytic baseline.
+    let (index, cost, record) = tune("hotspot");
+    assert_eq!(index, Some(2));
+    assert!(cost.is_some());
+    assert_eq!(record.analytic_cost, cost);
+    assert_eq!(record.analytic_delta(), cost.map(|a| a / record.tuned_cost));
+
+    // sumRows compiles to a split(1) mapping outside the plan: no
+    // candidate's cost stands in for it.
+    let (index, _, record) = tune("sumRows");
+    assert_eq!(index, None);
+    assert_eq!(record.analytic_cost, None);
+    assert_eq!(record.analytic_delta(), None);
 }
 
 #[test]

@@ -1,14 +1,15 @@
 //! Load-generator integration: the zipf schedule is deterministic under a
 //! fixed seed, closed-loop runs account for every request, the dashboard
-//! figures match independently computed values, and the regression gate
+//! figures match independently computed values, and the load gate
 //! accepts the committed load baseline while rejecting doctored ones.
 
 use multidim::Compiler;
+use multidim_bench::alerts_gate::check_alerts;
 use multidim_bench::loadgen::{
     client_schedule, run_load, run_load_fleet, schedule_digest, tenant_of, LoadConfig, LoadMode,
     ZipfSampler,
 };
-use multidim_bench::regression::{check_load, sample_count, Schema, DEFAULT_TOLERANCE};
+use multidim_bench::regression::DEFAULT_TOLERANCE;
 use multidim_engine::{Engine, EngineConfig};
 use multidim_obs::Slo;
 use multidim_serve::{FrontDoor, FrontDoorConfig, QuotaPolicy};
@@ -176,8 +177,11 @@ fn report_json_carries_the_gate_schema_and_self_gates() {
     ] {
         assert!(parsed.get(key).is_some(), "report JSON must carry `{key}`");
     }
-    assert_eq!(Schema::detect(&parsed), Some(Schema::Load));
-    assert_eq!(sample_count(&parsed), Some(report.completed));
+    assert!(parsed.get("warm_rps").is_none(), "not a warm report");
+    assert_eq!(
+        parsed.get("samples").and_then(Json::as_u64),
+        Some(report.completed)
+    );
 
     // Consistency between the struct and its JSON.
     let f = |k: &str| parsed.get(k).and_then(Json::as_f64).unwrap();
@@ -185,11 +189,11 @@ fn report_json_carries_the_gate_schema_and_self_gates() {
     assert!((f("availability") - report.availability()).abs() < 1e-6);
 
     // A report gates cleanly against itself...
-    let gate = check_load(&parsed, &parsed, DEFAULT_TOLERANCE).unwrap();
+    let gate = check_alerts(&parsed, &parsed, None, DEFAULT_TOLERANCE).unwrap();
     assert!(gate.passed(), "{}", gate.render());
     // ...and fails against a 2x-doctored copy of its tail latency.
     let doctored = doctor(&parsed, "p99_under_load_us", 2.0);
-    let gate = check_load(&parsed, &doctored, DEFAULT_TOLERANCE).unwrap();
+    let gate = check_alerts(&parsed, &doctored, None, DEFAULT_TOLERANCE).unwrap();
     assert!(!gate.passed(), "{}", gate.render());
 }
 
@@ -251,18 +255,33 @@ fn committed_load_baseline_passes_its_own_gate_and_rejects_doctored_runs() {
     );
     let text = std::fs::read_to_string(path).expect("committed BENCH_load_baseline.json");
     let baseline = Json::parse(&text).expect("baseline is valid JSON");
-    assert_eq!(Schema::detect(&baseline), Some(Schema::Load));
+    assert!(baseline.get("samples").and_then(Json::as_u64).unwrap() >= 100);
 
-    let gate = check_load(&baseline, &baseline, DEFAULT_TOLERANCE).unwrap();
-    assert!(gate.passed(), "{}", gate.render());
+    let gate = |current: &Json| check_alerts(&baseline, current, None, DEFAULT_TOLERANCE).unwrap();
+    let honest = gate(&baseline);
+    assert!(honest.passed(), "{}", honest.render());
+    // The thresholds the committed baseline derives.
+    let thresholds: Vec<f64> = honest.checks.iter().map(|c| c.threshold).collect();
+    assert_eq!(thresholds[0].round(), 166_143.0, "{}", honest.render());
+    assert_eq!(thresholds[1], 0.995, "{}", honest.render());
+    assert!((thresholds[2] - 0.179).abs() < 5e-4, "{}", honest.render());
 
-    let slow = doctor(&baseline, "p99_under_load_us", 2.0);
-    let gate = check_load(&baseline, &slow, DEFAULT_TOLERANCE).unwrap();
-    assert!(!gate.passed(), "2x p99 must fail: {}", gate.render());
+    let slow = gate(&doctor(&baseline, "p99_under_load_us", 2.0));
+    assert!(!slow.passed(), "2x p99 must fail: {}", slow.render());
 
-    let shedding = doctor(&baseline, "shed_rate", 2.0);
-    let gate = check_load(&baseline, &shedding, DEFAULT_TOLERANCE).unwrap();
-    assert!(!gate.passed(), "2x shed rate must fail: {}", gate.render());
+    let shedding = gate(&set(&baseline, "shed_rate", 0.999));
+    assert!(
+        !shedding.passed(),
+        "shed 0.999 must fail: {}",
+        shedding.render()
+    );
+
+    let unavailable = gate(&set(&baseline, "availability", 0.1));
+    assert!(
+        !unavailable.passed(),
+        "availability 0.1 must fail: {}",
+        unavailable.render()
+    );
 }
 
 fn test_fleet(shards: usize, queue: usize, quota: QuotaPolicy) -> FrontDoor {
@@ -340,8 +359,15 @@ fn fleet_report_json_gates_against_a_single_engine_baseline() {
 
     let single_json = Json::parse(&single.to_json().render()).unwrap();
     let fleet_json = Json::parse(&fleet.to_json().render()).unwrap();
-    assert_eq!(Schema::detect(&fleet_json), Some(Schema::Load));
-    for key in ["tenants", "shards", "quota_rejected", "per_tenant"] {
+    for key in [
+        "p99_under_load_us",
+        "shed_rate",
+        "availability",
+        "tenants",
+        "shards",
+        "quota_rejected",
+        "per_tenant",
+    ] {
         assert!(
             fleet_json.get(key).is_some(),
             "fleet JSON must carry `{key}`"
@@ -350,7 +376,7 @@ fn fleet_report_json_gates_against_a_single_engine_baseline() {
     assert_eq!(fleet_json.get("shards").and_then(Json::as_f64), Some(4.0));
     // Same schedule, same catalog: the fleet run completes everything
     // the single engine did, and the gate accepts it.
-    let gate = check_load(&single_json, &fleet_json, DEFAULT_TOLERANCE).unwrap();
+    let gate = check_alerts(&single_json, &fleet_json, None, DEFAULT_TOLERANCE).unwrap();
     assert!(
         gate.passed(),
         "sharded run must gate against the single-engine baseline: {}",
@@ -384,17 +410,26 @@ fn fleet_report_json_gates_against_a_single_engine_baseline() {
 
 /// A copy of `report` with `key` multiplied by `factor`.
 fn doctor(report: &Json, key: &str, factor: f64) -> Json {
+    let value = report
+        .get(key)
+        .and_then(Json::as_f64)
+        .expect("doctored key is numeric");
+    set(report, key, value * factor)
+}
+
+/// A copy of `report` with `key` set to `value`.
+fn set(report: &Json, key: &str, value: f64) -> Json {
     match report {
         Json::Obj(fields) => Json::Obj(
             fields
                 .iter()
                 .map(|(k, v)| {
-                    if k == key {
-                        let scaled = v.as_f64().expect("doctored key is numeric") * factor;
-                        (k.clone(), Json::Num(scaled))
+                    let v = if k == key {
+                        Json::Num(value)
                     } else {
-                        (k.clone(), v.clone())
-                    }
+                        v.clone()
+                    };
+                    (k.clone(), v)
                 })
                 .collect(),
         ),

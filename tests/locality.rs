@@ -7,7 +7,7 @@ use multidim::prelude::*;
 use multidim::{locality_cross_check, AccessClass};
 use multidim_codegen::CodegenOptions;
 use multidim_ir::ArrayId;
-use multidim_mapping::{Dim, LevelMapping, MappingDecision, Span, TuneOptions};
+use multidim_mapping::{select, Dim, LevelMapping, MappingDecision, Span, TuneOptions};
 use multidim_workloads::catalog::catalog;
 use std::collections::HashMap;
 
@@ -38,20 +38,36 @@ fn catalog_locality_agrees_with_simulator() {
 
 /// The pruned search must select a bit-identical mapping (and cost) to the
 /// exhaustive one on every catalog workload, while actually pruning on a
-/// meaningful fraction of them.
+/// meaningful fraction of them. The exhaustive reference reuses the pruned
+/// run's measurements and measures only what it left out.
 #[test]
 fn pruned_search_is_bit_identical_and_prunes() {
-    let pruning = Compiler::new().checks(false);
-    let exhaustive = Compiler::new().checks(false).prune(false);
+    let compiler = Compiler::new().checks(false);
     let opts = TuneOptions::default();
     let mut workloads_with_pruning = 0usize;
     for e in catalog() {
-        let (_, fast) = pruning
+        let (_, fast) = compiler
             .autotune(&e.program, &e.bindings, &e.inputs, &opts)
             .unwrap_or_else(|err| panic!("{}: pruned autotune failed: {err}", e.name()));
-        let (_, full) = exhaustive
-            .autotune(&e.program, &e.bindings, &e.inputs, &opts)
-            .unwrap_or_else(|err| panic!("{}: full autotune failed: {err}", e.name()));
+        let prepared = compiler
+            .prepare_tune(&e.program, &e.bindings, &opts)
+            .unwrap_or_else(|err| panic!("{}: prepare failed: {err}", e.name()));
+        let measured: HashMap<usize, f64> =
+            fast.measured.iter().map(|m| (m.index, m.cost)).collect();
+        let costs: Vec<Option<f64>> = prepared
+            .plan
+            .candidates
+            .iter()
+            .enumerate()
+            .map(|(i, cand)| match measured.get(&i) {
+                Some(&cost) => Some(cost),
+                None => {
+                    compiler.measure_candidate(&prepared, &e.bindings, &e.inputs, &cand.mapping)
+                }
+            })
+            .collect();
+        let full = select(&prepared.plan, &costs)
+            .unwrap_or_else(|| panic!("{}: exhaustive selection failed", e.name()));
         assert_eq!(
             fast.best,
             full.best,

@@ -149,10 +149,10 @@ fn spare_bucket_is_shared_after_guarantees_exhaust() {
 
 #[test]
 fn cold_compile_is_single_flight_across_the_fleet() {
-    // K concurrent clients submit the identical cold program. The
-    // front-door coalescing table steers every submission to one shard,
-    // whose cache single-flights them onto one compile: exactly one
-    // cache miss fleet-wide.
+    // K concurrent clients submit the identical cold program. Rendezvous
+    // routing sends every submission to its home shard, whose cache
+    // single-flights them onto one compile: exactly one cache miss
+    // fleet-wide.
     const K: usize = 8;
     let entries = catalog();
     let door = door_with(
@@ -164,20 +164,21 @@ fn cold_compile_is_single_flight_across_the_fleet() {
         },
         QuotaPolicy::default(),
     );
-    let coalesced_submissions = AtomicUsize::new(0);
+    let entry = &entries[3];
+    let home = door.home_shard(door.fingerprint_of(&entry.program, &entry.bindings));
+    let served_at_home = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for client in 0..K {
             let door = &door;
-            let entry = &entries[3];
-            let coalesced_submissions = &coalesced_submissions;
+            let served_at_home = &served_at_home;
             s.spawn(move || {
                 let ticket = door
                     .submit(&format!("tenant-{client}"), request_for(entry))
                     .expect("admitted");
-                if ticket.coalesced {
-                    coalesced_submissions.fetch_add(1, Ordering::Relaxed);
+                let served = ticket.wait().expect("served");
+                if served.shard == home && !served.spilled {
+                    served_at_home.fetch_add(1, Ordering::Relaxed);
                 }
-                ticket.wait().expect("served");
             });
         }
     });
@@ -185,16 +186,15 @@ fn cold_compile_is_single_flight_across_the_fleet() {
         .map(|i| door.shard(i).cache_stats().misses)
         .sum();
     assert_eq!(fleet_misses, 1, "cold compile ran more than once");
-    // Everyone landed on the compiling shard: all K completions came
-    // from one engine.
-    let serving_shards: Vec<usize> = (0..door.shards())
-        .filter(|&i| door.shard(i).stats().completed > 0)
-        .collect();
-    assert_eq!(serving_shards.len(), 1, "requests leaked off the claim");
     assert_eq!(
-        door.stats().coalesced,
-        coalesced_submissions.load(Ordering::Relaxed) as u64
+        served_at_home.load(Ordering::Relaxed),
+        K,
+        "every ticket is served by the home shard"
     );
+    let shard_coalesced: u64 = (0..door.shards())
+        .map(|i| door.shard(i).cache_stats().coalesced)
+        .sum();
+    assert_eq!(door.stats().coalesced, shard_coalesced);
     door.shutdown();
 }
 
@@ -212,8 +212,8 @@ fn home_rejection_spills_to_least_loaded_shard() {
         },
         QuotaPolicy::default(),
     );
-    // Pick several distinct programs that share a home shard so the
-    // coalescing table never redirects them.
+    // Pick several distinct programs that share a home shard, so they
+    // all queue on it.
     let home0 = door.home_shard(door.fingerprint_of(&entries[0].program, &entries[0].bindings));
     let same_home: Vec<&multidim_workloads::catalog::CatalogEntry> = entries
         .iter()
