@@ -12,9 +12,8 @@
 //! * **bounded memory** — least-recently-used entries are evicted once
 //!   the capacity is exceeded.
 //!
-//! Hit/miss/eviction/coalesced-wait counters are kept as atomics and can
-//! be exported as `multidim-trace` gauge events via
-//! [`CompileCache::emit_trace`].
+//! Hit/miss/eviction/coalesced-wait counters are kept as atomics; the
+//! engine syncs them into its metrics registry at scrape time.
 
 use multidim::{CompileError, Executable, Fingerprint};
 use std::collections::HashMap;
@@ -148,23 +147,6 @@ impl CompileCache {
             evictions: self.stats.evictions.load(Ordering::Relaxed),
             coalesced: self.stats.coalesced.load(Ordering::Relaxed),
             failures: self.stats.failures.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Emit the counters as a `multidim-trace` gauge event (on the calling
-    /// thread's sink).
-    pub fn emit_trace(&self) {
-        if multidim_trace::enabled() {
-            let s = self.stats();
-            multidim_trace::emit(
-                multidim_trace::Event::gauge("engine", "compile_cache")
-                    .arg("hits", s.hits)
-                    .arg("misses", s.misses)
-                    .arg("evictions", s.evictions)
-                    .arg("coalesced", s.coalesced)
-                    .arg("failures", s.failures)
-                    .arg("entries", self.len()),
-            );
         }
     }
 

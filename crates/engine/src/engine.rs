@@ -7,21 +7,15 @@ use crate::pool::WorkerPool;
 use crate::store::{LoadOutcome, TuneRecord, TuningStore};
 use multidim::{Compiler, Executable, Fingerprint, RunReport};
 use multidim_ir::{ArrayId, Bindings, Program};
-use multidim_obs::{
-    Counter, CounterFamily, FlightRecorder, Histogram, HistogramFamily, PhaseBreakdown, PostMortem,
-    Registry, RequestProfile, SearchBreakdown,
-};
-use multidim_trace::{instant_us, Sink, SpanRecord, TraceContext, TraceOutcome};
-use std::collections::{HashMap, VecDeque};
+use multidim_obs::{Counter, CounterFamily, Histogram, HistogramFamily, Registry};
+use multidim_trace::{RequestRoot, TraceContext, TraceOutcome};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// Post-mortem bundles retained by the engine (oldest dropped first).
-const POST_MORTEM_CAP: usize = 32;
 
 /// Engine sizing and policy.
 #[derive(Debug, Clone)]
@@ -40,10 +34,7 @@ pub struct EngineConfig {
     pub default_deadline: Option<Duration>,
     /// Where to persist tuned mappings; `None` keeps them in memory only.
     pub store_path: Option<PathBuf>,
-    /// Trace events each worker retains for post-mortem bundles (the
-    /// flight recorder's per-thread ring size). `0` disables the recorder
-    /// — workers then trace only to an explicitly installed shared sink.
-    /// Default 128.
+    /// Nothing reads this field.
     pub flight_recorder_capacity: usize,
 }
 
@@ -130,6 +121,17 @@ pub struct Response {
     pub run_time: Duration,
     /// The trace context the request ran under, when tracing was on.
     pub trace: Option<TraceContext>,
+}
+
+/// How a request's trace ends, given its result: the one mapping both
+/// the engine and the front door seal traces with.
+pub fn trace_outcome(result: &Result<Response, EngineError>) -> TraceOutcome {
+    match result {
+        Ok(_) => TraceOutcome::Completed,
+        Err(EngineError::DeadlineExceeded { .. }) => TraceOutcome::Expired,
+        Err(EngineError::Rejected { .. }) => TraceOutcome::Shed,
+        Err(_) => TraceOutcome::Failed,
+    }
 }
 
 /// The completion slot shared by a [`Ticket`] and its worker-side
@@ -290,7 +292,8 @@ impl Ticket {
     }
 }
 
-/// Aggregate request counters (monotonic since engine construction).
+/// Aggregate request counters (monotonic since engine construction),
+/// read from the engine's registry counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Requests accepted into the queue.
@@ -309,17 +312,6 @@ pub struct EngineStats {
     pub tuned_served: u64,
 }
 
-#[derive(Default)]
-struct AtomicEngineStats {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    rejected: AtomicU64,
-    failed: AtomicU64,
-    expired: AtomicU64,
-    panicked: AtomicU64,
-    tuned_served: AtomicU64,
-}
-
 /// Pre-resolved registry handles for the engine's hot-path metrics, so
 /// serving a request never takes the registry's name-lookup lock.
 struct EngineMetrics {
@@ -335,7 +327,6 @@ struct EngineMetrics {
     queue_seconds: Arc<Histogram>,
     compile_seconds: Arc<Histogram>,
     run_seconds: Arc<Histogram>,
-    post_mortems_dropped_total: Arc<Counter>,
     // Labelled (per-workload) families: the under-load view. The label is
     // the request's program name, so a skewed load generator can read shed
     // rate, deadline-miss rate, tail latency, and cache behaviour per
@@ -388,10 +379,6 @@ impl EngineMetrics {
                 "compile time of cache-miss requests",
             ),
             run_seconds: registry.histogram("engine_run_seconds", "simulator wall-clock run time"),
-            post_mortems_dropped_total: registry.counter(
-                "engine_post_mortems_dropped_total",
-                "post-mortem bundles evicted unread from the bounded ring",
-            ),
             requests_by_workload: registry.counter_family(
                 "engine_requests_by_workload",
                 "requests accepted, by program",
@@ -445,11 +432,8 @@ struct Shared {
     compiler: Arc<Compiler>,
     cache: CompileCache,
     store: TuningStore,
-    stats: AtomicEngineStats,
     registry: Arc<Registry>,
     metrics: EngineMetrics,
-    recorder: Option<Arc<FlightRecorder>>,
-    post_mortems: Mutex<VecDeque<PostMortem>>,
     /// Requests currently being served by a worker (dequeued, not yet
     /// resolved) — the overload sampler's companion to queue depth.
     in_flight: AtomicU64,
@@ -508,26 +492,17 @@ impl Engine {
         };
         let registry = Arc::new(Registry::new());
         let metrics = EngineMetrics::new(&registry);
-        let recorder = (config.flight_recorder_capacity > 0)
-            .then(|| Arc::new(FlightRecorder::new(config.flight_recorder_capacity)));
-        // Install the recorder as each worker's thread-local sink: the
-        // events a request emits (search spans, cache gauges, run spans)
-        // land in that worker's ring, ready for a post-mortem bundle.
-        let worker_sink = recorder.clone().map(|r| r as Arc<dyn Sink + Send + Sync>);
         Engine {
             shared: Arc::new(Shared {
                 compiler: compiler.shared(),
                 cache: CompileCache::new(config.cache_capacity),
                 store,
-                stats: AtomicEngineStats::default(),
                 registry,
                 metrics,
-                recorder,
-                post_mortems: Mutex::new(VecDeque::new()),
                 in_flight: AtomicU64::new(0),
                 ema_service_bits: AtomicU64::new(0),
             }),
-            pool: WorkerPool::with_sink(config.workers, config.queue_capacity, worker_sink),
+            pool: WorkerPool::new(config.workers, config.queue_capacity),
             store_load,
             default_deadline: config.default_deadline,
             queue_capacity: config.queue_capacity.max(1),
@@ -574,7 +549,6 @@ impl Engine {
         });
         match self.pool.try_submit(job) {
             Ok(()) => {
-                self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
                 self.shared.metrics.requests_total.inc();
                 self.shared
                     .metrics
@@ -584,11 +558,19 @@ impl Engine {
                 Ok(ticket)
             }
             Err(Some(_full)) => {
-                self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
                 self.shared.metrics.rejected_total.inc();
                 self.shared.metrics.shed_by_workload.with(&workload).inc();
-                finish_trace(trace, owns_trace, TraceOutcome::Shed, None);
-                Err(self.rejection())
+                let err = self.rejection();
+                let owned = trace.filter(|_| owns_trace);
+                finish_engine_trace(
+                    owned,
+                    enqueued,
+                    &workload,
+                    TraceOutcome::Shed,
+                    Some(&err),
+                    None,
+                );
+                Err(err)
             }
             Err(None) => Err(EngineError::ShuttingDown),
         }
@@ -801,17 +783,17 @@ impl Engine {
         self.shared.cache.stats()
     }
 
-    /// Request counters.
+    /// Request counters (reads the same counters the registry exports).
     pub fn stats(&self) -> EngineStats {
-        let s = &self.shared.stats;
+        let m = &self.shared.metrics;
         EngineStats {
-            submitted: s.submitted.load(Ordering::Relaxed),
-            completed: s.completed.load(Ordering::Relaxed),
-            rejected: s.rejected.load(Ordering::Relaxed),
-            failed: s.failed.load(Ordering::Relaxed),
-            expired: s.expired.load(Ordering::Relaxed),
-            panicked: s.panicked.load(Ordering::Relaxed),
-            tuned_served: s.tuned_served.load(Ordering::Relaxed),
+            submitted: m.requests_total.get(),
+            completed: m.completed_total.get(),
+            rejected: m.rejected_total.get(),
+            failed: m.failed_total.get(),
+            expired: m.expired_total.get(),
+            panicked: m.panicked_total.get(),
+            tuned_served: m.tuned_served_total.get(),
         }
     }
 
@@ -853,12 +835,6 @@ impl Engine {
         self.shared.in_flight.load(Ordering::Relaxed) as usize
     }
 
-    /// Post-mortem bundles evicted unread because the bounded ring (cap
-    /// 32) was full — nonzero means crash evidence has been lost.
-    pub fn post_mortems_dropped(&self) -> u64 {
-        self.shared.metrics.post_mortems_dropped_total.get()
-    }
-
     /// Number of tuning-store records.
     pub fn store_len(&self) -> usize {
         self.shared.store.len()
@@ -868,19 +844,6 @@ impl Engine {
     /// requests are served; share the arc with exporters freely.
     pub fn registry(&self) -> Arc<Registry> {
         self.shared.registry.clone()
-    }
-
-    /// Post-mortem bundles of recently failed requests, oldest first.
-    /// Bounded: only the most recent 32 failures are retained. A bundle
-    /// exists for every request that panicked, missed its deadline, or
-    /// failed to compile or run.
-    pub fn post_mortems(&self) -> Vec<PostMortem> {
-        let q = self
-            .shared
-            .post_mortems
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        q.iter().cloned().collect()
     }
 
     /// Render the Prometheus-style text exposition of every engine metric,
@@ -916,55 +879,6 @@ impl Engine {
             .set(self.store_len() as f64);
     }
 
-    /// Stitch one served request into a [`RequestProfile`]: latency phases
-    /// (queue → compile → run), the mapping search's score breakdown (when
-    /// the *MultiDim* analysis ran), and the simulator's roofline counters.
-    pub fn profile(&self, response: &Response) -> RequestProfile {
-        let exe = &response.executable;
-        let search = exe.analysis.as_ref().map(|a| SearchBreakdown {
-            mapping: a.decision.to_string(),
-            score: a.score,
-            normalized_score: a.normalized_score,
-            dop: a.dop,
-            candidates: a.candidates as u64,
-            pruned: a.pruned as u64,
-        });
-        RequestProfile {
-            program: exe.program.name.clone(),
-            fingerprint: response.fingerprint.to_string(),
-            cache_hit: response.cache_hit,
-            tuned: response.tuned,
-            phases: PhaseBreakdown {
-                queue_seconds: response.queue_wait.as_secs_f64(),
-                compile_seconds: response.compile_time.as_secs_f64(),
-                run_seconds: response.run_time.as_secs_f64(),
-                total_seconds: (response.queue_wait + response.service_time).as_secs_f64(),
-            },
-            search,
-            metrics: exe.metrics(&response.run).to_json(),
-        }
-    }
-
-    /// Emit engine + cache counters as `multidim-trace` gauge events on
-    /// the calling thread's sink.
-    pub fn emit_stats(&self) {
-        if multidim_trace::enabled() {
-            let s = self.stats();
-            multidim_trace::emit(
-                multidim_trace::Event::gauge("engine", "requests")
-                    .arg("submitted", s.submitted)
-                    .arg("completed", s.completed)
-                    .arg("rejected", s.rejected)
-                    .arg("failed", s.failed)
-                    .arg("expired", s.expired)
-                    .arg("panicked", s.panicked)
-                    .arg("tuned_served", s.tuned_served)
-                    .arg("queue_depth", self.queue_depth()),
-            );
-        }
-        self.shared.cache.emit_trace();
-    }
-
     /// Persist the tuning store now (also happens on shutdown/drop).
     ///
     /// # Errors
@@ -982,87 +896,8 @@ impl Engine {
     }
 }
 
-/// How far `serve` got before returning or unwinding: filled in as the
-/// phases progress so a failure can report partial timings and the request
-/// fingerprint even when it never produced a [`Response`].
-#[derive(Default)]
-struct ServePhases {
-    fingerprint: Option<Fingerprint>,
-    cache_hit: Option<bool>,
-    compile_started: Option<Instant>,
-    compile: Option<Duration>,
-    run_started: Option<Instant>,
-    run: Option<Duration>,
-}
-
-impl ServePhases {
-    /// Completed-phase duration, or time spent in the phase so far when
-    /// the failure interrupted it mid-flight.
-    fn phase_seconds(done: Option<Duration>, started: Option<Instant>) -> Option<f64> {
-        done.map(|d| d.as_secs_f64())
-            .or_else(|| started.map(|t| t.elapsed().as_secs_f64()))
-    }
-
-    fn compile_seconds(&self) -> Option<f64> {
-        Self::phase_seconds(self.compile, self.compile_started)
-    }
-
-    fn run_seconds(&self) -> Option<f64> {
-        Self::phase_seconds(self.run, self.run_started)
-    }
-}
-
-/// Build a post-mortem bundle on the failing worker thread (so the flight
-/// recorder's `recent()` reads this worker's ring) and retain it in the
-/// engine's bounded queue.
-fn record_failure(
-    shared: &Shared,
-    request: &Request,
-    reason: String,
-    queue_wait: Duration,
-    phases: &ServePhases,
-) {
-    let diagnostics = phases
-        .fingerprint
-        .and_then(|fp| shared.cache.peek(fp))
-        .map(|exe| {
-            exe.diagnostics
-                .diagnostics
-                .iter()
-                .map(|d| d.render_line())
-                .collect()
-        })
-        .unwrap_or_default();
-    let events = shared
-        .recorder
-        .as_ref()
-        .map(|r| r.recent())
-        .unwrap_or_default();
-    let pm = PostMortem {
-        program: request.program.name.clone(),
-        fingerprint: phases.fingerprint.map(|fp| fp.to_string()),
-        reason,
-        queue_seconds: queue_wait.as_secs_f64(),
-        compile_seconds: phases.compile_seconds(),
-        run_seconds: phases.run_seconds(),
-        diagnostics,
-        events,
-    };
-    let mut q = shared
-        .post_mortems
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    if q.len() == POST_MORTEM_CAP {
-        // Evicting an unread bundle silently loses crash evidence; count
-        // it so the exposition shows the loss.
-        q.pop_front();
-        shared.metrics.post_mortems_dropped_total.inc();
-    }
-    q.push_back(pm);
-}
-
-/// Decrements the in-flight gauge on every exit path (including the
-/// early deadline return and a propagating panic).
+/// Decrements the in-flight gauge on every exit path (including a
+/// propagating panic).
 struct InFlightGuard<'a>(&'a AtomicU64);
 
 impl Drop for InFlightGuard<'_> {
@@ -1071,54 +906,24 @@ impl Drop for InFlightGuard<'_> {
     }
 }
 
-/// Finish a trace in the installed store if this tier minted it; the
-/// context's minter owns the sampling decision. Returns the kept trace id
-/// when the sampler retained the trace.
-fn finish_trace(
+/// Record the engine's root span and seal `trace`, which must be one the
+/// engine minted (a front door seals its own). Returns the trace id when
+/// the tail sampler kept it.
+fn finish_engine_trace(
     trace: Option<TraceContext>,
-    owns: bool,
+    enqueued: Instant,
+    workload: &str,
     outcome: TraceOutcome,
+    reason: Option<&EngineError>,
     latency_seconds: Option<f64>,
 ) -> Option<u128> {
-    if !owns {
-        return None;
-    }
-    let ctx = trace.filter(|c| c.sampled)?;
-    let store = multidim_trace::store()?;
-    store
-        .finish(&ctx, outcome, latency_seconds)
-        .then_some(ctx.trace_id)
-}
-
-/// Record one already-elapsed child span of `ctx` (queue waits and other
-/// phases reconstructed after the fact, where a live [`RequestSpan`]
-/// guard can't wrap the work).
-fn record_child_span(
-    ctx: &TraceContext,
-    cat: &'static str,
-    name: &'static str,
-    start: Instant,
-    dur: Duration,
-    args: Vec<(&'static str, multidim_trace::Value)>,
-) {
-    if !ctx.sampled {
-        return;
-    }
-    if let Some(store) = multidim_trace::store() {
-        let child = ctx.child();
-        store.record(
-            ctx,
-            SpanRecord {
-                span_id: child.span_id,
-                parent: Some(ctx.span_id),
-                cat,
-                name,
-                start_us: instant_us(start),
-                dur_us: dur.as_secs_f64() * 1e6,
-                args,
-            },
-        );
-    }
+    let root = RequestRoot {
+        cat: "engine",
+        start: enqueued,
+        workload,
+        args: Vec::new(),
+    };
+    multidim_trace::finish_request(&trace?, root, outcome, reason, latency_seconds)
 }
 
 fn process_request(
@@ -1143,99 +948,42 @@ fn process_request(
         .queue_seconds
         .record(queue_wait.as_secs_f64());
     if let Some(ctx) = &trace {
-        record_child_span(ctx, "engine", "queue", enqueued, queue_wait, Vec::new());
+        multidim_trace::record_elapsed_span(ctx, "engine", "queue", enqueued, Vec::new());
     }
     // Deadline check #1: the request may have expired while queued.
-    if let Some(d) = deadline {
-        if queue_wait > d {
-            shared.stats.expired.fetch_add(1, Ordering::Relaxed);
-            shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-            shared.metrics.expired_total.inc();
-            shared.metrics.failed_total.inc();
-            shared.metrics.expired_by_workload.with(&workload).inc();
-            shared.metrics.failed_by_workload.with(&workload).inc();
-            let err = EngineError::DeadlineExceeded { waited: queue_wait };
-            // The request never reached `serve`, so compute the
-            // fingerprint here purely for the bundle (guarded: a hostile
-            // binding can make fingerprinting itself panic).
-            let phases = ServePhases {
-                fingerprint: catch_unwind(AssertUnwindSafe(|| {
-                    shared
-                        .compiler
-                        .fingerprint(&request.program, &request.bindings)
-                }))
-                .ok(),
-                ..ServePhases::default()
-            };
-            record_failure(shared, &request, err.to_string(), queue_wait, &phases);
-            record_root_span(trace, owns_trace, &workload, enqueued, "expired");
-            finish_trace(
-                trace,
-                owns_trace,
-                TraceOutcome::Expired,
-                Some(queue_wait.as_secs_f64()),
-            );
-            sender.send(Err(err));
-            return;
-        }
-    }
-    let started = Instant::now();
-    let mut phases = ServePhases::default();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        serve(shared, &request, deadline, enqueued, &mut phases)
-    }));
-    let result = match outcome {
-        Ok(r) => r,
-        Err(payload) => {
-            shared.stats.panicked.fetch_add(1, Ordering::Relaxed);
+    let result = if deadline.is_some_and(|d| queue_wait > d) {
+        Err(EngineError::DeadlineExceeded { waited: queue_wait })
+    } else {
+        catch_unwind(AssertUnwindSafe(|| {
+            serve(shared, &request, deadline, enqueued, queue_wait)
+        }))
+        .unwrap_or_else(|payload| {
             shared.metrics.panicked_total.inc();
             Err(EngineError::WorkerPanic(panic_message(payload.as_ref())))
-        }
+        })
     };
-    let result = result.map(|(fingerprint, executable, run, cache_hit, tuned)| {
-        if tuned {
-            shared.stats.tuned_served.fetch_add(1, Ordering::Relaxed);
-            shared.metrics.tuned_served_total.inc();
-        }
-        Response {
-            fingerprint,
-            executable,
-            run,
-            cache_hit,
-            tuned,
-            queue_wait,
-            service_time: started.elapsed(),
-            compile_time: phases.compile.unwrap_or_default(),
-            run_time: phases.run.unwrap_or_default(),
-            trace,
-        }
-    });
-    // Stitch the trace before touching the histograms: the root span must
-    // land before `finish` seals the trace, and the sampler's keep/drop
-    // verdict decides whether the latency sample carries an exemplar.
-    let (trace_outcome, trace_latency) = match &result {
-        Ok(resp) => (
-            TraceOutcome::Completed,
-            Some((resp.queue_wait + resp.service_time).as_secs_f64()),
-        ),
-        Err(EngineError::DeadlineExceeded { .. }) => (
-            TraceOutcome::Expired,
-            Some(enqueued.elapsed().as_secs_f64()),
-        ),
-        Err(_) => (TraceOutcome::Failed, None),
+    // Seal the trace before touching the histograms: the sampler's
+    // keep/drop verdict decides whether the latency sample carries an
+    // exemplar.
+    let latency = match &result {
+        Ok(resp) => Some((resp.queue_wait + resp.service_time).as_secs_f64()),
+        Err(EngineError::DeadlineExceeded { .. }) => Some(enqueued.elapsed().as_secs_f64()),
+        Err(_) => None,
     };
-    record_root_span(
-        trace,
-        owns_trace,
-        &workload,
+    let kept_trace = finish_engine_trace(
+        trace.filter(|_| owns_trace),
         enqueued,
-        trace_outcome.as_str(),
+        &workload,
+        trace_outcome(&result),
+        result.as_ref().err(),
+        latency,
     );
-    let kept_trace = finish_trace(trace, owns_trace, trace_outcome, trace_latency);
     match &result {
         Ok(resp) => {
-            shared.stats.completed.fetch_add(1, Ordering::Relaxed);
             shared.metrics.completed_total.inc();
+            if resp.tuned {
+                shared.metrics.tuned_served_total.inc();
+            }
             let latency = (resp.queue_wait + resp.service_time).as_secs_f64();
             // Kept traces become exemplars: the p99 bucket of the latency
             // histogram then links to a trace the store can actually
@@ -1297,74 +1045,39 @@ fn process_request(
             shared.observe_service_time(resp.service_time.as_secs_f64());
         }
         Err(err) => {
-            shared.stats.failed.fetch_add(1, Ordering::Relaxed);
             shared.metrics.failed_total.inc();
             shared.metrics.failed_by_workload.with(&workload).inc();
             if matches!(err, EngineError::DeadlineExceeded { .. }) {
-                shared.stats.expired.fetch_add(1, Ordering::Relaxed);
                 shared.metrics.expired_total.inc();
                 shared.metrics.expired_by_workload.with(&workload).inc();
             }
-            record_failure(shared, &request, err.to_string(), queue_wait, &phases);
         }
     }
     sender.send(result);
 }
-
-/// Record the root "request" span when this tier minted the context (an
-/// upstream front door records its own root covering admission→outcome).
-fn record_root_span(
-    trace: Option<TraceContext>,
-    owns: bool,
-    workload: &str,
-    enqueued: Instant,
-    outcome: &'static str,
-) {
-    if !owns {
-        return;
-    }
-    let Some(ctx) = trace.filter(|c| c.sampled) else {
-        return;
-    };
-    if let Some(store) = multidim_trace::store() {
-        store.record(
-            &ctx,
-            SpanRecord {
-                span_id: ctx.span_id,
-                parent: None,
-                cat: "engine",
-                name: "request",
-                start_us: instant_us(enqueued),
-                dur_us: enqueued.elapsed().as_secs_f64() * 1e6,
-                args: vec![
-                    ("workload", workload.to_string().into()),
-                    ("outcome", outcome.into()),
-                ],
-            },
-        );
-    }
-}
-
-type Served = (Fingerprint, Arc<Executable>, RunReport, bool, bool);
 
 fn serve(
     shared: &Shared,
     request: &Request,
     deadline: Option<Duration>,
     enqueued: Instant,
-    phases: &mut ServePhases,
-) -> Result<Served, EngineError> {
+    queue_wait: Duration,
+) -> Result<Response, EngineError> {
+    let started = Instant::now();
     let fp = shared
         .compiler
         .fingerprint(&request.program, &request.bindings);
-    phases.fingerprint = Some(fp);
     let tuned_record = shared.store.get(fp);
     let tuned = tuned_record.is_some();
     let mut cache_hit = true;
-    phases.compile_started = Some(Instant::now());
-    // A live guard wraps the phase: if compilation errors out (`?`), the
-    // drop still records the span with the time spent so far.
+    let compile_started = Instant::now();
+    // A live guard wraps the phase: if compilation errors out (`?`) or
+    // panics, the drop still records the span with the time spent so
+    // far — and with the fingerprint, set as the span opens.
     let mut compile_span = multidim_trace::request_span("engine", "compile");
+    if let Some(span) = compile_span.as_mut() {
+        span.arg("fingerprint", fp.to_string());
+    }
     let exe = shared.cache.get_or_compile(fp, || {
         cache_hit = false;
         match &tuned_record {
@@ -1380,10 +1093,19 @@ fn serve(
     if let Some(span) = compile_span.as_mut() {
         span.arg("cache_hit", cache_hit);
         span.arg("tuned", tuned);
+        span.arg("mapping", exe.mapping.to_string());
+        let codes: Vec<String> = exe
+            .diagnostics
+            .diagnostics
+            .iter()
+            .map(|d| d.code.to_string())
+            .collect();
+        if !codes.is_empty() {
+            span.arg("diagnostics", codes.join(","));
+        }
     }
     drop(compile_span);
-    phases.compile = phases.compile_started.map(|t| t.elapsed());
-    phases.cache_hit = Some(cache_hit);
+    let compile_time = compile_started.elapsed();
     if !cache_hit {
         if let Some(analysis) = &exe.analysis {
             multidim_mapping::observe_analysis(&shared.registry, analysis);
@@ -1407,12 +1129,23 @@ fn serve(
             return Err(EngineError::DeadlineExceeded { waited });
         }
     }
-    phases.run_started = Some(Instant::now());
+    let run_started = Instant::now();
     let run_span = multidim_trace::request_span("engine", "run");
     let run = exe.run(&request.inputs)?;
     drop(run_span);
-    phases.run = phases.run_started.map(|t| t.elapsed());
-    Ok((fp, exe, run, cache_hit, tuned))
+    let run_time = run_started.elapsed();
+    Ok(Response {
+        fingerprint: fp,
+        executable: exe,
+        run,
+        cache_hit,
+        tuned,
+        queue_wait,
+        service_time: started.elapsed(),
+        compile_time,
+        run_time,
+        trace: request.trace,
+    })
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

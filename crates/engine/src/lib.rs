@@ -13,7 +13,7 @@
 //!   `Arc<Executable>`; N concurrent requests for the same key trigger
 //!   exactly one compilation (single-flight) while the rest wait on a
 //!   condvar. Bounded LRU eviction; hit/miss/evict/coalesce counters
-//!   exported through `multidim-trace`.
+//!   exported through the engine's metrics registry.
 //! * **bounded worker pool** ([`pool::WorkerPool`]) — std threads and a
 //!   `sync_channel`. A full queue *rejects* ([`EngineError::Rejected`])
 //!   instead of blocking, requests carry optional deadlines, panics are
@@ -54,7 +54,7 @@ pub mod pool;
 pub mod store;
 
 pub use cache::{CacheStats, CompileCache};
-pub use engine::{Engine, EngineConfig, EngineStats, Request, Response, Ticket};
+pub use engine::{trace_outcome, Engine, EngineConfig, EngineStats, Request, Response, Ticket};
 pub use error::EngineError;
 pub use pool::{Job, QueueFull, WorkerPool};
 pub use store::{LoadOutcome, TuneRecord, TuningStore, STORE_VERSION};

@@ -15,13 +15,10 @@
 //! whole requests, and the parallel auto-tuner for individual candidate
 //! measurements.
 //!
-//! Trace events emitted inside a job go to the *worker thread's* sink, not
-//! the submitter's — `multidim-trace` sinks are thread-local. A pool built
-//! with [`WorkerPool::with_sink`] installs a shared `Send + Sync` sink on
-//! every worker at spawn time (the engine uses this for its flight
-//! recorder), so worker-side events are captured instead of vanishing.
+//! Workers install no trace sink of their own: `multidim-trace` sinks are
+//! thread-local, so events emitted inside a job reach only a process-wide
+//! shared sink (`multidim_trace::install_shared`), when one is installed.
 
-use multidim_trace::Sink;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -54,17 +51,6 @@ impl WorkerPool {
     /// Spawn `workers` threads behind a queue of `queue_capacity` slots
     /// (both forced to at least 1).
     pub fn new(workers: usize, queue_capacity: usize) -> WorkerPool {
-        WorkerPool::with_sink(workers, queue_capacity, None)
-    }
-
-    /// [`WorkerPool::new`] plus a trace sink installed thread-locally on
-    /// every worker for the thread's lifetime: events emitted by jobs are
-    /// delivered to `sink` instead of being dropped.
-    pub fn with_sink(
-        workers: usize,
-        queue_capacity: usize,
-        sink: Option<Arc<dyn Sink + Send + Sync>>,
-    ) -> WorkerPool {
         let workers = workers.max(1);
         let (tx, rx) = mpsc::sync_channel::<Job>(queue_capacity.max(1));
         let rx = Arc::new(Mutex::new(rx));
@@ -75,17 +61,9 @@ impl WorkerPool {
                 let rx = rx.clone();
                 let depth = depth.clone();
                 let panics = panics.clone();
-                let sink = sink.clone();
                 std::thread::Builder::new()
                     .name(format!("multidim-engine-worker-{i}"))
-                    .spawn(move || {
-                        // The blanket `Sink for Arc<S>` impl lets the shared
-                        // sink double as this thread's local sink.
-                        let _guard = sink.map(|s| {
-                            multidim_trace::set_sink(std::rc::Rc::new(s) as std::rc::Rc<dyn Sink>)
-                        });
-                        worker_loop(&rx, &depth, &panics);
-                    })
+                    .spawn(move || worker_loop(&rx, &depth, &panics))
                     .expect("spawn worker thread")
             })
             .collect();
@@ -221,34 +199,6 @@ mod tests {
             .unwrap();
         assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(41));
         assert_eq!(pool.panics(), 1);
-    }
-
-    #[test]
-    fn worker_thread_events_reach_the_pool_sink() {
-        use multidim_trace::SharedMemorySink;
-        let sink = Arc::new(SharedMemorySink::new());
-        let (tx, rx) = channel();
-        {
-            let pool = WorkerPool::with_sink(2, 8, Some(sink.clone()));
-            for i in 0..4u32 {
-                let tx = tx.clone();
-                pool.try_submit(Box::new(move || {
-                    // The regression this guards: before per-worker sink
-                    // installation, `enabled()` was false on workers and
-                    // these events vanished.
-                    assert!(multidim_trace::enabled());
-                    multidim_trace::emit(multidim_trace::Event::instant("pool", format!("job{i}")));
-                    tx.send(i).unwrap();
-                }))
-                .unwrap();
-            }
-            drop(tx);
-            assert_eq!(rx.iter().count(), 4);
-        }
-        let events = sink.drain();
-        let mut names: Vec<String> = events.into_iter().map(|e| e.name).collect();
-        names.sort();
-        assert_eq!(names, ["job0", "job1", "job2", "job3"]);
     }
 
     #[test]

@@ -10,13 +10,6 @@
 //!   p999 estimation, [`SlidingWindow`] aggregation), with Prometheus-style
 //!   text exposition ([`Registry::render_text`]) and JSON export
 //!   ([`Registry::to_json`]);
-//! * a **[`FlightRecorder`]** — a bounded ring of recent trace events per
-//!   engine worker, dumped as a [`PostMortem`] bundle (events + request
-//!   fingerprint + diagnostics + phase timings) when a request panics,
-//!   misses its deadline, or fails to compile;
-//! * a **[`RequestProfile`]** report stitching one request's latency
-//!   phases (queue → compile → run), mapping-search score breakdown, and
-//!   simulator roofline counters into a single JSON document;
 //! * **labelled metric families** ([`CounterFamily`], [`GaugeFamily`],
 //!   [`HistogramFamily`]) — one metric name fanned out per label value
 //!   (per-workload outcome counters and latency histograms under load,
@@ -32,6 +25,10 @@
 //! * histogram **[`Exemplar`]s** — each latency bucket remembers the
 //!   trace id of a recent request that landed there, so a p99 spike in
 //!   the exposition links straight to a kept trace.
+//!
+//! The per-request record is not here: it is the tail-sampled trace
+//! ([`multidim_trace::StoredTrace`]), which keeps every failed or slow
+//! request with its outcome, failure reason and stitched spans.
 //!
 //! Like the rest of the workspace, the crate has no external
 //! dependencies; JSON goes through [`multidim_trace::json`] and trace
@@ -60,9 +57,7 @@
 #![warn(missing_docs)]
 
 pub mod alerts;
-pub mod flight;
 pub mod hist;
-pub mod profile;
 pub mod registry;
 pub mod slo;
 pub mod timeseries;
@@ -71,16 +66,14 @@ pub use alerts::{
     AlertEngine, AlertEvent, AlertRule, AlertSeverity, BurnObjective, BurnRateRule, Comparison,
     ThresholdRule,
 };
-pub use flight::{FlightRecorder, PostMortem};
 pub use hist::{Exemplar, Histogram, HistogramSnapshot, SlidingWindow, BUCKETS, SUB_BUCKETS};
-pub use profile::{PhaseBreakdown, RequestProfile, SearchBreakdown};
 pub use registry::{
     Counter, CounterFamily, Gauge, GaugeFamily, HistogramFamily, Registry, QUANTILES,
 };
 pub use slo::{BurnRate, LatencyObjective, Slo, SloStatus, SloTracker};
 pub use timeseries::{SeriesStats, TimeSeries};
 
-// The registry and recorder are shared across engine workers; fail
+// The registry and its handles are shared across engine workers; fail
 // compilation loudly if they ever stop being Send + Sync.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
@@ -89,7 +82,6 @@ const _: () = {
     assert_send_sync::<Counter>();
     assert_send_sync::<Gauge>();
     assert_send_sync::<SlidingWindow>();
-    assert_send_sync::<FlightRecorder>();
     assert_send_sync::<CounterFamily>();
     assert_send_sync::<GaugeFamily>();
     assert_send_sync::<HistogramFamily>();

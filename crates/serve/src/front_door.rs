@@ -34,13 +34,14 @@ use crate::quota::{Admission, QuotaPolicy};
 use crate::router::Router;
 use multidim::{Compiler, Executable, Fingerprint};
 use multidim_engine::{
-    Engine, EngineConfig, EngineError, Request, Response, Ticket as EngineTicket, TuneRecord,
+    trace_outcome, Engine, EngineConfig, EngineError, Request, Response, Ticket as EngineTicket,
+    TuneRecord,
 };
 use multidim_obs::{
-    Counter, CounterFamily, GaugeFamily, Histogram, HistogramFamily, Registry, RequestProfile, Slo,
-    SloStatus, SloTracker,
+    Counter, CounterFamily, GaugeFamily, Histogram, HistogramFamily, Registry, Slo, SloStatus,
+    SloTracker,
 };
-use multidim_trace::{instant_us, SpanRecord, TraceContext, TraceOutcome};
+use multidim_trace::{RequestRoot, TraceContext, TraceOutcome};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -273,76 +274,41 @@ impl DoorShared {
     }
 }
 
-/// Record the door-owned root span and seal the trace in the installed
-/// store: the root covers admission → outcome and carries the routing
-/// facts, so a stored trace reads as one stitched tree (serve root, then
-/// the shard's queue/compile/run children). Returns the trace id when
-/// the tail sampler kept the trace; `None` when the door didn't mint the
-/// context (`trace` is `None`), tracing is off, or the trace was
-/// sampled out.
+/// A trace the door minted. The door owns its root span, which covers
+/// admission → outcome and carries the routing facts, so a stored trace
+/// reads as one stitched tree: the serve root, then the shard's
+/// queue/compile/run children.
+struct DoorTrace {
+    ctx: TraceContext,
+    admitted: Instant,
+    /// The program name, kept only for traced requests.
+    workload: String,
+}
+
+/// Record the door's root span and seal the trace, when the door minted
+/// one. Returns the trace id when the tail sampler kept the trace.
 fn finish_door_trace(
-    trace: Option<TraceContext>,
-    admitted: Option<Instant>,
+    trace: Option<&DoorTrace>,
     tenant: &str,
     shard: Option<usize>,
     spilled: bool,
     outcome: TraceOutcome,
+    reason: Option<&impl std::fmt::Display>,
     latency_seconds: Option<f64>,
 ) -> Option<u128> {
-    let ctx = trace.filter(|c| c.sampled)?;
-    let store = multidim_trace::store()?;
-    let admitted = admitted?;
-    let mut args: Vec<(&'static str, multidim_trace::Value)> = vec![
-        ("tenant", tenant.to_string().into()),
-        ("outcome", outcome.as_str().into()),
-        ("spilled", spilled.into()),
-    ];
+    let trace = trace?;
+    let mut args: Vec<(&'static str, multidim_trace::Value)> =
+        vec![("tenant", tenant.into()), ("spilled", spilled.into())];
     if let Some(shard) = shard {
         args.push(("shard", (shard as u64).into()));
     }
-    store.record(
-        &ctx,
-        SpanRecord {
-            span_id: ctx.span_id,
-            parent: None,
-            cat: "serve",
-            name: "request",
-            start_us: instant_us(admitted),
-            dur_us: admitted.elapsed().as_secs_f64() * 1e6,
-            args,
-        },
-    );
-    store
-        .finish(&ctx, outcome, latency_seconds)
-        .then_some(ctx.trace_id)
-}
-
-/// Record one already-elapsed child span of `ctx` (routing decisions
-/// reconstructed at the moment they're known).
-fn record_door_span(
-    ctx: &TraceContext,
-    name: &'static str,
-    start: Instant,
-    args: Vec<(&'static str, multidim_trace::Value)>,
-) {
-    if !ctx.sampled {
-        return;
-    }
-    if let Some(store) = multidim_trace::store() {
-        let child = ctx.child();
-        store.record(
-            ctx,
-            SpanRecord {
-                span_id: child.span_id,
-                parent: Some(ctx.span_id),
-                cat: "serve",
-                name,
-                start_us: instant_us(start),
-                dur_us: start.elapsed().as_secs_f64() * 1e6,
-                args,
-            },
-        );
-    }
+    let root = RequestRoot {
+        cat: "serve",
+        start: trace.admitted,
+        workload: &trace.workload,
+        args,
+    };
+    multidim_trace::finish_request(&trace.ctx, root, outcome, reason, latency_seconds)
 }
 
 /// A front-door completion handle: the shard ticket plus the routing
@@ -354,9 +320,7 @@ pub struct Ticket {
     tenant: String,
     /// The trace the door minted for this request (`None` when tracing
     /// is off or an upstream caller supplied its own context).
-    trace: Option<TraceContext>,
-    /// When the door admitted the request.
-    admitted: Option<Instant>,
+    trace: Option<DoorTrace>,
     /// Shard the request was queued on.
     pub shard: usize,
     /// `true` when the home shard rejected and the request ran on the
@@ -367,29 +331,23 @@ pub struct Ticket {
 impl Ticket {
     fn conclude(
         shared: &DoorShared,
+        trace: Option<&DoorTrace>,
         tenant: &str,
         shard: usize,
         spilled: bool,
-        trace: Option<TraceContext>,
-        admitted: Option<Instant>,
         outcome: Result<Response, EngineError>,
     ) -> Result<ServeResponse, ServeError> {
-        let (trace_outcome, latency) = match &outcome {
-            Ok(resp) => (
-                TraceOutcome::Completed,
-                Some((resp.queue_wait + resp.service_time).as_secs_f64()),
-            ),
-            Err(EngineError::DeadlineExceeded { .. }) => (TraceOutcome::Expired, None),
-            Err(EngineError::Rejected { .. }) => (TraceOutcome::Shed, None),
-            Err(_) => (TraceOutcome::Failed, None),
-        };
+        let latency = outcome
+            .as_ref()
+            .ok()
+            .map(|resp| (resp.queue_wait + resp.service_time).as_secs_f64());
         let kept = finish_door_trace(
             trace,
-            admitted,
             tenant,
             Some(shard),
             spilled,
-            trace_outcome,
+            trace_outcome(&outcome),
+            outcome.as_ref().err(),
             latency,
         );
         shared.record_outcome(tenant, &outcome, kept);
@@ -407,13 +365,13 @@ impl Ticket {
     /// Block until the response arrives.
     pub fn wait(self) -> Result<ServeResponse, ServeError> {
         let outcome = self.inner.wait();
+        let trace = self.trace.as_ref();
         Self::conclude(
             &self.shared,
+            trace,
             &self.tenant,
             self.shard,
             self.spilled,
-            self.trace,
-            self.admitted,
             outcome,
         )
     }
@@ -423,13 +381,13 @@ impl Ticket {
     /// accounted as a failure.
     pub fn wait_timeout(self, timeout: Duration) -> Result<ServeResponse, ServeError> {
         let outcome = self.inner.wait_timeout(timeout);
+        let trace = self.trace.as_ref();
         Self::conclude(
             &self.shared,
+            trace,
             &self.tenant,
             self.shard,
             self.spilled,
-            self.trace,
-            self.admitted,
             outcome,
         )
     }
@@ -444,13 +402,13 @@ impl Ticket {
     /// Non-blocking check; yields the outcome exactly once.
     pub fn poll(&self) -> Option<Result<ServeResponse, ServeError>> {
         let outcome = self.inner.poll()?;
+        let trace = self.trace.as_ref();
         Some(Self::conclude(
             &self.shared,
+            trace,
             &self.tenant,
             self.shard,
             self.spilled,
-            self.trace,
-            self.admitted,
             outcome,
         ))
     }
@@ -624,17 +582,30 @@ impl FrontDoor {
         // before the retry clone below, so a spilled resubmission
         // continues the *same* trace — and stamp the admission instant
         // so shard queue accounting covers the full wait.
+        let admitted = *request.admitted_at.get_or_insert_with(Instant::now);
         let door_trace = if request.trace.is_none() && multidim_trace::store_enabled() {
             let ctx = TraceContext::mint();
             request.trace = Some(ctx);
-            Some(ctx)
+            Some(DoorTrace {
+                ctx,
+                admitted,
+                workload: request.program.name.clone(),
+            })
         } else {
             None
         };
-        if request.admitted_at.is_none() {
-            request.admitted_at = Some(Instant::now());
-        }
-        let admitted = request.admitted_at;
+        // Seals the door's trace for a request that gets no shard ticket.
+        let reject = |shard, spilled, outcome, reason: &dyn std::fmt::Display| {
+            finish_door_trace(
+                door_trace.as_ref(),
+                tenant,
+                shard,
+                spilled,
+                outcome,
+                Some(&reason),
+                None,
+            );
+        };
 
         let m = &self.shared.metrics;
         m.requests.inc();
@@ -646,19 +617,12 @@ impl FrontDoor {
             m.quota_rejected.inc();
             m.tenant_quota_rejected.with(tenant).inc();
             self.shared.record_slo(tenant, 0.0, false);
-            finish_door_trace(
-                door_trace,
-                admitted,
-                tenant,
-                None,
-                false,
-                TraceOutcome::QuotaRejected,
-                None,
-            );
-            return Err(ServeError::QuotaExceeded {
+            let err = ServeError::QuotaExceeded {
                 tenant: tenant.to_string(),
                 retry_after,
-            });
+            };
+            reject(None, false, TraceOutcome::QuotaRejected, &err);
+            return Err(err);
         }
 
         // 2. Routing: the fingerprint's home shard.
@@ -672,20 +636,13 @@ impl FrontDoor {
                 m.shed_deadline.inc();
                 m.tenant_shed.with(tenant).inc();
                 self.shared.record_slo(tenant, 0.0, false);
-                finish_door_trace(
-                    door_trace,
-                    admitted,
-                    tenant,
-                    Some(home),
-                    false,
-                    TraceOutcome::Shed,
-                    None,
-                );
-                return Err(ServeError::DeadlineUnmeetable {
+                let err = ServeError::DeadlineUnmeetable {
                     shard: home,
                     estimated_wait,
                     deadline,
-                });
+                };
+                reject(Some(home), false, TraceOutcome::Shed, &err);
+                return Err(err);
             }
         }
 
@@ -693,7 +650,7 @@ impl FrontDoor {
         let spillable = self.spill && self.shards.len() > 1;
         let retry = spillable.then(|| request.clone());
         match self.shards[home].submit(request) {
-            Ok(inner) => Ok(self.admitted(inner, tenant, home, false, door_trace, admitted)),
+            Ok(inner) => Ok(self.admitted(inner, tenant, home, false, door_trace)),
             Err(EngineError::Rejected {
                 queue_depth,
                 retry_after,
@@ -709,9 +666,10 @@ impl FrontDoor {
                             // The retry clone carries the same context,
                             // so the spill hop shows up inside the one
                             // trace rather than starting a second one.
-                            if let Some(ctx) = &door_trace {
-                                record_door_span(
-                                    ctx,
+                            if let Some(trace) = &door_trace {
+                                multidim_trace::record_elapsed_span(
+                                    &trace.ctx,
+                                    "serve",
                                     "spill",
                                     spill_started,
                                     vec![
@@ -720,7 +678,7 @@ impl FrontDoor {
                                     ],
                                 );
                             }
-                            Ok(self.admitted(inner, tenant, alt, true, door_trace, admitted))
+                            Ok(self.admitted(inner, tenant, alt, true, door_trace))
                         }
                         Err(EngineError::Rejected {
                             queue_depth,
@@ -728,66 +686,36 @@ impl FrontDoor {
                             ..
                         }) => {
                             self.shed_overload(tenant);
-                            finish_door_trace(
-                                door_trace,
-                                admitted,
-                                tenant,
-                                Some(alt),
-                                true,
-                                TraceOutcome::Shed,
-                                None,
-                            );
-                            Err(ServeError::Overloaded {
+                            let err = ServeError::Overloaded {
                                 home_shard: home,
                                 spill_shard: Some(alt),
                                 queue_depth,
                                 retry_after,
-                            })
+                            };
+                            reject(Some(alt), true, TraceOutcome::Shed, &err);
+                            Err(err)
                         }
                         Err(e) => {
                             self.failed(tenant);
-                            finish_door_trace(
-                                door_trace,
-                                admitted,
-                                tenant,
-                                Some(alt),
-                                true,
-                                TraceOutcome::Failed,
-                                None,
-                            );
+                            reject(Some(alt), true, TraceOutcome::Failed, &e);
                             Err(ServeError::Engine(e))
                         }
                     }
                 } else {
                     self.shed_overload(tenant);
-                    finish_door_trace(
-                        door_trace,
-                        admitted,
-                        tenant,
-                        Some(home),
-                        false,
-                        TraceOutcome::Shed,
-                        None,
-                    );
-                    Err(ServeError::Overloaded {
+                    let err = ServeError::Overloaded {
                         home_shard: home,
                         spill_shard: None,
                         queue_depth,
                         retry_after,
-                    })
+                    };
+                    reject(Some(home), false, TraceOutcome::Shed, &err);
+                    Err(err)
                 }
             }
             Err(e) => {
                 self.failed(tenant);
-                finish_door_trace(
-                    door_trace,
-                    admitted,
-                    tenant,
-                    Some(home),
-                    false,
-                    TraceOutcome::Failed,
-                    None,
-                );
+                reject(Some(home), false, TraceOutcome::Failed, &e);
                 Err(ServeError::Engine(e))
             }
         }
@@ -800,8 +728,7 @@ impl FrontDoor {
         tenant: &str,
         shard: usize,
         spilled: bool,
-        trace: Option<TraceContext>,
-        admitted: Option<Instant>,
+        trace: Option<DoorTrace>,
     ) -> Ticket {
         self.shared
             .metrics
@@ -813,7 +740,6 @@ impl FrontDoor {
             shared: Arc::clone(&self.shared),
             tenant: tenant.to_string(),
             trace,
-            admitted,
             shard,
             spilled,
         }
@@ -957,12 +883,6 @@ impl FrontDoor {
             m.shard_in_flight.with(&shard).set(e.in_flight() as f64);
         }
         self.shared.registry.render_text()
-    }
-
-    /// A request profile for a served response, produced by the shard
-    /// that served it.
-    pub fn profile(&self, response: &ServeResponse) -> RequestProfile {
-        self.shards[response.shard].profile(&response.response)
     }
 
     /// Drain every shard (waiting for queued work) and persist the

@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
 
-use crate::store::{SpanRecord, TraceStore};
+use crate::store::{SpanRecord, TraceOutcome, TraceStore};
 use crate::Value;
 
 /// A request-scoped trace context: everything a hop needs to attach its
@@ -276,6 +276,88 @@ impl Drop for RequestSpan {
     }
 }
 
+/// Record an already-elapsed child span of `ctx`, from `start` to now —
+/// for phases known only after the fact (a queue wait, a spill hop),
+/// where a live [`RequestSpan`] cannot wrap the work.
+pub fn record_elapsed_span(
+    ctx: &TraceContext,
+    cat: &'static str,
+    name: &'static str,
+    start: Instant,
+    args: Vec<(&'static str, Value)>,
+) {
+    if !ctx.sampled {
+        return;
+    }
+    if let Some(store) = store() {
+        store.record(
+            ctx,
+            SpanRecord {
+                span_id: ctx.child().span_id,
+                parent: Some(ctx.span_id),
+                cat,
+                name,
+                start_us: instant_us(start),
+                dur_us: start.elapsed().as_secs_f64() * 1e6,
+                args,
+            },
+        );
+    }
+}
+
+/// The root span of a request's trace, recorded by the tier that minted
+/// the context when the request ends (see [`finish_request`]).
+#[derive(Debug)]
+pub struct RequestRoot<'a> {
+    /// Category of the minting tier (`"engine"`, `"serve"`).
+    pub cat: &'static str,
+    /// Admission instant: the root spans from here to the finish.
+    pub start: Instant,
+    /// The program the request ran.
+    pub workload: &'a str,
+    /// The tier's own facts (tenant, shard …).
+    pub args: Vec<(&'static str, Value)>,
+}
+
+/// Record `root` as the root span of `ctx`'s trace, then finish the
+/// trace with `outcome`. Every root carries `workload` and `outcome`;
+/// every outcome but completed also carries `reason`, the display text
+/// of the error. Returns the trace id when the tail sampler kept the
+/// trace; `None` when the context is unsampled or no store is installed.
+pub fn finish_request(
+    ctx: &TraceContext,
+    root: RequestRoot<'_>,
+    outcome: TraceOutcome,
+    reason: Option<&impl std::fmt::Display>,
+    latency_seconds: Option<f64>,
+) -> Option<u128> {
+    if !ctx.sampled {
+        return None;
+    }
+    let store = store()?;
+    let mut args = root.args;
+    args.push(("workload", root.workload.into()));
+    args.push(("outcome", outcome.as_str().into()));
+    if let Some(reason) = reason.filter(|_| outcome.is_bad()) {
+        args.push(("reason", reason.to_string().into()));
+    }
+    store.record(
+        ctx,
+        SpanRecord {
+            span_id: ctx.span_id,
+            parent: None,
+            cat: root.cat,
+            name: "request",
+            start_us: instant_us(root.start),
+            dur_us: root.start.elapsed().as_secs_f64() * 1e6,
+            args,
+        },
+    );
+    store
+        .finish(ctx, outcome, latency_seconds)
+        .then_some(ctx.trace_id)
+}
+
 /// Open a span under the thread's current context. Returns `None` (and
 /// allocates nothing) when there is no current context or no installed
 /// store — so instrumented code pays one thread-local read on the cold
@@ -301,7 +383,7 @@ pub fn request_span(cat: &'static str, name: &'static str) -> Option<RequestSpan
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{TailSamplerConfig, TraceOutcome};
+    use crate::store::TailSamplerConfig;
     use std::collections::HashSet;
 
     /// Tests touching the process-global store slot serialize on the
@@ -387,6 +469,60 @@ mod tests {
         let kept = store.kept_traces();
         assert_eq!(kept.len(), 1);
         assert_eq!(kept[0].spans.len(), 3);
+    }
+
+    #[test]
+    fn finish_request_records_one_root_with_the_outcome_rule() {
+        let _l = lock();
+        let store = Arc::new(TraceStore::new(TailSamplerConfig {
+            latency_threshold: 0.0,
+            ..TailSamplerConfig::default()
+        }));
+        let _gs = install_store(store.clone());
+        let root = |cat| RequestRoot {
+            cat,
+            start: Instant::now(),
+            workload: "saxpy",
+            args: vec![("shard", 2u64.into())],
+        };
+        let shed = TraceContext::mint();
+        record_elapsed_span(&shed, "t", "queue", Instant::now(), Vec::new());
+        let kept = finish_request(
+            &shed,
+            root("t"),
+            TraceOutcome::Shed,
+            Some(&"queue full"),
+            None,
+        );
+        assert_eq!(kept, Some(shed.trace_id));
+        let done = TraceContext::mint();
+        finish_request(
+            &done,
+            root("t"),
+            TraceOutcome::Completed,
+            Some(&"unused"),
+            Some(0.1),
+        );
+
+        let shed = store.lookup(shed.trace_id).expect("bad traces are kept");
+        let names: Vec<_> = shed.spans.iter().map(|s| (s.name, s.parent)).collect();
+        let root_id = shed.spans[1].span_id;
+        assert_eq!(names, [("queue", Some(root_id)), ("request", None)]);
+        let args = &shed.spans[1].args;
+        let arg = |k| {
+            args.iter()
+                .find(|(key, _)| *key == k)
+                .map(|(_, v)| v.to_string())
+        };
+        assert_eq!(arg("workload").as_deref(), Some("saxpy"));
+        assert_eq!(arg("outcome").as_deref(), Some("shed"));
+        assert_eq!(arg("reason").as_deref(), Some("queue full"));
+        assert_eq!(arg("shard").as_deref(), Some("2"));
+        let done = store.lookup(done.trace_id).expect("slow completion kept");
+        assert!(
+            done.spans[0].args.iter().all(|(k, _)| *k != "reason"),
+            "a completed root carries no reason"
+        );
     }
 
     #[test]

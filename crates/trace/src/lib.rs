@@ -45,18 +45,12 @@
 //!
 //! The default tracer is thread-local: parallel tests or parallel
 //! pipeline runs never observe each other's events, and no locking sits
-//! on the hot path. Multi-threaded collectors (the engine's worker pool,
-//! a process-wide profiler) additionally have two `Send + Sync` paths:
-//!
-//! * [`install_shared`] installs one `Arc<dyn Sink + Send + Sync>`
-//!   process-wide; every thread's [`emit`] delivers to it *in addition
-//!   to* that thread's local sink, so events from engine workers are no
-//!   longer lost to whoever is collecting on the main thread
-//!   ([`SharedMemorySink`] is the ready-made collector);
-//! * any `Arc<impl Sink + Send + Sync>` is itself a [`Sink`] (blanket
-//!   impl), so one shared sink instance can also be installed
-//!   *thread-locally* on each worker via [`set_sink`] — the engine's
-//!   flight recorder works this way.
+//! on the hot path. Multi-threaded collectors (a process-wide profiler
+//! watching the engine's workers) use [`install_shared`]: it installs
+//! one `Arc<dyn Sink + Send + Sync>` process-wide, and every thread's
+//! [`emit`] delivers to it *in addition to* that thread's local sink, so
+//! events from engine workers reach whoever is collecting on the main
+//! thread ([`SharedMemorySink`] is the ready-made collector).
 //!
 //! All pipeline timestamps share one process-wide epoch, so events from
 //! different threads land on one coherent timeline.
@@ -69,8 +63,9 @@ pub mod json;
 pub mod store;
 
 pub use context::{
-    current, install_store, instant_us, request_span, set_current, store, store_enabled,
-    trace_id_hex, ContextGuard, RequestSpan, StoreGuard, TraceContext,
+    current, finish_request, install_store, instant_us, record_elapsed_span, request_span,
+    set_current, store, store_enabled, trace_id_hex, ContextGuard, RequestRoot, RequestSpan,
+    StoreGuard, TraceContext,
 };
 pub use store::{SpanRecord, StoredTrace, TailSamplerConfig, TailStats, TraceOutcome, TraceStore};
 
@@ -391,19 +386,6 @@ impl<W: Write> Sink for JsonlSink<W> {
     }
 }
 
-/// A shared `Sink` handle is itself a `Sink`: lets one `Send + Sync`
-/// collector be installed thread-locally on many threads (wrap the `Arc`
-/// in an `Rc` for [`set_sink`]).
-impl<S: Sink + ?Sized> Sink for Arc<S> {
-    fn enabled(&self) -> bool {
-        (**self).enabled()
-    }
-
-    fn event(&self, event: &Event) {
-        (**self).event(event);
-    }
-}
-
 /// Collects events in memory behind a mutex — the `Send + Sync`
 /// counterpart of [`MemorySink`], for [`install_shared`] and other
 /// cross-thread collection.
@@ -715,19 +697,6 @@ mod tests {
         let _gs = install_shared(shared.clone());
         emit(Event::instant("t", "both"));
         assert_eq!(local.events().len(), 1);
-        assert_eq!(shared.events().len(), 1);
-    }
-
-    #[test]
-    fn arc_wrapped_sink_is_a_sink() {
-        let _lock = global_lock();
-        // The blanket impl lets one Send+Sync sink serve as both the
-        // shared sink and a thread-local sink (the pool does this for the
-        // flight recorder).
-        let shared: Arc<SharedMemorySink> = Arc::new(SharedMemorySink::new());
-        let _g = set_sink(Rc::new(shared.clone()) as Rc<dyn Sink>);
-        assert!(enabled());
-        emit(Event::instant("t", "via-arc"));
         assert_eq!(shared.events().len(), 1);
     }
 

@@ -165,7 +165,10 @@ pub struct StoredTrace {
 }
 
 impl StoredTrace {
-    fn to_json(&self) -> Json {
+    /// The trace as one JSON document: id, outcome, latency when known,
+    /// and every span with its arguments — the per-request record
+    /// `traces.json` is made of.
+    pub fn to_json(&self) -> Json {
         let mut fields = vec![
             (
                 "trace_id".to_string(),

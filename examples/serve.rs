@@ -11,14 +11,17 @@
 //! hit the content-addressed cache and share the compiled executables.
 //! One workload is auto-tuned in between, so the final rounds also show
 //! the persistent tuning store being preferred over the analytic mapping.
-//! The run ends with one request's stitched profile and the registry's
-//! Prometheus-style text exposition.
+//! A trace store keeps every request's trace (`latency_threshold: 0.0`),
+//! and the run ends with the last response's kept trace and the
+//! registry's Prometheus-style text exposition.
 
 use multidim::Compiler;
 use multidim_engine::{Engine, EngineConfig, Request};
 use multidim_obs::Histogram;
+use multidim_trace::{install_store, TailSamplerConfig, TraceStore};
 use multidim_workloads::catalog::catalog;
 use std::error::Error;
+use std::sync::Arc;
 use std::time::Instant;
 
 const ROUNDS: usize = 4;
@@ -28,6 +31,12 @@ fn fmt_ms(seconds: f64) -> String {
 }
 
 fn main() -> Result<(), Box<dyn Error>> {
+    // Every completion counts as slow, so the sampler keeps every trace.
+    let traces = Arc::new(TraceStore::new(TailSamplerConfig {
+        latency_threshold: 0.0,
+        ..TailSamplerConfig::default()
+    }));
+    let _traces_guard = install_store(traces.clone());
     let store_path = std::env::temp_dir().join("multidim-serve-tuning.json");
     let config = EngineConfig {
         queue_capacity: 32,
@@ -181,13 +190,16 @@ fn main() -> Result<(), Box<dyn Error>> {
         "every workload has a labelled latency histogram"
     );
 
-    // One stitched per-request profile: latency phases, search breakdown,
-    // simulator counters — the JSON a fleet dashboard would ingest.
-    if let Some(resp) = &last_response {
-        println!();
-        println!("=== request profile ({}) ===", entries[0].name());
-        println!("{}", engine.profile(resp).render());
-    }
+    // The per-request record: the last response's kept trace, with its
+    // queue, compile and run spans and the mapping that ran.
+    let trace_id = last_response
+        .and_then(|resp| resp.trace)
+        .expect("a store is installed, so the engine mints a trace")
+        .trace_id;
+    let kept = traces.lookup(trace_id).expect("every trace is kept");
+    println!();
+    println!("=== request trace ({}) ===", entries[0].name());
+    println!("{}", kept.to_json().render());
 
     // The registry's Prometheus-style exposition (gauges synced first).
     println!();
@@ -211,7 +223,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let exposition = engine.render_metrics();
     assert!(exposition.contains("# TYPE engine_request_seconds summary"));
     assert!(exposition.contains("engine_completed_total"));
-    assert!(engine.post_mortems().is_empty(), "no failures, no bundles");
+    assert_eq!(traces.stats().finished_bad, 0, "no failures, no bad traces");
     engine.shutdown();
     println!("ok");
     Ok(())

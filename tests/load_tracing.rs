@@ -10,10 +10,41 @@ use multidim::Compiler;
 use multidim_bench::loadgen::{run_load, LoadConfig, LoadMode};
 use multidim_engine::{Engine, EngineConfig};
 use multidim_obs::Slo;
-use multidim_trace::{install_store, trace_id_hex, TailSamplerConfig, TraceStore};
+use multidim_trace::{install_store, trace_id_hex, StoredTrace, TailSamplerConfig, TraceStore};
 use multidim_workloads::catalog::catalog;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Every kept trace is one request record: exactly one root span, which
+/// names the program (`workload`), carries an `outcome` equal to the
+/// trace's, and carries the failure `reason` unless the request completed.
+fn assert_one_record_per_request(traces: &[StoredTrace]) {
+    for trace in traces {
+        let roots: Vec<_> = trace.spans.iter().filter(|s| s.parent.is_none()).collect();
+        assert_eq!(roots.len(), 1, "one root span per trace: {trace:?}");
+        let arg = |key: &str| {
+            roots[0]
+                .args
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| v.to_string())
+        };
+        assert!(
+            arg("workload").is_some(),
+            "root names no workload: {trace:?}"
+        );
+        assert_eq!(
+            arg("outcome").as_deref(),
+            Some(trace.outcome.as_str()),
+            "{trace:?}"
+        );
+        assert_eq!(
+            arg("reason").is_some(),
+            trace.outcome.is_bad(),
+            "a root carries a reason exactly when the request did not complete: {trace:?}"
+        );
+    }
+}
 
 #[test]
 fn overloaded_run_keeps_every_bad_trace_and_samples_the_boring_ones() {
@@ -77,6 +108,9 @@ fn overloaded_run_keeps_every_bad_trace_and_samples_the_boring_ones() {
         bad_kept as u64, stats.finished_bad,
         "a bad trace was sampled away"
     );
+    // Sheds included: a request the engine turned away at submission
+    // still leaves a root span saying why.
+    assert_one_record_per_request(&store.kept_traces());
 
     // Tail sampling: boring (fast, successful) traces are mostly
     // dropped, and every drop is accounted. The keep decision hashes

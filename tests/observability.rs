@@ -1,16 +1,13 @@
 //! Fleet-observability integration: the engine's metrics registry fills as
-//! requests are served, failing requests leave post-mortem bundles with
-//! the flight recorder's last events and partial phase timings, stitched
-//! per-request profiles carry search and simulator detail, and a shared
-//! trace sink installed on the main thread captures worker-side events.
+//! requests are served, a shared trace sink installed on the main thread
+//! captures worker-side events, and the histogram windows behind both
+//! merge exactly. The per-request record — the kept trace — is tested in
+//! `tests/request_record.rs`.
 
 use multidim::Compiler;
 use multidim_engine::{Engine, EngineConfig, Request};
-use multidim_ir::{Bindings, Effect, Expr, Program, ProgramBuilder, ScalarKind, Size, SymId};
 use multidim_trace::json::Json;
-use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn small_config() -> EngineConfig {
     EngineConfig {
@@ -19,146 +16,6 @@ fn small_config() -> EngineConfig {
         cache_capacity: 64,
         ..EngineConfig::default()
     }
-}
-
-/// A foreach in which every instance stores to `y[0]` — a proven race,
-/// aborted by static analysis with `MD001`.
-fn racy_workload() -> (Program, Bindings, HashMap<multidim_ir::ArrayId, Vec<f64>>) {
-    let mut b = ProgramBuilder::new("racy");
-    let n = b.sym("N");
-    let x = b.input("x", ScalarKind::F32, &[Size::sym(n)]);
-    let y = b.output("y", ScalarKind::F32, &[Size::sym(n)]);
-    let root = b.foreach(Size::sym(n), |b, i| {
-        let v = b.read(x, &[i.into()]);
-        vec![Effect::Write {
-            cond: None,
-            array: y,
-            idx: vec![Expr::int(0)],
-            value: v,
-        }]
-    });
-    let p = b.finish_foreach(root).unwrap();
-    let mut bind = Bindings::new();
-    bind.bind(n, 64);
-    let mut inputs = HashMap::new();
-    inputs.insert(x, vec![1.0; 64]);
-    (p, bind, inputs)
-}
-
-#[test]
-fn worker_panic_produces_a_post_mortem_bundle() {
-    let engine = Engine::new(Compiler::new(), small_config());
-
-    // A hostile binding (N = i64::MAX) deterministically panics inside the
-    // mapping search — after the fingerprint phase, during compile.
-    let (program, mut bindings, inputs) = multidim_engine::doctest_workload();
-    bindings.bind(SymId(0), i64::MAX);
-    let expected_fp = Compiler::new().fingerprint(&program, &bindings);
-    engine
-        .submit(Request::new(program, bindings, inputs))
-        .expect("accepted")
-        .wait()
-        .expect_err("hostile request must fail");
-
-    let bundles = engine.post_mortems();
-    assert_eq!(bundles.len(), 1, "one failure, one bundle");
-    let pm = &bundles[0];
-    assert_eq!(pm.program, "doctest-saxpy");
-    assert_eq!(
-        pm.fingerprint.as_deref(),
-        Some(expected_fp.to_string().as_str()),
-        "bundle carries the failing request's content address"
-    );
-    assert!(
-        pm.reason.contains("panicked"),
-        "reason names the panic: {}",
-        pm.reason
-    );
-    // Phase timings: queued, then died mid-compile — partial compile time
-    // is reported, the run phase never started.
-    assert!(pm.queue_seconds >= 0.0);
-    assert!(
-        pm.compile_seconds.is_some(),
-        "panic struck during the compile phase"
-    );
-    assert_eq!(pm.run_seconds, None, "run never started");
-    // The worker's flight-recorder ring captured what it was doing last.
-    assert!(
-        !pm.events.is_empty(),
-        "bundle carries the worker's recent trace events"
-    );
-    assert!(
-        pm.events.iter().any(|e| e.cat == "search"),
-        "the panicking search left events in the ring: {:?}",
-        pm.events
-            .iter()
-            .map(|e| e.name.as_str())
-            .collect::<Vec<_>>()
-    );
-    // The bundle serializes to valid JSON.
-    Json::parse(&pm.render()).expect("post-mortem renders valid JSON");
-
-    // Metrics agree: one panicked, one failed, none completed.
-    let text = engine.render_metrics();
-    assert!(text.contains("engine_panicked_total 1"), "{text}");
-    assert!(text.contains("engine_failed_total 1"), "{text}");
-}
-
-#[test]
-fn deadline_miss_produces_a_post_mortem_bundle() {
-    let engine = Engine::new(Compiler::new(), small_config());
-    let (program, bindings, inputs) = multidim_engine::doctest_workload();
-    let expected_fp = Compiler::new().fingerprint(&program, &bindings);
-    let mut request = Request::new(program, bindings, inputs);
-    // A zero deadline has always expired by the time a worker dequeues.
-    request.deadline = Some(Duration::ZERO);
-    engine
-        .submit(request)
-        .expect("accepted")
-        .wait()
-        .expect_err("zero deadline must expire");
-
-    let bundles = engine.post_mortems();
-    assert_eq!(bundles.len(), 1);
-    let pm = &bundles[0];
-    assert!(
-        pm.reason.contains("deadline exceeded"),
-        "reason: {}",
-        pm.reason
-    );
-    // The request never reached serve, but the bundle still carries its
-    // fingerprint (recomputed for the report) and queue timing.
-    assert_eq!(
-        pm.fingerprint.as_deref(),
-        Some(expected_fp.to_string().as_str())
-    );
-    assert_eq!(pm.compile_seconds, None, "compile never started");
-    assert_eq!(pm.run_seconds, None);
-    assert!(engine.render_metrics().contains("engine_expired_total 1"));
-}
-
-#[test]
-fn failed_compile_produces_a_post_mortem_bundle() {
-    let engine = Engine::new(Compiler::new(), small_config());
-    let (program, bindings, inputs) = racy_workload();
-    engine
-        .submit(Request::new(program, bindings, inputs))
-        .expect("accepted")
-        .wait()
-        .expect_err("proven race must abort compilation");
-
-    let bundles = engine.post_mortems();
-    assert_eq!(bundles.len(), 1);
-    let pm = &bundles[0];
-    assert_eq!(pm.program, "racy");
-    assert!(
-        pm.reason.contains("MD001"),
-        "compile failure names the diagnostic: {}",
-        pm.reason
-    );
-    assert!(pm.fingerprint.is_some());
-    assert!(pm.compile_seconds.is_some(), "failed inside compile");
-    assert_eq!(pm.run_seconds, None);
 }
 
 #[test]
@@ -200,42 +57,6 @@ fn registry_fills_as_requests_are_served() {
 }
 
 #[test]
-fn profile_stitches_phases_search_and_simulator() {
-    let engine = Engine::new(Compiler::new(), small_config());
-    let (program, bindings, inputs) = multidim_engine::doctest_workload();
-    let resp = engine
-        .submit(Request::new(program, bindings, inputs))
-        .expect("accepted")
-        .wait()
-        .expect("served");
-
-    let profile = engine.profile(&resp);
-    assert_eq!(profile.program, "doctest-saxpy");
-    assert!(!profile.cache_hit, "first request compiles");
-    assert_eq!(profile.fingerprint, resp.fingerprint.to_string());
-    // Phases nest: compile + run happen inside the total.
-    assert!(profile.phases.compile_seconds > 0.0);
-    assert!(profile.phases.run_seconds > 0.0);
-    assert!(
-        profile.phases.total_seconds >= profile.phases.compile_seconds + profile.phases.run_seconds
-    );
-    // The analytic search ran, so the breakdown is present and sane.
-    let search = profile.search.as_ref().expect("MultiDim analysis ran");
-    assert!(search.candidates > 0);
-    assert!(!search.mapping.is_empty());
-    // Simulator metrics rode along as JSON.
-    let j = profile.to_json();
-    assert!(
-        j.get("metrics")
-            .and_then(|m| m.get("kernels"))
-            .and_then(Json::as_arr)
-            .is_some_and(|k| !k.is_empty()),
-        "profile embeds per-kernel simulator metrics"
-    );
-    Json::parse(&profile.render()).expect("profile renders valid JSON");
-}
-
-#[test]
 fn shared_sink_captures_worker_side_events() {
     // The satellite regression this guards: engine workers used to trace
     // into the void because sinks are thread-local. A process-wide shared
@@ -265,62 +86,6 @@ fn shared_sink_captures_worker_side_events() {
             .iter()
             .map(|e| format!("{}/{}", e.cat, e.name))
             .collect::<Vec<_>>()
-    );
-}
-
-#[test]
-fn post_mortem_queue_is_bounded() {
-    let engine = Engine::new(Compiler::new(), small_config());
-    let (program, bindings, inputs) = racy_workload();
-    for _ in 0..40 {
-        engine
-            .submit(Request::new(
-                program.clone(),
-                bindings.clone(),
-                inputs.clone(),
-            ))
-            .expect("accepted")
-            .wait()
-            .expect_err("always fails");
-    }
-    assert_eq!(
-        engine.post_mortems().len(),
-        32,
-        "bundle retention is bounded"
-    );
-    // The 8 evicted bundles were never read: the loss is counted, not
-    // silent, and the counter reaches the exposition.
-    assert_eq!(
-        engine.post_mortems_dropped(),
-        8,
-        "40 failures minus 32 retained bundles"
-    );
-    assert!(engine
-        .render_metrics()
-        .contains("engine_post_mortems_dropped_total 8"));
-}
-
-#[test]
-fn disabling_the_flight_recorder_leaves_bundles_without_events() {
-    let engine = Engine::new(
-        Compiler::new(),
-        EngineConfig {
-            flight_recorder_capacity: 0,
-            ..small_config()
-        },
-    );
-    let (program, mut bindings, inputs) = multidim_engine::doctest_workload();
-    bindings.bind(SymId(0), i64::MAX);
-    engine
-        .submit(Request::new(program, bindings, inputs))
-        .expect("accepted")
-        .wait()
-        .expect_err("hostile request must fail");
-    let bundles = engine.post_mortems();
-    assert_eq!(bundles.len(), 1, "bundles still recorded");
-    assert!(
-        bundles[0].events.is_empty(),
-        "no recorder, no captured events"
     );
 }
 

@@ -345,14 +345,13 @@ fn metrics_expose_per_shard_gauges_and_per_tenant_counters() {
     );
     assert!(text.contains("serve_completed_total 2"), "{text}");
 
-    // Request profiles flow through the front door from the owning shard.
+    // The served response names the program the owning shard ran.
     let served = door
         .submit("acme", request_for(&entries[0]))
         .expect("admitted")
         .wait()
         .expect("served");
-    let profile = door.profile(&served);
-    assert_eq!(profile.program, entries[0].name());
+    assert_eq!(served.response.executable.program.name, entries[0].name());
     door.shutdown();
 }
 

@@ -117,6 +117,20 @@ fn eight_clients_on_eight_shards_lose_and_duplicate_no_spans() {
         assert_eq!(roots.len(), 1, "one root per trace: {:?}", stored.spans);
         let root = roots[0];
         assert_eq!((root.cat, root.name), ("serve", "request"));
+        // The root is the request record: program, outcome, and no
+        // failure reason for a completion.
+        let arg = |key: &str| {
+            root.args
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| v.to_string())
+        };
+        assert!(
+            arg("workload").is_some(),
+            "root names no workload: {root:?}"
+        );
+        assert_eq!(arg("outcome").as_deref(), Some(stored.outcome.as_str()));
+        assert_eq!(arg("reason"), None, "a completed root carries no reason");
         for span in &stored.spans {
             if span.span_id != root.span_id {
                 assert_eq!(span.parent, Some(root.span_id));
