@@ -269,18 +269,38 @@ impl Compiler {
         program: &Program,
         bindings: &Bindings,
     ) -> Result<Executable, CompileError> {
-        let mut sp = trace::span("core", "compile");
-        if let Some(sp) = sp.as_mut() {
-            sp.arg("program", program.name.as_str());
-        }
-        let (program, fused) = if self.fusion {
+        self.compile_traced(program, |program| {
+            let (mapping, analysis) = self.choose_mapping(&program, bindings);
+            self.compile_mapped(program, bindings, mapping, analysis)
+        })
+    }
+
+    /// `program` after map→reduce fusion (when enabled), with the number
+    /// of fusions applied.
+    fn fuse(&self, program: &Program) -> (Program, usize) {
+        if self.fusion {
             fuse_map_reduce(program)
         } else {
             (program.clone(), 0)
-        };
+        }
+    }
+
+    /// The `core/compile` span around a whole compile: fuse and validate
+    /// `program`, then finish with `rest`. The span names the program and
+    /// counts the fusions applied as `fused`.
+    fn compile_traced(
+        &self,
+        program: &Program,
+        rest: impl FnOnce(Program) -> Result<Executable, CompileError>,
+    ) -> Result<Executable, CompileError> {
+        let mut sp = trace::span("core", "compile");
+        let (program, fused) = self.fuse(program);
+        if let Some(sp) = sp.as_mut() {
+            sp.arg("program", program.name.as_str());
+            sp.arg("fused", fused);
+        }
         program.validate()?;
-        let (mapping, analysis) = self.choose_mapping(&program, bindings);
-        self.compile_mapped(program, bindings, mapping, analysis, fused)
+        rest(program)
     }
 
     /// The mapping [`Compiler::compile`] picks for an already fused and
@@ -406,11 +426,7 @@ impl Compiler {
         bindings: &Bindings,
         options: &multidim_mapping::TuneOptions,
     ) -> Result<TunePrepared, CompileError> {
-        let (program, _) = if self.fusion {
-            fuse_map_reduce(program)
-        } else {
-            (program.clone(), 0)
-        };
+        let (program, _) = self.fuse(program);
         program.validate()?;
         let plan = multidim_mapping::plan(&program, bindings, &self.gpu, &self.weights, options);
         // One consolidation decision shared by every candidate: the plan
@@ -455,7 +471,7 @@ impl Compiler {
         bindings: &Bindings,
         mapping: MappingDecision,
     ) -> Result<Executable, CompileError> {
-        self.compile_mapped(prepared.program.clone(), bindings, mapping, None, 0)
+        self.compile_mapped(prepared.program.clone(), bindings, mapping, None)
     }
 
     /// Compile with an explicit mapping decision (used by the Figure 17
@@ -470,13 +486,9 @@ impl Compiler {
         bindings: &Bindings,
         mapping: MappingDecision,
     ) -> Result<Executable, CompileError> {
-        let (program, fused) = if self.fusion {
-            fuse_map_reduce(program)
-        } else {
-            (program.clone(), 0)
-        };
-        program.validate()?;
-        self.compile_mapped(program, bindings, mapping, None, fused)
+        self.compile_traced(program, |program| {
+            self.compile_mapped(program, bindings, mapping, None)
+        })
     }
 
     fn compile_mapped(
@@ -485,7 +497,6 @@ impl Compiler {
         bindings: &Bindings,
         mapping: MappingDecision,
         analysis: Option<Analysis>,
-        fused_patterns: usize,
     ) -> Result<Executable, CompileError> {
         let mut diagnostics = if self.checks {
             self.check_program(&program, bindings, &mapping)?
@@ -536,7 +547,6 @@ impl Compiler {
             diagnostics,
             locality,
             kernels,
-            fused_patterns,
             dynpar,
             gpu: self.gpu.clone(),
             bindings: bindings.clone(),
@@ -608,8 +618,6 @@ pub struct Executable {
     pub locality: Option<LocalitySummary>,
     /// The generated kernels and buffer plan.
     pub kernels: KernelProgram,
-    /// Number of map→reduce fusions applied before analysis.
-    pub fused_patterns: usize,
     /// The dynamic-parallelism consolidation decision (`site: None` when
     /// the program has no data-dependent launch site or the stage is off).
     pub dynpar: DynParPlan,
@@ -886,10 +894,22 @@ mod tests {
                 span: Span::All,
             },
         ]);
+        let sink = std::rc::Rc::new(trace::MemorySink::new());
+        let guard = trace::set_sink(sink.clone());
         let exe = Compiler::new()
             .compile_with_mapping(&p, &bind, mapping.clone())
             .unwrap();
+        drop(guard);
         assert_eq!(exe.mapping, mapping);
+        // An explicit-mapping compile (the engine's tuned-store path) opens
+        // the same `core/compile` span as `compile`.
+        let events = sink.events();
+        let span = events
+            .iter()
+            .find(|e| (e.cat, e.name.as_str()) == ("core", "compile"))
+            .expect("core/compile span");
+        assert_eq!(span.get_str("program"), Some("sumCols"));
+        assert_eq!(span.get_u64("fused"), Some(0));
         let inputs: HashMap<_, _> = [(m, vec![2.0f64; 16 * 64])].into_iter().collect();
         let report = exe.run(&inputs).unwrap();
         assert!(report.output(p.output.unwrap()).iter().all(|&v| v == 32.0));

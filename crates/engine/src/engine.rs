@@ -1074,7 +1074,7 @@ fn serve(
     // A live guard wraps the phase: if compilation errors out (`?`) or
     // panics, the drop still records the span with the time spent so
     // far — and with the fingerprint, set as the span opens.
-    let mut compile_span = multidim_trace::request_span("engine", "compile");
+    let mut compile_span = multidim_trace::span("engine", "compile");
     if let Some(span) = compile_span.as_mut() {
         span.arg("fingerprint", fp.to_string());
     }
@@ -1130,7 +1130,7 @@ fn serve(
         }
     }
     let run_started = Instant::now();
-    let run_span = multidim_trace::request_span("engine", "run");
+    let run_span = multidim_trace::span("engine", "run");
     let run = exe.run(&request.inputs)?;
     drop(run_span);
     let run_time = run_started.elapsed();

@@ -15,9 +15,10 @@
 //! whole requests, and the parallel auto-tuner for individual candidate
 //! measurements.
 //!
-//! Workers install no trace sink of their own: `multidim-trace` sinks are
-//! thread-local, so events emitted inside a job reach only a process-wide
-//! shared sink (`multidim_trace::install_shared`), when one is installed.
+//! Workers install no trace sink of their own (`multidim-trace` sinks are
+//! thread-local). A job that serves a request makes the request's trace
+//! context current instead, so the spans it opens land in that request's
+//! trace when a `multidim_trace::TraceStore` is installed.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

@@ -17,8 +17,8 @@
 //!
 //! [`Histogram`] is the concurrent form (atomic counters, `&self`
 //! recording, safe to share across engine workers); [`HistogramSnapshot`]
-//! is the plain-data form used for quantile math, merging, and
-//! sliding-window aggregation ([`SlidingWindow`]).
+//! is the plain-data form used for quantile math and merging (the SLO
+//! tracker's windows are snapshots).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -370,59 +370,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// Sliding-window aggregation: the last `windows` rotations of samples,
-/// merged on demand. The caller decides the rotation cadence by calling
-/// [`SlidingWindow::rotate`] (e.g. once per round, once per second) —
-/// explicit rotation keeps the type deterministic and testable.
-pub struct SlidingWindow {
-    inner: Mutex<WindowState>,
-}
-
-struct WindowState {
-    slots: std::collections::VecDeque<HistogramSnapshot>,
-    capacity: usize,
-}
-
-impl SlidingWindow {
-    /// A window over the last `windows` rotations (at least 1).
-    pub fn new(windows: usize) -> SlidingWindow {
-        let mut slots = std::collections::VecDeque::new();
-        slots.push_back(HistogramSnapshot::new());
-        SlidingWindow {
-            inner: Mutex::new(WindowState {
-                slots,
-                capacity: windows.max(1),
-            }),
-        }
-    }
-
-    /// Record into the current (newest) window.
-    pub fn record(&self, value: f64) {
-        let mut s = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        s.slots.back_mut().expect("at least one slot").record(value);
-    }
-
-    /// Start a fresh window, dropping the oldest once more than the
-    /// configured number are retained.
-    pub fn rotate(&self) {
-        let mut s = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        s.slots.push_back(HistogramSnapshot::new());
-        while s.slots.len() > s.capacity {
-            s.slots.pop_front();
-        }
-    }
-
-    /// Merge of every retained window.
-    pub fn merged(&self) -> HistogramSnapshot {
-        let s = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let mut out = HistogramSnapshot::new();
-        for slot in &s.slots {
-            out.merge(slot);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,21 +483,6 @@ mod tests {
         for q in [0.1, 0.5, 0.9, 0.99] {
             assert_eq!(merged.quantile(q), all.quantile(q));
         }
-    }
-
-    #[test]
-    fn sliding_window_drops_old_rotations() {
-        let w = SlidingWindow::new(2);
-        w.record(1.0);
-        w.rotate();
-        w.record(10.0);
-        assert_eq!(w.merged().count(), 2); // both windows retained
-        w.rotate();
-        w.record(100.0);
-        let m = w.merged(); // the 1.0 window has aged out
-        assert_eq!(m.count(), 2);
-        assert_eq!(m.min(), Some(10.0));
-        assert_eq!(m.max(), Some(100.0));
     }
 
     #[test]

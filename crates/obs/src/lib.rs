@@ -7,16 +7,15 @@
 //!
 //! * a thread-safe **metrics [`Registry`]** of named [`Counter`]s,
 //!   [`Gauge`]s, and log-bucketed mergeable [`Histogram`]s (p50/p90/p99/
-//!   p999 estimation, [`SlidingWindow`] aggregation), with Prometheus-style
-//!   text exposition ([`Registry::render_text`]) and JSON export
-//!   ([`Registry::to_json`]);
+//!   p999 estimation), with Prometheus-style text exposition
+//!   ([`Registry::render_text`]) and JSON export ([`Registry::to_json`]);
 //! * **labelled metric families** ([`CounterFamily`], [`GaugeFamily`],
 //!   [`HistogramFamily`]) — one metric name fanned out per label value
 //!   (per-workload outcome counters and latency histograms under load,
 //!   per-shard queue-depth gauges in the sharded serving tier);
 //! * an **[`slo`] module** — SLO definitions, error-budget accounting,
-//!   and multi-window burn rates ([`SloTracker`]) over the same explicit
-//!   rotation model as [`SlidingWindow`];
+//!   and multi-window burn rates ([`SloTracker`]) over windows the caller
+//!   rotates explicitly;
 //! * **[`TimeSeries`]** — bounded overload telemetry rings (queue depth,
 //!   in-flight, shed rate) with sparkline and JSON rendering;
 //! * an **[`alerts`] module** — an [`AlertEngine`] evaluating multi-window
@@ -66,7 +65,7 @@ pub use alerts::{
     AlertEngine, AlertEvent, AlertRule, AlertSeverity, BurnObjective, BurnRateRule, Comparison,
     ThresholdRule,
 };
-pub use hist::{Exemplar, Histogram, HistogramSnapshot, SlidingWindow, BUCKETS, SUB_BUCKETS};
+pub use hist::{Exemplar, Histogram, HistogramSnapshot, BUCKETS, SUB_BUCKETS};
 pub use registry::{
     Counter, CounterFamily, Gauge, GaugeFamily, HistogramFamily, Registry, QUANTILES,
 };
@@ -81,7 +80,6 @@ const _: () = {
     assert_send_sync::<Histogram>();
     assert_send_sync::<Counter>();
     assert_send_sync::<Gauge>();
-    assert_send_sync::<SlidingWindow>();
     assert_send_sync::<CounterFamily>();
     assert_send_sync::<GaugeFamily>();
     assert_send_sync::<HistogramFamily>();

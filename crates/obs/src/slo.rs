@@ -8,11 +8,11 @@
 //!   complete within `latency.threshold` seconds (failed requests are
 //!   charged to the availability budget, not double-counted here).
 //!
-//! An [`SloTracker`] accumulates outcomes into explicit windows (the same
-//! caller-driven rotation model as
-//! [`SlidingWindow`](crate::hist::SlidingWindow): call
-//! [`SloTracker::rotate`] on whatever cadence you like — once per second,
-//! once per round — and the tracker retains the last `windows` rotations).
+//! An [`SloTracker`] accumulates outcomes into explicit windows, rotated
+//! by the caller: call [`SloTracker::rotate`] on whatever cadence you
+//! like — once per second, once per round — and the tracker retains the
+//! last `windows` rotations, each with its own latency histogram
+//! snapshot.
 //! Everything derived is a pure function of the retained counts, so every
 //! number the dashboard shows can be recomputed by hand from the window
 //! totals:

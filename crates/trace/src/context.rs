@@ -12,9 +12,10 @@
 //!   shard queue ticket, and into whichever engine worker thread ends up
 //!   serving it;
 //! * each thread that works on the request installs the context as its
-//!   *current* context ([`set_current`], RAII-restored), so nested spans
-//!   opened with [`request_span`] parent themselves correctly without
-//!   any plumbing through intermediate call signatures;
+//!   *current* context ([`set_current`], RAII-restored), so spans opened
+//!   with [`span`](crate::span) — the engine's phases and the compile
+//!   pipeline's stages alike — parent themselves correctly without any
+//!   plumbing through intermediate call signatures;
 //! * spans land in the process-wide [`TraceStore`]
 //!   (installed with [`install_store`]), which applies *tail-based*
 //!   sampling when the request finishes: traces that end badly (shed /
@@ -166,8 +167,8 @@ pub fn set_current(ctx: TraceContext) -> ContextGuard {
     ContextGuard { prev }
 }
 
-// Process-wide tail-sampling trace store, mirroring the shared-sink
-// design: a single RwLock slot plus a relaxed fast-path flag.
+// Process-wide tail-sampling trace store: a single RwLock slot plus a
+// relaxed fast-path flag.
 static STORE: RwLock<Option<Arc<TraceStore>>> = RwLock::new(None);
 static STORE_ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -204,8 +205,8 @@ impl Drop for StoreGuard {
 }
 
 /// Install `store` as the process-wide trace store until the returned
-/// guard drops. Every thread's [`request_span`] and finish calls deliver
-/// to it.
+/// guard drops. Every thread's [`span`](crate::span)s and finish calls
+/// deliver to it.
 pub fn install_store(store: Arc<TraceStore>) -> StoreGuard {
     let mut slot = STORE.write().unwrap_or_else(|e| e.into_inner());
     STORE_ENABLED.store(true, Ordering::Relaxed);
@@ -227,58 +228,9 @@ pub fn instant_us(t: Instant) -> f64 {
     }
 }
 
-/// An open request-scoped span: records a [`SpanRecord`] into the
-/// process store when dropped (or when [`RequestSpan::finish`] is
-/// called). While the span is open it is the thread's *current* context,
-/// so spans opened inside nest under it.
-pub struct RequestSpan {
-    ctx: TraceContext,
-    parent: Option<u64>,
-    cat: &'static str,
-    name: &'static str,
-    start_us: f64,
-    args: Vec<(&'static str, Value)>,
-    _guard: ContextGuard,
-}
-
-impl RequestSpan {
-    /// Attach an argument reported when the span closes.
-    pub fn arg(&mut self, key: &'static str, value: impl Into<Value>) {
-        self.args.push((key, value.into()));
-    }
-
-    /// The span's own context (child of whatever was current).
-    pub fn context(&self) -> TraceContext {
-        self.ctx
-    }
-
-    /// Close the span now (equivalent to dropping it).
-    pub fn finish(self) {}
-}
-
-impl Drop for RequestSpan {
-    fn drop(&mut self) {
-        if let Some(store) = store() {
-            let end = crate::now_us();
-            store.record(
-                &self.ctx,
-                SpanRecord {
-                    span_id: self.ctx.span_id,
-                    parent: self.parent,
-                    cat: self.cat,
-                    name: self.name,
-                    start_us: self.start_us,
-                    dur_us: end - self.start_us,
-                    args: std::mem::take(&mut self.args),
-                },
-            );
-        }
-    }
-}
-
 /// Record an already-elapsed child span of `ctx`, from `start` to now —
 /// for phases known only after the fact (a queue wait, a spill hop),
-/// where a live [`RequestSpan`] cannot wrap the work.
+/// where a live [`Span`](crate::Span) cannot wrap the work.
 pub fn record_elapsed_span(
     ctx: &TraceContext,
     cat: &'static str,
@@ -358,36 +310,15 @@ pub fn finish_request(
         .then_some(ctx.trace_id)
 }
 
-/// Open a span under the thread's current context. Returns `None` (and
-/// allocates nothing) when there is no current context or no installed
-/// store — so instrumented code pays one thread-local read on the cold
-/// path and nothing more.
-pub fn request_span(cat: &'static str, name: &'static str) -> Option<RequestSpan> {
-    let parent = current()?;
-    if !parent.sampled || !store_enabled() {
-        return None;
-    }
-    let ctx = parent.child();
-    let guard = set_current(ctx);
-    Some(RequestSpan {
-        ctx,
-        parent: Some(parent.span_id),
-        cat,
-        name,
-        start_us: crate::now_us(),
-        args: Vec::new(),
-        _guard: guard,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span;
     use crate::store::TailSamplerConfig;
     use std::collections::HashSet;
 
-    /// Tests touching the process-global store slot serialize on the
-    /// same lock idea as the sink tests.
+    /// Tests touching the process-global store slot serialize on this
+    /// lock, so none sees another's store installed.
     static STORE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -444,31 +375,57 @@ mod tests {
     }
 
     #[test]
-    fn request_span_requires_context_and_store() {
+    fn span_requires_context_and_store() {
         let _l = lock();
         // No context, no store: nothing.
-        assert!(request_span("t", "a").is_none());
+        assert!(span("t", "a").is_none());
         let store = Arc::new(TraceStore::new(TailSamplerConfig::default()));
         let _gs = install_store(store.clone());
         // Store but no current context: still nothing.
-        assert!(request_span("t", "b").is_none());
+        assert!(span("t", "b").is_none());
         let root = TraceContext::mint();
         let _gc = set_current(root);
+        let sink = std::rc::Rc::new(crate::MemorySink::new());
+        let _gk = crate::set_sink(sink.clone());
         {
-            let mut outer = request_span("t", "outer").expect("span opens");
+            let mut outer = span("t", "outer").expect("span opens");
             outer.arg("k", 1u64);
-            let inner = request_span("t", "inner").expect("nested span opens");
-            // The nested span's parent is the outer span, not the root.
-            assert_eq!(inner.parent, Some(outer.ctx.span_id));
+            let _inner = span("t", "inner").expect("nested span opens");
         }
-        // Restored: next span parents to the root again.
-        let after = request_span("t", "after").unwrap();
-        assert_eq!(after.parent, Some(root.span_id));
-        drop(after);
+        assert_eq!(current(), Some(root), "closing restores the root");
+        drop(span("t", "after").expect("span opens"));
         store.finish(&root, TraceOutcome::Failed, None);
         let kept = store.kept_traces();
         assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0].spans.len(), 3);
+        let spans = &kept[0].spans;
+        let by_name = |name| spans.iter().find(|s| s.name == name).unwrap();
+        // Inner closes first; the nested span's parent is the outer span,
+        // not the root, and the span after them parents to the root again.
+        let names: Vec<_> = spans.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["inner", "outer", "after"]);
+        assert_eq!(by_name("inner").parent, Some(by_name("outer").span_id));
+        assert_eq!(by_name("outer").parent, Some(root.span_id));
+        assert_eq!(by_name("after").parent, Some(root.span_id));
+        assert_eq!(by_name("outer").args, [("k", Value::UInt(1))]);
+        // The thread's sink saw the same spans as Chrome events.
+        let events: Vec<_> = sink.events().into_iter().map(|e| e.name).collect();
+        assert_eq!(events, ["inner", "outer", "after"]);
+    }
+
+    #[test]
+    fn span_is_none_under_a_store_without_a_sampled_context() {
+        let _l = lock();
+        let store = Arc::new(TraceStore::new(TailSamplerConfig::default()));
+        let _gs = install_store(store.clone());
+        assert!(span("t", "no-context").is_none());
+        let unsampled = TraceContext {
+            sampled: false,
+            ..TraceContext::mint()
+        };
+        let _gc = set_current(unsampled);
+        assert!(span("t", "unsampled").is_none());
+        assert_eq!(current(), Some(unsampled), "no span became current");
+        assert_eq!(store.stats().started, 0, "nothing was recorded");
     }
 
     #[test]

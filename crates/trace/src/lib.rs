@@ -8,10 +8,15 @@
 //!   and instant events, with a dual-clock convention (wall-clock for the
 //!   compiler pipeline, *simulated* time for the GPU timeline — separate
 //!   `pid` lanes keep the two apart in viewers);
-//! * a pluggable [`Sink`] — [`NoopSink`] (the default; the hot path is
-//!   guarded by [`enabled`] and performs **no allocation** when tracing is
-//!   off), [`MemorySink`] (in-memory collector for tests and table
-//!   reconstruction), and [`JsonlSink`] (newline-delimited JSON writer);
+//! * one span type, [`Span`] (opened with [`span`]), which reports to
+//!   both collectors below: a Chrome `Complete` event to the thread's
+//!   sink, and a [`SpanRecord`] into the current request's trace;
+//! * a thread-local [`MemorySink`], installed with [`set_sink`]; with no
+//!   sink the hot path is guarded by [`enabled`] and performs **no
+//!   allocation**;
+//! * request-scoped trace contexts and the tail-sampling [`TraceStore`]
+//!   ([`context`], [`mod@store`]), which keep one span tree per request
+//!   across the threads that serve it;
 //! * exporters: [`chrome::write_trace`] renders events as Chrome
 //!   trace-event JSON loadable in Perfetto / `chrome://tracing`, and
 //!   [`json`] is a tiny self-contained JSON value model (render + parse)
@@ -38,19 +43,17 @@
 //! let sink = Rc::new(trace::MemorySink::new());
 //! {
 //!     let _guard = trace::set_sink(sink.clone());
-//!     // ... traced work ...
+//!     let _span = trace::span("core", "compile"); // closes before the guard
 //! } // previous sink restored
-//! assert!(sink.events().is_empty());
+//! assert_eq!(sink.events().len(), 1);
 //! ```
 //!
-//! The default tracer is thread-local: parallel tests or parallel
-//! pipeline runs never observe each other's events, and no locking sits
-//! on the hot path. Multi-threaded collectors (a process-wide profiler
-//! watching the engine's workers) use [`install_shared`]: it installs
-//! one `Arc<dyn Sink + Send + Sync>` process-wide, and every thread's
-//! [`emit`] delivers to it *in addition to* that thread's local sink, so
-//! events from engine workers reach whoever is collecting on the main
-//! thread ([`SharedMemorySink`] is the ready-made collector).
+//! The sink is thread-local: parallel tests or parallel pipeline runs
+//! never observe each other's events, and no locking sits on the hot
+//! path. Work that hops threads — a request served by an engine worker —
+//! is collected through its trace instead: the worker makes the request's
+//! [`TraceContext`] current, and every [`span`] it opens lands in that
+//! request's kept trace, nested under the span that was open around it.
 //!
 //! All pipeline timestamps share one process-wide epoch, so events from
 //! different threads land on one coherent timeline.
@@ -63,18 +66,15 @@ pub mod json;
 pub mod store;
 
 pub use context::{
-    current, finish_request, install_store, instant_us, record_elapsed_span, request_span,
-    set_current, store, store_enabled, trace_id_hex, ContextGuard, RequestRoot, RequestSpan,
-    StoreGuard, TraceContext,
+    current, finish_request, install_store, instant_us, record_elapsed_span, set_current, store,
+    store_enabled, trace_id_hex, ContextGuard, RequestRoot, StoreGuard, TraceContext,
 };
 pub use store::{SpanRecord, StoredTrace, TailSamplerConfig, TailStats, TraceOutcome, TraceStore};
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
-use std::io::Write;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Process lane for wall-clock pipeline events (analysis, lowering, host).
@@ -303,34 +303,9 @@ impl Event {
     }
 }
 
-/// Where events go. Implementations use interior mutability; the tracer
-/// hands them shared references.
-pub trait Sink {
-    /// Whether emitting layers should construct events at all. The
-    /// pipeline guards every emission site with [`enabled`], so a sink
-    /// returning `false` here guarantees a zero-cost hot path.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Receive one event.
-    fn event(&self, event: &Event);
-}
-
-/// Discards everything; [`Sink::enabled`] is `false`, so guarded emission
-/// sites skip event construction entirely.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopSink;
-
-impl Sink for NoopSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn event(&self, _event: &Event) {}
-}
-
 /// Collects events in memory (tests, table reconstruction, exporters).
+/// The one sink type: install it for the current thread with
+/// [`set_sink`].
 #[derive(Debug, Default)]
 pub struct MemorySink {
     events: RefCell<Vec<Event>>,
@@ -353,78 +328,8 @@ impl MemorySink {
     }
 }
 
-impl Sink for MemorySink {
-    fn event(&self, event: &Event) {
-        self.events.borrow_mut().push(event.clone());
-    }
-}
-
-/// Streams events as newline-delimited JSON objects to a writer.
-pub struct JsonlSink<W: Write> {
-    writer: RefCell<W>,
-}
-
-impl<W: Write> JsonlSink<W> {
-    /// Wrap a writer.
-    pub fn new(writer: W) -> JsonlSink<W> {
-        JsonlSink {
-            writer: RefCell::new(writer),
-        }
-    }
-
-    /// Unwrap the inner writer.
-    pub fn into_inner(self) -> W {
-        self.writer.into_inner()
-    }
-}
-
-impl<W: Write> Sink for JsonlSink<W> {
-    fn event(&self, event: &Event) {
-        let line = chrome::event_json(event).render();
-        let mut w = self.writer.borrow_mut();
-        let _ = writeln!(w, "{line}");
-    }
-}
-
-/// Collects events in memory behind a mutex — the `Send + Sync`
-/// counterpart of [`MemorySink`], for [`install_shared`] and other
-/// cross-thread collection.
-#[derive(Debug, Default)]
-pub struct SharedMemorySink {
-    events: Mutex<Vec<Event>>,
-}
-
-impl SharedMemorySink {
-    /// An empty collector.
-    pub fn new() -> SharedMemorySink {
-        SharedMemorySink::default()
-    }
-
-    /// A copy of everything collected so far (any thread).
-    pub fn events(&self) -> Vec<Event> {
-        self.events
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    }
-
-    /// Take the collected events, leaving the sink empty.
-    pub fn drain(&self) -> Vec<Event> {
-        std::mem::take(&mut *self.events.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-}
-
-impl Sink for SharedMemorySink {
-    fn event(&self, event: &Event) {
-        self.events
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(event.clone());
-    }
-}
-
 thread_local! {
-    static SINK: RefCell<Option<Rc<dyn Sink>>> = const { RefCell::new(None) };
+    static SINK: RefCell<Option<Rc<MemorySink>>> = const { RefCell::new(None) };
     static ENABLED: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -432,11 +337,6 @@ thread_local! {
 // it, so multi-threaded traces (engine workers + main thread) land on one
 // coherent timeline.
 static EPOCH: OnceLock<Instant> = OnceLock::new();
-
-// The process-wide shared sink and its fast-path enabled flag (mirrors
-// the sink's `enabled()` so the hot-path check stays a single load).
-static SHARED_SINK: RwLock<Option<Arc<dyn Sink + Send + Sync>>> = RwLock::new(None);
-static SHARED_ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Microseconds since the process tracing epoch (wall clock). The epoch
 /// is set by whichever thread traces first.
@@ -449,98 +349,68 @@ pub(crate) fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-/// Does any installed sink — this thread's local one, or the process-wide
-/// shared one — want events? Emission sites must check this before
-/// constructing an [`Event`]; when it returns `false` (the default — no
-/// sink, or a [`NoopSink`]) the hot path does no allocation.
+/// Does the current thread have a sink? Emission sites must check this
+/// before constructing an [`Event`]; when it returns `false` (the
+/// default) the hot path does no allocation.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.with(|e| e.get()) || SHARED_ENABLED.load(Ordering::Relaxed)
+    ENABLED.with(|e| e.get())
 }
 
 /// Restores the previously installed sink when dropped.
 pub struct SinkGuard {
-    prev: Option<Rc<dyn Sink>>,
+    prev: Option<Rc<MemorySink>>,
 }
 
 impl Drop for SinkGuard {
     fn drop(&mut self) {
         let prev = self.prev.take();
-        ENABLED.with(|e| e.set(prev.as_ref().is_some_and(|s| s.enabled())));
+        ENABLED.with(|e| e.set(prev.is_some()));
         SINK.with(|s| *s.borrow_mut() = prev);
     }
 }
 
 /// Install `sink` as the current thread's tracer until the returned guard
 /// drops.
-pub fn set_sink(sink: Rc<dyn Sink>) -> SinkGuard {
-    ENABLED.with(|e| e.set(sink.enabled()));
+pub fn set_sink(sink: Rc<MemorySink>) -> SinkGuard {
+    ENABLED.with(|e| e.set(true));
     let prev = SINK.with(|s| s.borrow_mut().replace(sink));
     SinkGuard { prev }
 }
 
-/// Restores the previously installed *shared* sink when dropped.
-pub struct SharedSinkGuard {
-    prev: Option<Arc<dyn Sink + Send + Sync>>,
-}
-
-impl Drop for SharedSinkGuard {
-    fn drop(&mut self) {
-        let prev = self.prev.take();
-        let mut slot = SHARED_SINK.write().unwrap_or_else(|e| e.into_inner());
-        SHARED_ENABLED.store(
-            prev.as_ref().is_some_and(|s| s.enabled()),
-            Ordering::Relaxed,
-        );
-        *slot = prev;
-    }
-}
-
-/// Install `sink` as the process-wide shared tracer until the returned
-/// guard drops. Every thread's [`emit`] delivers to the shared sink *in
-/// addition to* that thread's local sink — this is how events from engine
-/// worker threads reach a collector installed on the main thread.
-///
-/// The sink must serialize internally (it is called concurrently from
-/// every tracing thread); [`SharedMemorySink`] is the ready-made
-/// in-memory collector.
-pub fn install_shared(sink: Arc<dyn Sink + Send + Sync>) -> SharedSinkGuard {
-    let mut slot = SHARED_SINK.write().unwrap_or_else(|e| e.into_inner());
-    SHARED_ENABLED.store(sink.enabled(), Ordering::Relaxed);
-    let prev = slot.replace(sink);
-    SharedSinkGuard { prev }
-}
-
-/// Deliver one event to the current thread's sink and to the process-wide
-/// shared sink, when installed (drops it when neither is). Callers should
-/// guard with [`enabled`] so the event is not even constructed when
-/// tracing is off.
+/// Deliver one event to the current thread's sink (drops it when none is
+/// installed). Callers should guard with [`enabled`] so the event is not
+/// even constructed when tracing is off.
 pub fn emit(event: Event) {
     SINK.with(|s| {
         if let Some(sink) = s.borrow().as_ref() {
-            if sink.enabled() {
-                sink.event(&event);
-            }
+            sink.events.borrow_mut().push(event);
         }
     });
-    if SHARED_ENABLED.load(Ordering::Relaxed) {
-        if let Ok(slot) = SHARED_SINK.read() {
-            if let Some(sink) = slot.as_ref() {
-                if sink.enabled() {
-                    sink.event(&event);
-                }
-            }
-        }
-    }
 }
 
-/// A wall-clock span: emits a [`Phase::Complete`] event on the pipeline
-/// lane when dropped. Construct through [`span`].
+/// A wall-clock span, closed when dropped. Construct through [`span`].
+///
+/// On drop it emits a [`Phase::Complete`] event on the pipeline lane to
+/// the thread's sink, when one is installed, and records a [`SpanRecord`]
+/// into the current request's trace, when it opened under a sampled
+/// [`TraceContext`] with a [`TraceStore`] installed. In that second case
+/// the span is the thread's current context while it is open, so spans
+/// opened inside it nest under it.
 pub struct Span {
     cat: &'static str,
-    name: String,
+    name: &'static str,
     start_us: f64,
     args: Vec<(&'static str, Value)>,
+    traced: Option<Traced>,
+}
+
+/// The request-trace half of an open [`Span`]: its own context, its
+/// parent's span id, and the guard that restores the parent as current.
+struct Traced {
+    ctx: TraceContext,
+    parent: u64,
+    _guard: ContextGuard,
 }
 
 impl Span {
@@ -552,33 +422,65 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
+        let dur_us = now_us() - self.start_us;
         if enabled() {
-            let end = now_us();
             emit(Event {
                 phase: Phase::Complete,
                 cat: self.cat,
-                name: std::mem::take(&mut self.name),
+                name: self.name.to_string(),
                 ts_us: self.start_us,
-                dur_us: end - self.start_us,
+                dur_us,
                 pid: PID_PIPELINE,
                 tid: 0,
-                args: std::mem::take(&mut self.args),
+                args: self.args.clone(),
             });
+        }
+        if let Some(traced) = &self.traced {
+            if let Some(store) = store() {
+                store.record(
+                    &traced.ctx,
+                    SpanRecord {
+                        span_id: traced.ctx.span_id,
+                        parent: Some(traced.parent),
+                        cat: self.cat,
+                        name: self.name,
+                        start_us: self.start_us,
+                        dur_us,
+                        args: std::mem::take(&mut self.args),
+                    },
+                );
+            }
         }
     }
 }
 
-/// Open a wall-clock span; the event is emitted when the returned value
-/// drops. Returns `None` (and allocates nothing) when tracing is off.
-pub fn span(cat: &'static str, name: &str) -> Option<Span> {
-    if !enabled() {
+/// Open a wall-clock span; it reports when the returned value drops (see
+/// [`Span`]). Returns `None`, and allocates nothing, when neither a sink
+/// nor a sampled request trace would receive it: with no sink and no
+/// store installed that costs one thread-local read and one relaxed load.
+pub fn span(cat: &'static str, name: &'static str) -> Option<Span> {
+    let parent = if store_enabled() {
+        current().filter(|c| c.sampled)
+    } else {
+        None
+    };
+    if parent.is_none() && !enabled() {
         return None;
     }
+    let traced = parent.map(|parent| {
+        let ctx = parent.child();
+        Traced {
+            ctx,
+            parent: parent.span_id,
+            _guard: set_current(ctx),
+        }
+    });
     Some(Span {
         cat,
-        name: name.to_string(),
+        name,
         start_us: now_us(),
         args: Vec::new(),
+        traced,
     })
 }
 
@@ -586,123 +488,41 @@ pub fn span(cat: &'static str, name: &str) -> Option<Span> {
 mod tests {
     use super::*;
 
-    /// Tests touching the process-global shared sink (or asserting the
-    /// *absence* of any sink) serialize on this lock so they cannot see
-    /// each other's installations across the test harness's threads.
-    /// Every test that emits takes it too: an emit also reaches whatever
-    /// shared sink another test has installed.
-    static GLOBAL_SINK_LOCK: Mutex<()> = Mutex::new(());
-
-    fn global_lock() -> std::sync::MutexGuard<'static, ()> {
-        GLOBAL_SINK_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// A sink that reports disabled but counts any event() calls it gets:
-    /// proves guarded emission sites never construct or deliver events.
-    struct CountingDisabledSink {
-        calls: Cell<usize>,
-    }
-
-    impl Sink for CountingDisabledSink {
-        fn enabled(&self) -> bool {
-            false
-        }
-        fn event(&self, _e: &Event) {
-            self.calls.set(self.calls.get() + 1);
-        }
-    }
-
     #[test]
     fn disabled_by_default() {
-        let _lock = global_lock();
         assert!(!enabled());
     }
 
     #[test]
     fn noop_sink_disables_hot_path() {
-        let _lock = global_lock();
-        let _g = set_sink(Rc::new(NoopSink));
+        let sink = Rc::new(MemorySink::new());
+        drop(set_sink(sink.clone()));
+        // Dropping the guard leaves no sink: the hot path is off again.
         assert!(!enabled());
-        // A (wrongly) unguarded emit is still dropped before the sink.
+        // A (wrongly) unguarded emit is dropped, not delivered.
         emit(Event::instant("t", "x"));
+        assert!(sink.events().is_empty());
     }
 
     #[test]
     fn disabled_sink_never_receives_events() {
-        let _lock = global_lock();
-        let sink = Rc::new(CountingDisabledSink {
-            calls: Cell::new(0),
-        });
+        let sink = Rc::new(MemorySink::new());
         {
             let _g = set_sink(sink.clone());
-            // The pipeline pattern: guarded construction.
-            if enabled() {
-                emit(Event::instant("t", "should-not-happen"));
-            }
-            // Even an unguarded emit must not reach a disabled sink.
-            emit(Event::instant("t", "also-dropped"));
-            // Spans short-circuit to None.
-            assert!(span("t", "s").is_none());
         }
-        assert_eq!(sink.calls.get(), 0);
-    }
-
-    #[test]
-    fn shared_sink_receives_cross_thread_events() {
-        let _lock = global_lock();
-        let shared = Arc::new(SharedMemorySink::new());
-        {
-            let _g = install_shared(shared.clone());
-            assert!(enabled(), "shared sink enables tracing on every thread");
-            emit(Event::instant("t", "main-thread"));
-            std::thread::spawn(|| {
-                // A worker thread with no local sink still reaches the
-                // shared one.
-                assert!(enabled());
-                emit(Event::instant("t", "worker-thread"));
-            })
-            .join()
-            .unwrap();
+        // The pipeline pattern: guarded construction.
+        if enabled() {
+            emit(Event::instant("t", "should-not-happen"));
         }
-        let names: Vec<String> = shared.drain().into_iter().map(|e| e.name).collect();
-        assert_eq!(names, vec!["main-thread", "worker-thread"]);
-        assert!(!enabled(), "guard drop uninstalls the shared sink");
-        emit(Event::instant("t", "after-drop"));
-        assert!(shared.events().is_empty());
-    }
-
-    #[test]
-    fn shared_guard_restores_previous_shared_sink() {
-        let _lock = global_lock();
-        let outer = Arc::new(SharedMemorySink::new());
-        let inner = Arc::new(SharedMemorySink::new());
-        let _g1 = install_shared(outer.clone());
-        emit(Event::instant("t", "outer-1"));
-        {
-            let _g2 = install_shared(inner.clone());
-            emit(Event::instant("t", "inner"));
-        }
-        emit(Event::instant("t", "outer-2"));
-        let names: Vec<String> = outer.drain().into_iter().map(|e| e.name).collect();
-        assert_eq!(names, vec!["outer-1", "outer-2"]);
-        assert_eq!(inner.events().len(), 1);
-    }
-
-    #[test]
-    fn local_and_shared_sinks_both_receive() {
-        let _lock = global_lock();
-        let local = Rc::new(MemorySink::new());
-        let shared = Arc::new(SharedMemorySink::new());
-        let _gl = set_sink(local.clone());
-        let _gs = install_shared(shared.clone());
-        emit(Event::instant("t", "both"));
-        assert_eq!(local.events().len(), 1);
-        assert_eq!(shared.events().len(), 1);
+        // Even an unguarded emit must not reach a sink whose guard dropped.
+        emit(Event::instant("t", "also-dropped"));
+        // Spans short-circuit to None when nothing collects.
+        assert!(span("t", "s").is_none());
+        assert!(sink.events().is_empty());
     }
 
     #[test]
     fn memory_sink_collects_and_guard_restores() {
-        let _lock = global_lock();
         let outer = Rc::new(MemorySink::new());
         let inner = Rc::new(MemorySink::new());
         let _g1 = set_sink(outer.clone());
@@ -720,7 +540,6 @@ mod tests {
 
     #[test]
     fn span_measures_wall_time() {
-        let _lock = global_lock();
         let sink = Rc::new(MemorySink::new());
         let _g = set_sink(sink.clone());
         {
@@ -757,18 +576,5 @@ mod tests {
         assert_eq!(e.get_str("s"), Some("hi"));
         assert_eq!(e.get("b"), Some(&Value::Bool(true)));
         assert_eq!(e.get("missing"), None);
-    }
-
-    #[test]
-    fn jsonl_sink_writes_lines() {
-        let sink = JsonlSink::new(Vec::<u8>::new());
-        sink.event(&Event::instant("t", "a"));
-        sink.event(&Event::complete("t", "b", 10.0, 5.0));
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for line in lines {
-            json::Json::parse(line).expect("each line is valid JSON");
-        }
     }
 }

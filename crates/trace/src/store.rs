@@ -34,7 +34,7 @@ pub struct SpanRecord {
     pub span_id: u64,
     /// Parent span id (`None` for the root span).
     pub parent: Option<u64>,
-    /// Category (`"serve"`, `"engine"`, `"compile"` …).
+    /// Category (`"serve"`, `"engine"`, `"core"`, `"search"` …).
     pub cat: &'static str,
     /// Span name.
     pub name: &'static str,
@@ -224,9 +224,8 @@ struct StoreInner {
 
 /// Process-wide tail-sampling trace store. Install with
 /// [`install_store`](crate::context::install_store); spans recorded via
-/// [`request_span`](crate::context::request_span) (or [`TraceStore::record`]
-/// directly) accumulate per trace until [`TraceStore::finish`] decides
-/// their fate.
+/// [`span`](crate::span) (or [`TraceStore::record`] directly) accumulate
+/// per trace until [`TraceStore::finish`] decides their fate.
 pub struct TraceStore {
     config: TailSamplerConfig,
     inner: Mutex<StoreInner>,

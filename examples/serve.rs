@@ -11,9 +11,10 @@
 //! hit the content-addressed cache and share the compiled executables.
 //! One workload is auto-tuned in between, so the final rounds also show
 //! the persistent tuning store being preferred over the analytic mapping.
-//! A trace store keeps every request's trace (`latency_threshold: 0.0`),
-//! and the run ends with the last response's kept trace and the
-//! registry's Prometheus-style text exposition.
+//! A trace store keeps every request's trace (`latency_threshold: 0.0`):
+//! the run checks that a cold request's trace nests the compile
+//! pipeline's spans under the engine's, and ends with the last response's
+//! kept trace and the registry's Prometheus-style text exposition.
 
 use multidim::Compiler;
 use multidim_engine::{Engine, EngineConfig, Request};
@@ -60,6 +61,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // on bucketing error.
     let latency = Histogram::new();
     let mut last_response = None;
+    let mut cold_trace = None;
     let mut round_times: Vec<(f64, u64)> = Vec::new();
     let mut max_depth = 0usize;
     let started = Instant::now();
@@ -82,6 +84,9 @@ fn main() -> Result<(), Box<dyn Error>> {
                 }
                 Err(e) => println!("  {}: FAILED: {e}", entry.name()),
             }
+        }
+        if round == 0 {
+            cold_trace = results.iter().find_map(|r| r.as_ref().ok()?.trace);
         }
         if round == ROUNDS - 1 {
             last_response = results.into_iter().next().and_then(Result::ok);
@@ -188,6 +193,32 @@ fn main() -> Result<(), Box<dyn Error>> {
         rows.len(),
         entries.len(),
         "every workload has a labelled latency histogram"
+    );
+
+    // A cold request's trace carries the compile pipeline's own spans,
+    // each under the engine phase that ran it.
+    let cold = cold_trace
+        .and_then(|ctx| traces.lookup(ctx.trace_id))
+        .expect("round 0 kept a cold trace");
+    let parent_of = |cat: &str, name: &str| {
+        let child = cold
+            .spans
+            .iter()
+            .find(|s| (s.cat, s.name) == (cat, name))
+            .unwrap_or_else(|| panic!("cold trace has no {cat}/{name} span"));
+        let parent = cold
+            .spans
+            .iter()
+            .find(|s| Some(s.span_id) == child.parent)
+            .unwrap_or_else(|| panic!("{cat}/{name} has no parent in its trace"));
+        (parent.cat, parent.name)
+    };
+    assert_eq!(parent_of("core", "compile"), ("engine", "compile"));
+    assert_eq!(parent_of("core", "run"), ("engine", "run"));
+    println!();
+    println!(
+        "cold request trace: {} spans, core/compile under engine/compile, core/run under engine/run",
+        cold.spans.len()
     );
 
     // The per-request record: the last response's kept trace, with its

@@ -444,7 +444,8 @@ fn trace_stitches_spans_and_backdated_admission_charges_full_wait() {
 
     // One stitched tree: a single root, with the queue wait and both
     // service phases hanging off it even though admission happened on
-    // this thread and the work ran on a pool worker.
+    // this thread and the work ran on a pool worker. (The compile
+    // pipeline's own `core/compile` and `core/run` nest one level down.)
     let roots: Vec<_> = stored.spans.iter().filter(|s| s.parent.is_none()).collect();
     assert_eq!(roots.len(), 1, "exactly one root span: {:?}", stored.spans);
     let root = roots[0];
@@ -453,7 +454,7 @@ fn trace_stitches_spans_and_backdated_admission_charges_full_wait() {
         let span = stored
             .spans
             .iter()
-            .find(|s| s.name == name)
+            .find(|s| (s.cat, s.name) == ("engine", name))
             .unwrap_or_else(|| panic!("missing `{name}` span in {:?}", stored.spans));
         assert_eq!(
             span.parent,

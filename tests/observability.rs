@@ -1,13 +1,12 @@
 //! Fleet-observability integration: the engine's metrics registry fills as
-//! requests are served, a shared trace sink installed on the main thread
-//! captures worker-side events, and the histogram windows behind both
-//! merge exactly. The per-request record — the kept trace — is tested in
+//! requests are served, and the histogram snapshots behind it merge
+//! exactly. The per-request record — the kept trace, including the
+//! pipeline spans engine workers open — is tested in
 //! `tests/request_record.rs`.
 
 use multidim::Compiler;
 use multidim_engine::{Engine, EngineConfig, Request};
 use multidim_trace::json::Json;
-use std::sync::Arc;
 
 fn small_config() -> EngineConfig {
     EngineConfig {
@@ -53,83 +52,6 @@ fn registry_fills_as_requests_are_served() {
     assert_eq!(
         json.get("engine_completed_total").and_then(Json::as_u64),
         Some(3)
-    );
-}
-
-#[test]
-fn shared_sink_captures_worker_side_events() {
-    // The satellite regression this guards: engine workers used to trace
-    // into the void because sinks are thread-local. A process-wide shared
-    // sink must see the compile pipeline's events from worker threads.
-    let sink = Arc::new(multidim_trace::SharedMemorySink::new());
-    let guard = multidim_trace::install_shared(sink.clone());
-
-    let engine = Engine::new(Compiler::new(), small_config());
-    let (program, bindings, inputs) = multidim_engine::doctest_workload();
-    engine
-        .submit(Request::new(program, bindings, inputs))
-        .expect("accepted")
-        .wait()
-        .expect("served");
-    engine.shutdown();
-    drop(guard);
-
-    let events = sink.drain();
-    assert!(
-        events.iter().any(|e| e.cat == "search"),
-        "worker-side mapping-search events reach the shared sink"
-    );
-    assert!(
-        events.iter().any(|e| e.cat == "core" && e.name == "run"),
-        "worker-side run spans reach the shared sink: {:?}",
-        events
-            .iter()
-            .map(|e| format!("{}/{}", e.cat, e.name))
-            .collect::<Vec<_>>()
-    );
-}
-
-#[test]
-fn sliding_window_survives_concurrent_record_and_rotate() {
-    use multidim_obs::SlidingWindow;
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    // 4 recorder threads hammer the window while the main thread rotates
-    // it on a tight cadence — the invariant is no sample is lost from the
-    // retained horizon while the writer threads are live and the horizon
-    // is deep enough to keep every rotation.
-    let window = SlidingWindow::new(1_000_000);
-    let stop = AtomicBool::new(false);
-    let per_thread = 20_000u64;
-    std::thread::scope(|s| {
-        for t in 0..4u64 {
-            let window = &window;
-            s.spawn(move || {
-                for i in 0..per_thread {
-                    window.record(((t * per_thread + i) % 1000 + 1) as f64 * 1e-4);
-                }
-            });
-        }
-        let window = &window;
-        let stop = &stop;
-        s.spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                window.rotate();
-                std::thread::yield_now();
-            }
-        });
-        // Let recorders finish, then stop the rotator. The scope joins
-        // the recorder threads only after this closure returns, so wait
-        // on the merged count instead.
-        while window.merged().count() < 4 * per_thread {
-            std::thread::yield_now();
-        }
-        stop.store(true, Ordering::Relaxed);
-    });
-    assert_eq!(
-        window.merged().count(),
-        4 * per_thread,
-        "every concurrent record lands in exactly one retained window"
     );
 }
 

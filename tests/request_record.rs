@@ -1,10 +1,10 @@
 //! The per-request record: every request the engine finishes leaves one
 //! tail-sampled trace. Its root span names the program, the outcome and,
 //! for every outcome but completed, the reason; its compile span names
-//! the content address and the mapping that ran. This binary installs one
-//! process-wide trace store and serialises its tests on a file-level
-//! lock, so each test finds its trace by the root span's workload and
-//! outcome.
+//! the content address and the mapping that ran, and holds the compile
+//! pipeline's own spans. This binary installs one process-wide trace
+//! store and serialises its tests on a file-level lock, so each test
+//! finds its trace by the root span's workload and outcome.
 
 use multidim::Compiler;
 use multidim_engine::{Engine, EngineConfig, Request};
@@ -83,8 +83,25 @@ fn root(trace: &StoredTrace) -> &SpanRecord {
     roots[0]
 }
 
-fn span<'a>(trace: &'a StoredTrace, name: &str) -> Option<&'a SpanRecord> {
-    trace.spans.iter().find(|s| s.name == name)
+/// The trace's span `cat/name`; names alone are ambiguous, since the
+/// engine's `compile` and `run` wrap the pipeline's own.
+fn span<'a>(trace: &'a StoredTrace, cat: &str, name: &str) -> Option<&'a SpanRecord> {
+    trace.spans.iter().find(|s| (s.cat, s.name) == (cat, name))
+}
+
+/// The span `cat/name` and its parent, which must be in the same trace.
+fn with_parent<'a>(
+    trace: &'a StoredTrace,
+    cat: &str,
+    name: &str,
+) -> (&'a SpanRecord, &'a SpanRecord) {
+    let child = span(trace, cat, name).unwrap_or_else(|| panic!("no {cat}/{name} span"));
+    let parent = trace
+        .spans
+        .iter()
+        .find(|s| Some(s.span_id) == child.parent)
+        .unwrap_or_else(|| panic!("{cat}/{name} has no parent in its trace"));
+    (child, parent)
 }
 
 /// The one kept trace whose root span ran `workload` and ended with
@@ -128,9 +145,9 @@ fn worker_panic_keeps_a_failed_trace_with_its_fingerprint() {
     );
     // The compile span was open when the panic struck: its guard still
     // recorded it, with the fingerprint set as the span opened.
-    let compile = span(&trace, "compile").expect("the panicking compile span");
+    let compile = span(&trace, "engine", "compile").expect("the panicking compile span");
     assert_eq!(arg(compile, "fingerprint"), Some(expected_fp.to_string()));
-    assert!(span(&trace, "run").is_none(), "run never started");
+    assert!(span(&trace, "engine", "run").is_none(), "run never started");
 
     // Metrics agree: one panicked, one failed, none completed — and the
     // engine's stats read the same counters.
@@ -159,9 +176,16 @@ fn deadline_miss_keeps_an_expired_trace() {
     let reason = arg(root(&trace), "reason").expect("an expired root carries its reason");
     assert!(reason.contains("deadline exceeded"), "reason: {reason}");
     // The request waited in the queue and never reached `serve`.
-    assert!(span(&trace, "queue").is_some(), "{:?}", trace.spans);
-    assert!(span(&trace, "compile").is_none(), "compile never started");
-    assert!(span(&trace, "run").is_none());
+    assert!(
+        span(&trace, "engine", "queue").is_some(),
+        "{:?}",
+        trace.spans
+    );
+    assert!(
+        span(&trace, "engine", "compile").is_none(),
+        "compile never started"
+    );
+    assert!(span(&trace, "engine", "run").is_none());
     assert!(engine.render_metrics().contains("engine_expired_total 1"));
 }
 
@@ -183,9 +207,9 @@ fn failed_compile_keeps_a_failed_trace_naming_the_diagnostic() {
         reason.contains("MD001"),
         "compile failure names the diagnostic: {reason}"
     );
-    let compile = span(&trace, "compile").expect("failed inside compile");
+    let compile = span(&trace, "engine", "compile").expect("failed inside compile");
     assert_eq!(arg(compile, "fingerprint"), Some(expected_fp.to_string()));
-    assert!(span(&trace, "run").is_none(), "run never started");
+    assert!(span(&trace, "engine", "run").is_none(), "run never started");
 }
 
 #[test]
@@ -207,8 +231,31 @@ fn kept_completion_records_phases_and_mapping() {
         None,
         "a completed root carries no reason"
     );
-    let compile = span(&trace, "compile").expect("compile span");
-    let run = span(&trace, "run").expect("run span");
+    let compile = span(&trace, "engine", "compile").expect("compile span");
+    let run = span(&trace, "engine", "run").expect("run span");
+    assert_eq!(compile.parent, Some(root.span_id));
+    assert_eq!(run.parent, Some(root.span_id));
+    // The cold compile carries the pipeline's own spans: `core/compile`
+    // under the engine's compile span, the mapping search, static
+    // analysis and lowering under `core/compile`, and `core/run` under
+    // the engine's run span.
+    let (core_compile, parent) = with_parent(&trace, "core", "compile");
+    assert_eq!(parent.span_id, compile.span_id);
+    assert_eq!(arg(core_compile, "fused").as_deref(), Some("0"));
+    for (cat, name) in [
+        ("search", "analyze"),
+        ("analyze", "static_analysis"),
+        ("codegen", "lower"),
+    ] {
+        let (stage, parent) = with_parent(&trace, cat, name);
+        assert_eq!(
+            parent.span_id, core_compile.span_id,
+            "{cat}/{name} nests under core/compile"
+        );
+        assert!(stage.dur_us <= core_compile.dur_us);
+    }
+    let (_, parent) = with_parent(&trace, "core", "run");
+    assert_eq!(parent.span_id, run.span_id);
     assert_eq!(arg(compile, "cache_hit").as_deref(), Some("false"));
     assert_eq!(
         arg(compile, "fingerprint"),
