@@ -8,16 +8,27 @@
 //! reduction trees rely on. Loop bounds and branch conditions enclosing a
 //! `Sync` must be block-uniform (our code generator guarantees this).
 //!
+//! Each run first lowers the program to its flat form ([`crate::flat`]),
+//! then executes that form. Blocks, warps, statements and lanes run in a
+//! fixed order — blocks with x varying fastest and z slowest, warps in
+//! index order, lanes lowest first — so racy programs (QPSCD's HogWild
+//! epoch, BFS's frontier) give the same outputs on every run. A run
+//! allocates per buffer and per kernel, never per block, warp or access:
+//! block state is sized once for the largest kernel and reset per block,
+//! child kernels are launched by reference, and device buffers move into
+//! [`SimResult::arrays`].
+//!
 //! Every global access is coalesced through [`crate::coalesce`] and every
 //! shared-memory access through [`crate::bank_conflicts`], accumulating the
 //! [`KernelCost`] record that the timing model converts to seconds.
 
 use crate::cost::{kernel_time, KernelCost, KernelTime, LaunchShape};
+use crate::flat::{Body, Expr, Flat, FlatKernel, Kind, Op};
 use crate::memory::{bank_conflicts, coalesce};
 use crate::report::{BoundBy, Efficiency};
-use multidim_codegen::{BufId, BufferInit, KExpr, Kernel, KernelProgram, Stmt};
+use multidim_codegen::{BufId, BufferInit, KernelProgram};
 use multidim_device::{GpuSpec, WARP_SIZE};
-use multidim_ir::{apply_bin, apply_un, ArrayId, Bindings, ReduceOp, Size};
+use multidim_ir::{apply_bin, apply_un, ArrayId, BinOp, Bindings, ReduceOp, UnOp};
 use multidim_trace as trace;
 use std::collections::HashMap;
 use std::fmt;
@@ -135,6 +146,14 @@ struct WriteTracker {
 }
 
 impl WriteTracker {
+    /// Start a new launch epoch.
+    fn clear(&mut self) {
+        self.writers.clear();
+        self.flagged.clear();
+        self.tracked = 0;
+        self.conflicts.clear();
+    }
+
     fn record(&mut self, buf: BufId, index: u64, tid: u64) {
         self.tracked += 1;
         match self.writers.entry((buf, index)) {
@@ -188,11 +207,120 @@ fn run_program_inner(
     inputs: &HashMap<ArrayId, Vec<f64>>,
     sanitize: bool,
 ) -> Result<(SimResult, Option<SanitizerReport>), SimError> {
-    // Allocate and initialize buffers.
+    let flat = {
+        let _span = trace::span("sim", "specialize");
+        Flat::lower(kp, gpu, bindings)
+    };
+    let _span = trace::span("sim", "execute");
+    let mut m = Machine::new(gpu, &flat, device_buffers(kp, &flat, inputs)?, sanitize);
+
+    let mut names = Vec::with_capacity(kp.kernels.len());
+    let mut shapes = Vec::with_capacity(kp.kernels.len());
+    let mut costs = Vec::with_capacity(kp.kernels.len());
+    let mut times = Vec::with_capacity(kp.kernels.len());
+    let mut total = 0.0f64;
+    let mut san_report = sanitize.then(SanitizerReport::default);
+    for (kernel, fk) in kp.kernels.iter().zip(&flat.kernels) {
+        // Fresh cost record and first-writer map per launch: kernel
+        // boundaries synchronize.
+        m.cost = KernelCost::default();
+        if let Some(tracker) = m.san.as_mut() {
+            tracker.clear();
+        }
+        m.pending.clear();
+        m.pending_args.clear();
+        let blocks = m.launch(fk, fk.grid, 0, (0, 0))?;
+        // Fire the device-side launches the parent queued: every child
+        // grid belongs to this kernel's launch epoch — its work folds into
+        // the parent's cost record (plus the per-launch counters the
+        // timing model charges) and its stores share the parent's
+        // write-tracker epoch under distinct thread ids.
+        let issued = m.pending.len();
+        for ordinal in 0..issued {
+            let launch = m.pending[ordinal];
+            let child = flat
+                .children
+                .get(launch.kernel as usize)
+                .ok_or_else(|| SimError(format!("child kernel {} not declared", launch.kernel)))?;
+            let cblocks = launch.extent.div_ceil(u64::from(child.threads));
+            if cblocks > 1 << 22 {
+                return Err(SimError(format!(
+                    "child launch of {} blocks exceeds the sanity cap",
+                    cblocks
+                )));
+            }
+            // Disjoint thread ids per launch; far above any real parent tid.
+            let tid_base = (ordinal as u64 + 1) << 40;
+            m.launch(child, [cblocks, 1, 1], tid_base, launch.args)?;
+            if m.pending.len() > issued {
+                return Err(SimError(format!(
+                    "child kernel `{}` issued a nested device-side launch",
+                    child.src.name
+                )));
+            }
+            m.cost.child_blocks += cblocks;
+        }
+        let cost = m.cost;
+        let shape = LaunchShape {
+            blocks,
+            block_threads: kernel.block_threads(),
+            smem_bytes: kernel.smem_bytes(),
+        };
+        let t = kernel_time(gpu, &shape, &cost);
+        if trace::enabled() {
+            emit_kernel_timeline(gpu, &kernel.name, total, &shape, &cost, &t);
+        }
+        total += t.total;
+        names.push(kernel.name.clone());
+        shapes.push(shape);
+        costs.push(cost);
+        times.push(t);
+        if let (Some(report), Some(tr)) = (san_report.as_mut(), m.san.as_mut()) {
+            report.tracked_stores += tr.tracked;
+            for (buf, index, first, second) in tr.conflicts.drain(..) {
+                let decl = &kp.buffers[buf.0 as usize];
+                report.conflicts.push(WriteConflict {
+                    kernel: kernel.name.clone(),
+                    buffer: decl.name.clone(),
+                    array: decl.array,
+                    index,
+                    first_tid: first,
+                    second_tid: second,
+                });
+            }
+        }
+    }
+
+    // Device buffers move into the result: the run is over.
+    let materialized = kp.buffers.iter().filter(|d| d.array.is_some()).count();
+    let mut arrays = HashMap::with_capacity(materialized);
+    for (decl, buf) in kp.buffers.iter().zip(m.buffers) {
+        if let Some(a) = decl.array {
+            arrays.insert(a, buf.data);
+        }
+    }
+    Ok((
+        SimResult {
+            arrays,
+            names,
+            shapes,
+            costs,
+            times,
+            total_seconds: total,
+        },
+        san_report,
+    ))
+}
+
+/// Allocate and initialize the device buffers.
+fn device_buffers(
+    kp: &KernelProgram,
+    flat: &Flat<'_>,
+    inputs: &HashMap<ArrayId, Vec<f64>>,
+) -> Result<Vec<DeviceBuffer>, SimError> {
     let mut buffers = Vec::with_capacity(kp.buffers.len());
-    let mut base = 0u64;
-    for decl in &kp.buffers {
-        let len = decl.len.eval(bindings).max(0) as usize;
+    for (decl, layout) in kp.buffers.iter().zip(&flat.buffers) {
+        let len = layout.len;
         let data = match decl.init {
             BufferInit::Zero => vec![0.0; len],
             BufferInit::Fill(v) => vec![v; len],
@@ -226,134 +354,10 @@ fn run_program_inner(
         buffers.push(DeviceBuffer {
             elem_bytes: decl.elem_bytes,
             data,
-            base,
+            base: layout.base,
         });
-        // Segment-align the next buffer.
-        base += (len as u64 * decl.elem_bytes).next_multiple_of(gpu.transaction_bytes.max(1));
-        base += gpu.transaction_bytes;
     }
-
-    let mut names = Vec::new();
-    let mut shapes = Vec::new();
-    let mut costs = Vec::new();
-    let mut times = Vec::new();
-    let mut total = 0.0f64;
-    let mut san_report = sanitize.then(SanitizerReport::default);
-    let children: Vec<Kernel> = kp
-        .children
-        .iter()
-        .map(|c| specialize(c, bindings))
-        .collect();
-    for kernel in &kp.kernels {
-        let k = specialize(kernel, bindings);
-        // Fresh first-writer map per launch: kernel boundaries synchronize.
-        let mut tracker = sanitize.then(WriteTracker::default);
-        let mut pending: Vec<PendingLaunch> = Vec::new();
-        let mut ex = Exec {
-            gpu,
-            buffers: &mut buffers,
-            cost: KernelCost::default(),
-            kernel: &k,
-            san: tracker.as_mut(),
-            pending: &mut pending,
-            tid_base: 0,
-            launch_args: &[],
-        };
-        let blocks = ex.run()?;
-        let mut cost = ex.cost;
-        // Fire the device-side launches the parent queued: every child
-        // grid belongs to this kernel's launch epoch — its work folds into
-        // the parent's cost record (plus the per-launch counters the
-        // timing model charges) and its stores share the parent's
-        // write-tracker epoch under distinct thread ids.
-        for (ordinal, launch) in pending.iter().enumerate() {
-            let child = children
-                .get(launch.kernel as usize)
-                .ok_or_else(|| SimError(format!("child kernel {} not declared", launch.kernel)))?;
-            let threads = u64::from(child.block_threads().max(1));
-            let cblocks = launch.extent.div_ceil(threads);
-            if cblocks > 1 << 22 {
-                return Err(SimError(format!(
-                    "child launch of {} blocks exceeds the sanity cap",
-                    cblocks
-                )));
-            }
-            let mut ck = child.clone();
-            ck.grid = [
-                Size::from(cblocks as i64),
-                Size::from(1i64),
-                Size::from(1i64),
-            ];
-            let mut child_pending: Vec<PendingLaunch> = Vec::new();
-            let mut cex = Exec {
-                gpu,
-                buffers: &mut buffers,
-                cost: KernelCost::default(),
-                kernel: &ck,
-                san: tracker.as_mut(),
-                pending: &mut child_pending,
-                // Disjoint per launch; far above any real parent tid.
-                tid_base: (ordinal as u64 + 1) << 40,
-                launch_args: &launch.args,
-            };
-            cex.run()?;
-            let child_cost = cex.cost;
-            if !child_pending.is_empty() {
-                return Err(SimError(format!(
-                    "child kernel `{}` issued a nested device-side launch",
-                    child.name
-                )));
-            }
-            cost.add(&child_cost);
-            cost.child_blocks += cblocks;
-        }
-        let shape = LaunchShape {
-            blocks,
-            block_threads: k.block_threads(),
-            smem_bytes: k.smem_bytes(),
-        };
-        let t = kernel_time(gpu, &shape, &cost);
-        if trace::enabled() {
-            emit_kernel_timeline(gpu, &kernel.name, total, &shape, &cost, &t);
-        }
-        total += t.total;
-        names.push(kernel.name.clone());
-        shapes.push(shape);
-        costs.push(cost);
-        times.push(t);
-        if let (Some(report), Some(tr)) = (san_report.as_mut(), tracker) {
-            report.tracked_stores += tr.tracked;
-            for (buf, index, first, second) in tr.conflicts {
-                let decl = &kp.buffers[buf.0 as usize];
-                report.conflicts.push(WriteConflict {
-                    kernel: kernel.name.clone(),
-                    buffer: decl.name.clone(),
-                    array: decl.array,
-                    index,
-                    first_tid: first,
-                    second_tid: second,
-                });
-            }
-        }
-    }
-
-    let mut arrays = HashMap::new();
-    for (i, decl) in kp.buffers.iter().enumerate() {
-        if let Some(a) = decl.array {
-            arrays.insert(a, buffers[i].data.clone());
-        }
-    }
-    Ok((
-        SimResult {
-            arrays,
-            names,
-            shapes,
-            costs,
-            times,
-            total_seconds: total,
-        },
-        san_report,
-    ))
+    Ok(buffers)
 }
 
 /// Emit the per-kernel slice, per-pipe breakdown, and counter samples on the
@@ -414,216 +418,164 @@ fn emit_kernel_timeline(
     trace::emit(trace::Event::counter("sim", "dram_bytes", ts).arg("bytes", cost.dram_bytes));
 }
 
-/// Resolve every symbolic size in the kernel to a constant.
-fn specialize(k: &Kernel, bindings: &Bindings) -> Kernel {
-    let mut out = k.clone();
-    out.grid = [
-        Size::from(k.grid[0].eval(bindings).max(1)),
-        Size::from(k.grid[1].eval(bindings).max(1)),
-        Size::from(k.grid[2].eval(bindings).max(1)),
-    ];
-    out.body = k.body.iter().map(|s| spec_stmt(s, bindings)).collect();
-    out
-}
-
-fn spec_stmt(s: &Stmt, b: &Bindings) -> Stmt {
-    match s {
-        Stmt::Assign { dst, value } => Stmt::Assign {
-            dst: *dst,
-            value: spec_expr(value, b),
-        },
-        Stmt::Store { buf, idx, value } => Stmt::Store {
-            buf: *buf,
-            idx: spec_expr(idx, b),
-            value: spec_expr(value, b),
-        },
-        Stmt::AtomicRmw {
-            buf,
-            idx,
-            op,
-            value,
-            capture,
-        } => Stmt::AtomicRmw {
-            buf: *buf,
-            idx: spec_expr(idx, b),
-            op: *op,
-            value: spec_expr(value, b),
-            capture: *capture,
-        },
-        Stmt::SmemStore { arr, idx, value } => Stmt::SmemStore {
-            arr: *arr,
-            idx: spec_expr(idx, b),
-            value: spec_expr(value, b),
-        },
-        Stmt::For {
-            var,
-            start,
-            end,
-            step,
-            body,
-        } => Stmt::For {
-            var: *var,
-            start: spec_expr(start, b),
-            end: spec_expr(end, b),
-            step: spec_expr(step, b),
-            body: body.iter().map(|s| spec_stmt(s, b)).collect(),
-        },
-        Stmt::Break => Stmt::Break,
-        Stmt::If { cond, then, els } => Stmt::If {
-            cond: spec_expr(cond, b),
-            then: then.iter().map(|s| spec_stmt(s, b)).collect(),
-            els: els.iter().map(|s| spec_stmt(s, b)).collect(),
-        },
-        Stmt::Sync => Stmt::Sync,
-        Stmt::DeviceMalloc { bytes } => Stmt::DeviceMalloc {
-            bytes: spec_expr(bytes, b),
-        },
-        Stmt::ChildLaunch {
-            kernel,
-            extent,
-            args,
-        } => Stmt::ChildLaunch {
-            kernel: *kernel,
-            extent: spec_expr(extent, b),
-            args: args.iter().map(|a| spec_expr(a, b)).collect(),
-        },
-    }
-}
-
-fn spec_expr(e: &KExpr, b: &Bindings) -> KExpr {
-    match e {
-        KExpr::SizeVal(s) => KExpr::Imm(s.eval(b) as f64),
-        KExpr::Load { buf, idx } => KExpr::Load {
-            buf: *buf,
-            idx: Box::new(spec_expr(idx, b)),
-        },
-        KExpr::SmemLoad { arr, idx } => KExpr::SmemLoad {
-            arr: *arr,
-            idx: Box::new(spec_expr(idx, b)),
-        },
-        KExpr::Bin(op, x, y) => {
-            KExpr::Bin(*op, Box::new(spec_expr(x, b)), Box::new(spec_expr(y, b)))
-        }
-        KExpr::Un(op, x) => KExpr::Un(*op, Box::new(spec_expr(x, b))),
-        KExpr::Select(c, t, f) => KExpr::Select(
-            Box::new(spec_expr(c, b)),
-            Box::new(spec_expr(t, b)),
-            Box::new(spec_expr(f, b)),
-        ),
-        other => other.clone(),
-    }
-}
-
 const W: usize = WARP_SIZE as usize;
 type Lanes = [f64; W];
 type Mask = u32;
-
-struct BlockState {
-    dims: [u32; 3],
-    threads: u32,
-    bid: [u32; 3],
-    /// locals[local * threads + tid]
-    locals: Vec<f64>,
-    smem: Vec<Vec<f64>>,
-}
 
 /// One device-side launch recorded during parent execution. Child grids
 /// run after the parent kernel's body completes (fire-and-forget), in
 /// launch order — deterministic, and matching the guarantee the lowering
 /// relies on (parents never read child output within the same kernel).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct PendingLaunch {
     /// Index into `KernelProgram::children`.
     kernel: u32,
     /// Requested child threads (grid = `ceil(extent / block)`).
     extent: u64,
-    /// Evaluated launch arguments → child locals `0..n` (all threads).
-    args: Vec<f64>,
+    /// Range of `Machine::pending_args` holding the evaluated launch
+    /// arguments → child locals `0..n` (all threads).
+    args: (usize, usize),
 }
 
-struct Exec<'a> {
-    gpu: &'a GpuSpec,
-    buffers: &'a mut Vec<DeviceBuffer>,
+/// The launch and block a warp belongs to.
+struct Block<'f, 'p> {
+    kernel: &'f FlatKernel<'p>,
+    grid: [u64; 3],
+    bid: [u32; 3],
+    /// Sanitizer id of the block's thread 0.
+    first_tid: u64,
+}
+
+/// Execution state of one run. Every buffer is sized for the largest
+/// kernel up front and reused by every launch and block, so a run
+/// allocates per buffer and per kernel, never per block, warp or access.
+struct Machine<'f, 'p> {
+    gpu: &'f GpuSpec,
+    flat: &'f Flat<'p>,
+    buffers: Vec<DeviceBuffer>,
+    /// The running launch's cost record.
     cost: KernelCost,
-    kernel: &'a Kernel,
     /// Sanitizer hook: records every non-atomic global store when set.
-    san: Option<&'a mut WriteTracker>,
-    /// Child launches issued by this grid, drained by the caller.
-    pending: &'a mut Vec<PendingLaunch>,
-    /// Offset added to sanitizer thread ids: child grids must not collide
-    /// with parent threads (or with other child grids) in the write
-    /// tracker, since they all belong to one launch epoch.
-    tid_base: u64,
-    /// Launch arguments (child grids only): values for locals `0..n`,
-    /// uniform across every thread of the grid.
-    launch_args: &'a [f64],
+    san: Option<WriteTracker>,
+    /// Child launches issued by the running parent grid.
+    pending: Vec<PendingLaunch>,
+    pending_args: Vec<f64>,
+    /// Expression slots.
+    regs: Vec<Lanes>,
+    /// The running block's locals: `locals[(local * warps + warp) * W +
+    /// lane]`, so every warp's lanes are one contiguous vector.
+    locals: Vec<f64>,
+    /// The running launch's thread indices, laid out like `locals` with
+    /// one "local" per axis.
+    tids: Vec<f64>,
+    /// The running block's shared words, arrays end to end.
+    smem: Vec<f64>,
 }
 
-impl<'a> Exec<'a> {
-    /// Run all blocks; returns the number of blocks launched.
-    fn run(&mut self) -> Result<u64, SimError> {
-        let g = [
-            size_const(&self.kernel.grid[0]),
-            size_const(&self.kernel.grid[1]),
-            size_const(&self.kernel.grid[2]),
-        ];
-        let dims = self.kernel.block;
-        let threads = self.kernel.block_threads().max(1);
-        let lockstep = self.kernel.has_sync();
-        let smem: Vec<Vec<f64>> = self
-            .kernel
-            .smem
-            .iter()
-            .map(|d| vec![0.0; d.len as usize])
-            .collect();
+impl<'f, 'p> Machine<'f, 'p> {
+    fn new(
+        gpu: &'f GpuSpec,
+        flat: &'f Flat<'p>,
+        buffers: Vec<DeviceBuffer>,
+        sanitize: bool,
+    ) -> Self {
+        Machine {
+            gpu,
+            flat,
+            buffers,
+            cost: KernelCost::default(),
+            san: sanitize.then(WriteTracker::default),
+            pending: Vec::new(),
+            pending_args: Vec::new(),
+            regs: vec![[0.0; W]; flat.slots],
+            locals: Vec::with_capacity(flat.local_words),
+            tids: Vec::with_capacity(3 * flat.lanes),
+            smem: Vec::with_capacity(flat.smem_words),
+        }
+    }
 
-        for bz in 0..g[2] {
-            for by in 0..g[1] {
-                for bx in 0..g[0] {
-                    let mut blk = BlockState {
-                        dims,
-                        threads,
-                        bid: [bx as u32, by as u32, bz as u32],
-                        locals: vec![0.0; self.kernel.locals as usize * threads as usize],
-                        smem: smem.clone(),
-                    };
+    /// Run every block of `kernel` over `grid`; returns the number of
+    /// blocks launched. `args` is the range of `pending_args` a child
+    /// grid receives as its leading locals.
+    fn launch(
+        &mut self,
+        kernel: &'f FlatKernel<'p>,
+        grid: [u64; 3],
+        tid_base: u64,
+        args: (usize, usize),
+    ) -> Result<u64, SimError> {
+        let lanes = kernel.warps as usize * W;
+        self.locals.clear();
+        self.locals.resize(kernel.src.locals as usize * lanes, 0.0);
+        self.smem.clear();
+        self.smem.resize(kernel.smem_words, 0.0);
+        // Thread indices of every lane, stepped rather than divided.
+        self.tids.clear();
+        self.tids.resize(3 * lanes, 0.0);
+        let [dx, dy, _] = kernel.src.block.map(|d| d.max(1));
+        let (mut x, mut y, mut z) = (0u32, 0u32, 0u32);
+        for t in 0..lanes {
+            self.tids[t] = f64::from(x);
+            self.tids[lanes + t] = f64::from(y);
+            self.tids[2 * lanes + t] = f64::from(z);
+            x += 1;
+            if x == dx {
+                x = 0;
+                y += 1;
+                if y == dy {
+                    y = 0;
+                    z += 1;
+                }
+            }
+        }
+        for bz in 0..grid[2] {
+            for by in 0..grid[1] {
+                for bx in 0..grid[0] {
+                    self.locals.fill(0.0);
+                    self.smem.fill(0.0);
                     // Child grids: launch arguments arrive as the leading
                     // locals, identical for every thread of the block.
-                    for (a, &v) in self.launch_args.iter().enumerate() {
-                        for t in 0..threads as usize {
-                            blk.locals[a * threads as usize + t] = v;
-                        }
+                    for a in 0..args.1 - args.0 {
+                        let v = self.pending_args[args.0 + a];
+                        self.locals[a * lanes..(a + 1) * lanes].fill(v);
                     }
-                    if lockstep {
-                        self.exec_block(&self.kernel.body, &mut blk)?;
+                    let blk = Block {
+                        kernel,
+                        grid,
+                        bid: [bx as u32, by as u32, bz as u32],
+                        first_tid: tid_base
+                            + ((bz * grid[1] + by) * grid[0] + bx) * u64::from(kernel.threads),
+                    };
+                    if kernel.lockstep {
+                        self.exec_block(&blk, kernel.body)?;
                     } else {
-                        let warps = threads.div_ceil(WARP_SIZE);
-                        for w in 0..warps {
-                            let mask = full_mask(threads, w);
-                            self.exec_warp(&self.kernel.body, &mut blk, w, mask)?;
+                        for w in 0..kernel.warps {
+                            let mask = full_mask(kernel.threads, w);
+                            self.exec_warp(&blk, kernel.body, w, mask)?;
                         }
                     }
                 }
             }
         }
-        Ok(g[0] * g[1] * g[2])
+        Ok(grid[0] * grid[1] * grid[2])
     }
 
     /// Block-lockstep execution (statements with internal `Sync`).
-    fn exec_block(&mut self, stmts: &[Stmt], blk: &mut BlockState) -> Result<(), SimError> {
-        let warps = blk.threads.div_ceil(WARP_SIZE);
-        for s in stmts {
-            if !stmt_has_sync(s) {
-                for w in 0..warps {
-                    let mask = full_mask(blk.threads, w);
-                    let broken = self.exec_warp(std::slice::from_ref(s), blk, w, mask)?;
+    fn exec_block(&mut self, b: &Block<'f, 'p>, body: Body) -> Result<(), SimError> {
+        let flat = self.flat;
+        let k = b.kernel;
+        for i in body.0..body.1 {
+            let s = &flat.stmts[i as usize];
+            if !s.sync {
+                for w in 0..k.warps {
+                    let broken = self.exec_warp(b, (i, i + 1), w, full_mask(k.threads, w))?;
                     debug_assert_eq!(broken, 0, "break escaping to block level");
                 }
                 continue;
             }
-            match s {
-                Stmt::Sync => self.cost.syncs += warps as u64,
-                Stmt::For {
+            match s.kind {
+                Kind::Sync => self.cost.syncs += u64::from(k.warps),
+                Kind::For {
                     var,
                     start,
                     end,
@@ -631,37 +583,32 @@ impl<'a> Exec<'a> {
                     body,
                 } => {
                     // Bounds must be block-uniform: evaluate on warp 0 lane 0.
-                    let s0 = self.eval_scalar(start, blk, 0, 0)?;
-                    let step0 = self.eval_scalar(step, blk, 0, 0)?;
+                    let s0 = self.scalar(b, start)?;
+                    let step0 = self.scalar(b, step)?;
                     if step0 <= 0.0 {
                         return Err(SimError("non-positive uniform loop step".into()));
                     }
+                    let lanes = k.warps as usize * W;
                     let mut v = s0;
                     loop {
-                        let e0 = self.eval_scalar(end, blk, 0, 0)?;
+                        let e0 = self.scalar(b, end)?;
                         if v >= e0 {
                             break;
                         }
-                        for t in 0..blk.threads {
-                            blk.locals[*var as usize * blk.threads as usize + t as usize] = v;
-                        }
-                        self.exec_block(body, blk)?;
+                        let base = var as usize * lanes;
+                        self.locals[base..base + lanes].fill(v);
+                        self.exec_block(b, body)?;
                         v += step0;
                     }
                 }
-                Stmt::If { cond, then, els } => {
-                    let c = self.eval_scalar(cond, blk, 0, 0)?;
-                    if c != 0.0 {
-                        self.exec_block(then, blk)?;
+                Kind::If { cond, then, els } => {
+                    if self.scalar(b, cond)? != 0.0 {
+                        self.exec_block(b, then)?;
                     } else {
-                        self.exec_block(els, blk)?;
+                        self.exec_block(b, els)?;
                     }
                 }
-                other => {
-                    return Err(SimError(format!(
-                        "statement {other:?} cannot contain __syncthreads"
-                    )))
-                }
+                _ => unreachable!("only Sync, For and If contain __syncthreads"),
             }
         }
         Ok(())
@@ -671,180 +618,142 @@ impl<'a> Exec<'a> {
     /// `Break`.
     fn exec_warp(
         &mut self,
-        stmts: &[Stmt],
-        blk: &mut BlockState,
+        b: &Block<'f, 'p>,
+        body: Body,
         warp: u32,
         mut mask: Mask,
     ) -> Result<Mask, SimError> {
+        let flat = self.flat;
         let mut broken: Mask = 0;
-        for s in stmts {
+        for s in &flat.stmts[body.0 as usize..body.1 as usize] {
             if mask == 0 {
                 break;
             }
-            match s {
-                Stmt::Assign { dst, value } => {
-                    let mut v = [0.0; W];
-                    self.eval(value, blk, warp, mask, &mut v)?;
-                    let base = *dst as usize * blk.threads as usize + (warp * WARP_SIZE) as usize;
-                    for l in lanes(mask) {
-                        blk.locals[base + l] = v[l];
-                    }
+            self.cost.warp_instr += s.charge;
+            match s.kind {
+                Kind::Assign { dst, value } => {
+                    self.eval(b, value, warp, mask)?;
+                    let at = local_at(b, dst, warp);
+                    write_lanes(&mut self.locals[at..at + W], &self.regs[0], mask);
                 }
-                Stmt::Store { buf, idx, value } => {
-                    let mut v = [0.0; W];
-                    self.eval(value, blk, warp, mask, &mut v)?;
-                    let mut ix = [0.0; W];
-                    self.eval(idx, blk, warp, mask, &mut ix)?;
-                    self.global_access(*buf, &ix, mask, Some(&v), None)?;
+                Kind::Store { buf, value, idx } => {
+                    self.eval(b, value, warp, mask)?;
+                    self.eval(b, idx, warp, mask)?;
+                    let dev = &mut self.buffers[buf as usize];
+                    let at = request(self.gpu, &mut self.cost, dev, &self.regs[1], mask)?;
+                    let v = &self.regs[0];
+                    for l in lanes(mask) {
+                        dev.data[at[l]] = v[l];
+                    }
                     if let Some(tracker) = self.san.as_mut() {
-                        // `global_access` validated every index, so the
-                        // casts below are exact.
-                        let g = [
-                            size_const(&self.kernel.grid[0]),
-                            size_const(&self.kernel.grid[1]),
-                        ];
-                        let blk_lin = (u64::from(blk.bid[2]) * g[1] + u64::from(blk.bid[1])) * g[0]
-                            + u64::from(blk.bid[0]);
-                        let base_tid = self.tid_base
-                            + blk_lin * u64::from(blk.threads)
-                            + u64::from(warp * WARP_SIZE);
+                        let base_tid = b.first_tid + u64::from(warp * WARP_SIZE);
                         for l in lanes(mask) {
-                            tracker.record(*buf, ix[l] as u64, base_tid + l as u64);
+                            tracker.record(BufId(buf), at[l] as u64, base_tid + l as u64);
                         }
                     }
                 }
-                Stmt::AtomicRmw {
+                Kind::Atomic {
                     buf,
-                    idx,
                     op,
                     value,
+                    idx,
                     capture,
                 } => {
-                    let mut v = [0.0; W];
-                    self.eval(value, blk, warp, mask, &mut v)?;
-                    let mut ix = [0.0; W];
-                    self.eval(idx, blk, warp, mask, &mut ix)?;
-                    let old = self.atomic(*buf, &ix, mask, &v, *op)?;
+                    self.eval(b, value, warp, mask)?;
+                    self.eval(b, idx, warp, mask)?;
+                    let old = self.atomic(buf, mask, op)?;
                     if let Some(c) = capture {
-                        let base = *c as usize * blk.threads as usize + (warp * WARP_SIZE) as usize;
-                        for l in lanes(mask) {
-                            blk.locals[base + l] = old[l];
-                        }
+                        let at = local_at(b, c, warp);
+                        write_lanes(&mut self.locals[at..at + W], &old, mask);
                     }
                 }
-                Stmt::SmemStore { arr, idx, value } => {
-                    let mut v = [0.0; W];
-                    self.eval(value, blk, warp, mask, &mut v)?;
-                    let mut ix = [0.0; W];
-                    self.eval(idx, blk, warp, mask, &mut ix)?;
-                    self.smem_cost(&ix, mask);
-                    let a = *arr as usize;
+                Kind::SmemStore {
+                    off,
+                    len,
+                    value,
+                    idx,
+                } => {
+                    self.eval(b, value, warp, mask)?;
+                    self.eval(b, idx, warp, mask)?;
+                    let (v, ix) = (&self.regs[0], &self.regs[1]);
+                    smem_cost(self.gpu, &mut self.cost, ix, mask);
+                    let words = &mut self.smem[off as usize..(off + len) as usize];
                     for l in lanes(mask) {
-                        let i = to_index(ix[l], blk.smem[a].len(), "shared store")?;
-                        blk.smem[a][i] = v[l];
+                        words[to_index(ix[l], words.len(), "shared store")?] = v[l];
                     }
                 }
-                Stmt::For {
+                Kind::For {
                     var,
                     start,
                     end,
                     step,
                     body,
                 } => {
-                    let mut sv = [0.0; W];
-                    self.eval(start, blk, warp, mask, &mut sv)?;
-                    let base = *var as usize * blk.threads as usize + (warp * WARP_SIZE) as usize;
-                    for l in lanes(mask) {
-                        blk.locals[base + l] = sv[l];
-                    }
+                    self.eval(b, start, warp, mask)?;
+                    let at = local_at(b, var, warp);
+                    write_lanes(&mut self.locals[at..at + W], &self.regs[0], mask);
                     let mut active = mask;
                     loop {
                         // cond: var < end
-                        let mut ev = [0.0; W];
-                        self.eval(end, blk, warp, active, &mut ev)?;
-                        self.cost.warp_instr += 1;
-                        let mut next: Mask = 0;
-                        for l in lanes(active) {
-                            let vv = blk.locals[*var as usize * blk.threads as usize
-                                + (warp * WARP_SIZE) as usize
-                                + l];
-                            if vv < ev[l] {
-                                next |= 1 << l;
-                            }
-                        }
+                        self.eval(b, end, warp, active)?;
+                        self.cost.warp_instr += end.nodes + 1;
+                        let (vars, ends) = (&self.locals[at..at + W], &self.regs[0]);
+                        let next = lanes_where(active, |l| vars[l] < ends[l]);
                         if next == 0 {
                             break;
                         }
-                        let b = self.exec_warp(body, blk, warp, next)?;
-                        let cont = next & !b;
+                        let cont = next & !self.exec_warp(b, body, warp, next)?;
                         if cont == 0 {
                             break;
                         }
-                        // step
-                        let mut stv = [0.0; W];
-                        self.eval(step, blk, warp, cont, &mut stv)?;
+                        self.eval(b, step, warp, cont)?;
+                        self.cost.warp_instr += step.nodes;
+                        let (vars, steps) = (&mut self.locals[at..at + W], &self.regs[0]);
                         for l in lanes(cont) {
-                            blk.locals[*var as usize * blk.threads as usize
-                                + (warp * WARP_SIZE) as usize
-                                + l] += stv[l];
+                            vars[l] += steps[l];
                         }
                         active = cont;
-                        if active == 0 {
-                            break;
-                        }
                     }
                 }
-                Stmt::Break => {
+                Kind::Break => {
                     broken |= mask;
                     mask = 0;
                 }
-                Stmt::If { cond, then, els } => {
-                    let mut cv = [0.0; W];
-                    self.eval(cond, blk, warp, mask, &mut cv)?;
-                    let mut tmask: Mask = 0;
-                    for l in lanes(mask) {
-                        if cv[l] != 0.0 {
-                            tmask |= 1 << l;
-                        }
-                    }
+                Kind::If { cond, then, els } => {
+                    self.eval(b, cond, warp, mask)?;
+                    let c = &self.regs[0];
+                    let tmask = lanes_where(mask, |l| c[l] != 0.0);
                     let emask = mask & !tmask;
-                    let mut b = 0;
+                    let mut br = 0;
                     if tmask != 0 {
-                        b |= self.exec_warp(then, blk, warp, tmask)?;
+                        br |= self.exec_warp(b, then, warp, tmask)?;
                     }
                     if emask != 0 {
-                        b |= self.exec_warp(els, blk, warp, emask)?;
+                        br |= self.exec_warp(b, els, warp, emask)?;
                     }
-                    broken |= b;
-                    mask &= !b;
+                    broken |= br;
+                    mask &= !br;
                 }
-                Stmt::Sync => {
+                Kind::Sync => {
                     // A sync reached in per-warp mode is only legal when the
                     // kernel has no cross-warp dependence (single-warp
                     // blocks); treat as a cost event.
                     self.cost.syncs += 1;
                 }
-                Stmt::DeviceMalloc { bytes } => {
-                    let mut bv = [0.0; W];
-                    self.eval(bytes, blk, warp, mask, &mut bv)?;
-                    self.cost.mallocs += mask.count_ones() as u64;
-                    self.cost.warp_instr += 1;
+                Kind::Malloc { bytes } => {
+                    self.eval(b, bytes, warp, mask)?;
+                    self.cost.mallocs += u64::from(mask.count_ones());
                 }
-                Stmt::ChildLaunch {
+                Kind::Launch {
                     kernel,
                     extent,
                     args,
+                    nargs,
                 } => {
-                    let mut ev = [0.0; W];
-                    self.eval(extent, blk, warp, mask, &mut ev)?;
-                    let mut av: Vec<Lanes> = Vec::with_capacity(args.len());
-                    for a in args {
-                        let mut lane_vals = [0.0; W];
-                        self.eval(a, blk, warp, mask, &mut lane_vals)?;
-                        av.push(lane_vals);
-                    }
+                    self.eval(b, extent, warp, mask)?;
+                    self.eval(b, args, warp, mask)?;
                     for l in lanes(mask) {
-                        let e = ev[l];
+                        let e = self.regs[0][l];
                         if e.fract() != 0.0 || e < 0.0 {
                             return Err(SimError(format!(
                                 "child launch extent {e} is not a non-negative integer"
@@ -856,188 +765,101 @@ impl<'a> Exec<'a> {
                             continue;
                         }
                         self.cost.child_launches += 1;
+                        let first = self.pending_args.len();
+                        let values = self.regs[1..=nargs as usize].iter().map(|a| a[l]);
+                        self.pending_args.extend(values);
                         self.pending.push(PendingLaunch {
-                            kernel: *kernel,
+                            kernel,
                             extent: e as u64,
-                            args: av.iter().map(|vals| vals[l]).collect(),
+                            args: (first, self.pending_args.len()),
                         });
                     }
                 }
             }
-            self.cost.warp_instr += 1;
         }
         Ok(broken)
     }
 
-    /// Evaluate `e` for every active lane of `warp` into `out`.
-    fn eval(
-        &mut self,
-        e: &KExpr,
-        blk: &mut BlockState,
-        warp: u32,
-        mask: Mask,
-        out: &mut Lanes,
-    ) -> Result<(), SimError> {
-        self.cost.warp_instr += 1;
-        let warp_base = warp * WARP_SIZE;
-        match e {
-            KExpr::Imm(v) => {
-                for l in lanes(mask) {
-                    out[l] = *v;
+    /// Evaluate a (block-uniform) expression on warp 0 lane 0.
+    fn scalar(&mut self, b: &Block<'f, 'p>, e: Expr) -> Result<f64, SimError> {
+        self.eval(b, e, 0, 1)?;
+        self.cost.warp_instr += e.nodes;
+        Ok(self.regs[0][0])
+    }
+
+    /// Run `e`'s ops for the active lanes of `warp`. Operands that cannot
+    /// fault (immediates, locals, indices) fill all 32 lanes: a lane
+    /// outside `mask` is never read.
+    fn eval(&mut self, b: &Block<'f, 'p>, e: Expr, warp: u32, mask: Mask) -> Result<(), SimError> {
+        let flat = self.flat;
+        for op in &flat.ops[e.start as usize..e.end as usize] {
+            match *op {
+                Op::Imm { at, v } => fill(&mut self.regs[at as usize], v, mask),
+                Op::Local { at, local } => {
+                    let from = local_at(b, local, warp);
+                    write_lanes(
+                        &mut self.regs[at as usize],
+                        &self.locals[from..from + W],
+                        mask,
+                    );
                 }
-            }
-            KExpr::Local(x) => {
-                let base = *x as usize * blk.threads as usize + warp_base as usize;
-                for l in lanes(mask) {
-                    out[l] = blk.locals[base + l];
+                Op::Tid { at, axis } => {
+                    let from = (axis as usize * b.kernel.warps as usize + warp as usize) * W;
+                    write_lanes(
+                        &mut self.regs[at as usize],
+                        &self.tids[from..from + W],
+                        mask,
+                    );
                 }
-            }
-            KExpr::Tid(a) => {
-                let (dx, dy) = (blk.dims[0].max(1), blk.dims[1].max(1));
-                for l in lanes(mask) {
-                    let t = warp_base + l as u32;
-                    out[l] = match a.index() {
-                        0 => (t % dx) as f64,
-                        1 => ((t / dx) % dy) as f64,
-                        _ => (t / (dx * dy)) as f64,
-                    };
+                Op::Bid { at, axis } => fill(
+                    &mut self.regs[at as usize],
+                    f64::from(b.bid[axis as usize]),
+                    mask,
+                ),
+                Op::Gdim { at, axis } => fill(
+                    &mut self.regs[at as usize],
+                    b.grid[axis as usize] as f64,
+                    mask,
+                ),
+                Op::Load { at, buf } => {
+                    let dev = &self.buffers[buf as usize];
+                    let ix = &mut self.regs[at as usize];
+                    let at = request(self.gpu, &mut self.cost, dev, ix, mask)?;
+                    for l in lanes(mask) {
+                        ix[l] = dev.data[at[l]];
+                    }
                 }
-            }
-            KExpr::Bid(a) => {
-                let v = blk.bid[a.index()] as f64;
-                for l in lanes(mask) {
-                    out[l] = v;
+                Op::SmemLoad { at, off, len } => {
+                    let ix = &mut self.regs[at as usize];
+                    smem_cost(self.gpu, &mut self.cost, ix, mask);
+                    let words = &self.smem[off as usize..(off + len) as usize];
+                    for l in lanes(mask) {
+                        ix[l] = words[to_index(ix[l], words.len(), "shared load")?];
+                    }
                 }
-            }
-            KExpr::Bdim(a) => {
-                let v = blk.dims[a.index()] as f64;
-                for l in lanes(mask) {
-                    out[l] = v;
+                Op::Bin { at, op } => {
+                    let (x, rest) = self.regs[at as usize..].split_first_mut().expect("slot");
+                    bin(op, x, &rest[0], mask);
                 }
-            }
-            KExpr::Gdim(a) => {
-                let v = size_const(&self.kernel.grid[a.index()]) as f64;
-                for l in lanes(mask) {
-                    out[l] = v;
-                }
-            }
-            KExpr::SizeVal(s) => {
-                // Normally removed by specialization.
-                let v = size_const(s) as f64;
-                for l in lanes(mask) {
-                    out[l] = v;
-                }
-            }
-            KExpr::Load { buf, idx } => {
-                let mut ix = [0.0; W];
-                self.eval(idx, blk, warp, mask, &mut ix)?;
-                self.global_access(*buf, &ix, mask, None, Some(out))?;
-            }
-            KExpr::SmemLoad { arr, idx } => {
-                let mut ix = [0.0; W];
-                self.eval(idx, blk, warp, mask, &mut ix)?;
-                self.smem_cost(&ix, mask);
-                let a = *arr as usize;
-                for l in lanes(mask) {
-                    let i = to_index(ix[l], blk.smem[a].len(), "shared load")?;
-                    out[l] = blk.smem[a][i];
-                }
-            }
-            KExpr::Bin(op, x, y) => {
-                let mut xv = [0.0; W];
-                self.eval(x, blk, warp, mask, &mut xv)?;
-                let mut yv = [0.0; W];
-                self.eval(y, blk, warp, mask, &mut yv)?;
-                for l in lanes(mask) {
-                    out[l] = apply_bin(*op, xv[l], yv[l]);
-                }
-            }
-            KExpr::Un(op, x) => {
-                let mut xv = [0.0; W];
-                self.eval(x, blk, warp, mask, &mut xv)?;
-                for l in lanes(mask) {
-                    out[l] = apply_un(*op, xv[l]);
-                }
-            }
-            KExpr::Select(c, t, f) => {
-                let mut cv = [0.0; W];
-                self.eval(c, blk, warp, mask, &mut cv)?;
-                let mut tv = [0.0; W];
-                self.eval(t, blk, warp, mask, &mut tv)?;
-                let mut fv = [0.0; W];
-                self.eval(f, blk, warp, mask, &mut fv)?;
-                for l in lanes(mask) {
-                    out[l] = if cv[l] != 0.0 { tv[l] } else { fv[l] };
+                Op::Un { at, op } => un(op, &mut self.regs[at as usize], mask),
+                Op::Select { at } => {
+                    let (c, rest) = self.regs[at as usize..].split_first_mut().expect("slot");
+                    let (t, f) = (&rest[0], &rest[1]);
+                    for l in lanes(mask) {
+                        c[l] = if c[l] != 0.0 { t[l] } else { f[l] };
+                    }
                 }
             }
         }
         Ok(())
     }
 
-    /// Evaluate a (block-uniform) expression on a single lane.
-    fn eval_scalar(
-        &mut self,
-        e: &KExpr,
-        blk: &mut BlockState,
-        warp: u32,
-        lane: u32,
-    ) -> Result<f64, SimError> {
-        let mut out = [0.0; W];
-        self.eval(e, blk, warp, 1 << lane, &mut out)?;
-        Ok(out[lane as usize])
-    }
-
-    /// Shared load/store (coalesced) or a load into `out` / store of
-    /// `store` values for one warp request.
-    fn global_access(
-        &mut self,
-        buf: BufId,
-        ix: &Lanes,
-        mask: Mask,
-        store: Option<&Lanes>,
-        load_out: Option<&mut Lanes>,
-    ) -> Result<(), SimError> {
-        let b = &mut self.buffers[buf.0 as usize];
-        let mut addrs = [0u64; W];
-        let mut n = 0usize;
-        for l in lanes(mask) {
-            let i = to_index(ix[l], b.data.len(), "global access")?;
-            addrs[n] = b.base + i as u64 * b.elem_bytes;
-            n += 1;
-        }
-        let (tx, bytes) = coalesce(self.gpu, &addrs[..n]);
-        self.cost.mem_requests += 1;
-        self.cost.transactions += tx;
-        self.cost.dram_bytes += bytes;
-        match (store, load_out) {
-            (Some(v), _) => {
-                for l in lanes(mask) {
-                    let i = to_index(ix[l], b.data.len(), "global store")?;
-                    b.data[i] = v[l];
-                }
-            }
-            (None, Some(out)) => {
-                for l in lanes(mask) {
-                    let i = to_index(ix[l], b.data.len(), "global load")?;
-                    out[l] = b.data[i];
-                }
-            }
-            (None, None) => {}
-        }
-        Ok(())
-    }
-
-    /// Atomic read-modify-write per lane (program order within the warp);
-    /// returns pre-update values.
-    fn atomic(
-        &mut self,
-        buf: BufId,
-        ix: &Lanes,
-        mask: Mask,
-        v: &Lanes,
-        op: ReduceOp,
-    ) -> Result<Lanes, SimError> {
-        let b = &mut self.buffers[buf.0 as usize];
+    /// Atomic read-modify-write of `buf` per lane (program order within
+    /// the warp), values in slot 0 and indices in slot 1; returns the
+    /// pre-update values.
+    fn atomic(&mut self, buf: u32, mask: Mask, op: ReduceOp) -> Result<Lanes, SimError> {
+        let (v, ix) = (&self.regs[0], &self.regs[1]);
+        let b = &mut self.buffers[buf as usize];
         let mut old = [0.0; W];
         let mut addrs = [0u64; W];
         let mut n = 0usize;
@@ -1054,33 +876,52 @@ impl<'a> Exec<'a> {
         self.cost.dram_bytes += bytes;
         // Contention: lanes beyond the first hitting the same address
         // serialize.
-        let distinct = {
-            let mut d = 0usize;
-            for i in 0..n {
-                if !addrs[..i].contains(&addrs[i]) {
-                    d += 1;
-                }
-            }
-            d
-        };
+        let distinct = (0..n).filter(|&i| !addrs[..i].contains(&addrs[i])).count();
         self.cost.atomic_serial += (n - distinct) as u64;
         Ok(old)
     }
-
-    fn smem_cost(&mut self, ix: &Lanes, mask: Mask) {
-        let mut words = [0u64; W];
-        let mut n = 0usize;
-        for l in lanes(mask) {
-            words[n] = ix[l] as u64;
-            n += 1;
-        }
-        self.cost.smem_accesses += 1;
-        self.cost.smem_conflicts += bank_conflicts(self.gpu.smem_banks, &words[..n]);
-    }
 }
 
-fn size_const(s: &Size) -> u64 {
-    s.eval(&Bindings::new()).max(0) as u64
+/// Where `local`'s lanes of `warp` start in `Machine::locals`.
+fn local_at(b: &Block<'_, '_>, local: u32, warp: u32) -> usize {
+    (local as usize * b.kernel.warps as usize + warp as usize) * W
+}
+
+/// Validate one warp request's lane indices into `buf` (each lane once),
+/// charge its coalesced transactions, and return every active lane's
+/// element index.
+fn request(
+    gpu: &GpuSpec,
+    cost: &mut KernelCost,
+    buf: &DeviceBuffer,
+    ix: &Lanes,
+    mask: Mask,
+) -> Result<[usize; W], SimError> {
+    let mut at = [0usize; W];
+    let mut addrs = [0u64; W];
+    let mut n = 0usize;
+    for l in lanes(mask) {
+        let i = to_index(ix[l], buf.data.len(), "global access")?;
+        at[l] = i;
+        addrs[n] = buf.base + i as u64 * buf.elem_bytes;
+        n += 1;
+    }
+    let (tx, bytes) = coalesce(gpu, &addrs[..n]);
+    cost.mem_requests += 1;
+    cost.transactions += tx;
+    cost.dram_bytes += bytes;
+    Ok(at)
+}
+
+fn smem_cost(gpu: &GpuSpec, cost: &mut KernelCost, ix: &Lanes, mask: Mask) {
+    let mut words = [0u64; W];
+    let mut n = 0usize;
+    for l in lanes(mask) {
+        words[n] = ix[l] as u64;
+        n += 1;
+    }
+    cost.smem_accesses += 1;
+    cost.smem_conflicts += bank_conflicts(gpu.smem_banks, &words[..n]);
 }
 
 fn full_mask(threads: u32, warp: u32) -> Mask {
@@ -1095,8 +936,59 @@ fn full_mask(threads: u32, warp: u32) -> Mask {
     }
 }
 
+/// The set lanes of `mask`, lowest first.
 fn lanes(mask: Mask) -> impl Iterator<Item = usize> {
-    (0..W).filter(move |l| mask & (1 << l) != 0)
+    let mut m = mask;
+    std::iter::from_fn(move || {
+        (m != 0).then(|| {
+            let l = m.trailing_zeros() as usize;
+            m &= m - 1;
+            l
+        })
+    })
+}
+
+/// `dst[l] = v` for the lanes of `mask`.
+fn fill(dst: &mut Lanes, v: f64, mask: Mask) {
+    for l in lanes(mask) {
+        dst[l] = v;
+    }
+}
+
+/// `dst[l] = src[l]` for the lanes of `mask`.
+fn write_lanes(dst: &mut [f64], src: &[f64], mask: Mask) {
+    for l in lanes(mask) {
+        dst[l] = src[l];
+    }
+}
+
+/// The lanes of `mask` for which `pred` holds.
+fn lanes_where(mask: Mask, pred: impl Fn(usize) -> bool) -> Mask {
+    lanes(mask).filter(|&l| pred(l)).fold(0, |m, l| m | 1 << l)
+}
+
+/// `x ← x op y` on the lanes of `mask`, dispatching on `op` once per warp.
+fn bin(op: BinOp, x: &mut Lanes, y: &Lanes, mask: Mask) {
+    macro_rules! arms {
+        ($($o:ident)*) => {
+            match op {
+                $(BinOp::$o => lanes(mask).for_each(|l| x[l] = apply_bin(BinOp::$o, x[l], y[l])),)*
+            }
+        };
+    }
+    arms!(Add Sub Mul Div Rem Min Max Lt Le Gt Ge Eq Ne And Or);
+}
+
+/// `x ← op x` on the lanes of `mask`.
+fn un(op: UnOp, x: &mut Lanes, mask: Mask) {
+    macro_rules! arms {
+        ($($o:ident)*) => {
+            match op {
+                $(UnOp::$o => lanes(mask).for_each(|l| x[l] = apply_un(UnOp::$o, x[l])),)*
+            }
+        };
+    }
+    arms!(Neg Not Sqrt Exp Log Abs Floor);
 }
 
 fn to_index(v: f64, len: usize, what: &str) -> Result<usize, SimError> {
@@ -1112,21 +1004,11 @@ fn to_index(v: f64, len: usize, what: &str) -> Result<usize, SimError> {
     Ok(i as usize)
 }
 
-fn stmt_has_sync(s: &Stmt) -> bool {
-    match s {
-        Stmt::Sync => true,
-        Stmt::For { body, .. } => body.iter().any(stmt_has_sync),
-        Stmt::If { then, els, .. } => {
-            then.iter().any(stmt_has_sync) || els.iter().any(stmt_has_sync)
-        }
-        _ => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use multidim_codegen::{Axis, BufferDecl, SmemDecl};
+    use multidim_codegen::{Axis, BufferDecl, KExpr, Kernel, SmemDecl, Stmt};
+    use multidim_ir::Size;
 
     fn gpu() -> GpuSpec {
         GpuSpec::tesla_k20c()
@@ -1428,7 +1310,8 @@ mod tests {
 #[cfg(test)]
 mod more_tests {
     use super::*;
-    use multidim_codegen::{Axis, BufferDecl, SmemDecl};
+    use multidim_codegen::{Axis, BufferDecl, KExpr, Kernel, SmemDecl, Stmt};
+    use multidim_ir::Size;
 
     fn gpu() -> GpuSpec {
         GpuSpec::tesla_k20c()

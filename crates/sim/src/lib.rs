@@ -45,6 +45,7 @@
 mod cost;
 mod cpu;
 mod exec;
+mod flat;
 mod memory;
 pub mod metrics;
 mod report;

@@ -7,7 +7,8 @@ use multidim_device::{GpuSpec, WARP_SIZE};
 /// addresses, count the distinct `transaction_bytes`-sized segments touched
 /// (NVIDIA-style coalescing — Section II of the paper).
 ///
-/// Returns `(transactions, bytes)`.
+/// Returns `(transactions, bytes)`. Allocation-free; at most
+/// [`WARP_SIZE`] distinct segments (one warp's lanes).
 ///
 /// # Examples
 ///
@@ -24,18 +25,22 @@ use multidim_device::{GpuSpec, WARP_SIZE};
 /// assert_eq!(coalesce(&gpu, &strided), (32, 32 * 128));
 /// ```
 pub fn coalesce(gpu: &GpuSpec, byte_addrs: &[u64]) -> (u64, u64) {
-    if byte_addrs.is_empty() {
-        return (0, 0);
-    }
     let seg = gpu.transaction_bytes.max(1);
-    let mut segments: [u64; WARP_SIZE as usize] = [u64::MAX; WARP_SIZE as usize];
+    let mut segments = [0u64; WARP_SIZE as usize];
     let mut n = 0usize;
     for &a in byte_addrs {
-        let s = a / seg;
-        if !segments[..n].contains(&s) {
-            segments[n] = s;
-            n += 1;
+        let s = if seg.is_power_of_two() {
+            a >> seg.trailing_zeros()
+        } else {
+            a / seg
+        };
+        // Neighbouring lanes mostly share a segment: check the newest
+        // first.
+        if n > 0 && segments[n - 1] == s || segments[..n].contains(&s) {
+            continue;
         }
+        segments[n] = s;
+        n += 1;
     }
     (n as u64, n as u64 * seg)
 }
@@ -45,6 +50,12 @@ pub fn coalesce(gpu: &GpuSpec, byte_addrs: &[u64]) -> (u64, u64) {
 /// contended bank (identical addresses broadcast for free).
 ///
 /// Returns the number of *extra* serialized passes (0 = conflict-free).
+/// Allocation-free; `word_addrs` is one warp's active lanes, at most
+/// [`WARP_SIZE`] of them.
+///
+/// # Panics
+///
+/// Panics if `word_addrs` holds more than [`WARP_SIZE`] addresses.
 ///
 /// # Examples
 ///
@@ -62,26 +73,56 @@ pub fn coalesce(gpu: &GpuSpec, byte_addrs: &[u64]) -> (u64, u64) {
 /// assert_eq!(bank_conflicts(32, &b), 0);
 /// ```
 pub fn bank_conflicts(banks: u32, word_addrs: &[u64]) -> u64 {
-    if word_addrs.is_empty() {
-        return 0;
-    }
-    let banks = banks.max(1) as u64;
-    // Per bank, count *distinct* words (same word broadcasts).
-    let mut seen: Vec<(u64, u64)> = Vec::with_capacity(word_addrs.len()); // (bank, word)
-    let mut per_bank = vec![0u64; banks as usize];
-    for &w in word_addrs {
-        let b = w % banks;
-        if !seen.contains(&(b, w)) {
-            seen.push((b, w));
-            per_bank[b as usize] += 1;
+    const W: usize = WARP_SIZE as usize;
+    assert!(
+        word_addrs.len() <= W,
+        "bank_conflicts takes one warp access: {} addresses",
+        word_addrs.len()
+    );
+    let banks = u64::from(banks.max(1));
+    let bank = |w: u64| {
+        if banks.is_power_of_two() {
+            w & (banks - 1)
+        } else {
+            w % banks
+        }
+    };
+    // Fast path: every lane in its own bank (at most 64 banks), or every
+    // lane on one word — both conflict-free.
+    if banks <= 64 {
+        let mut hit = 0u64;
+        for &w in word_addrs {
+            hit |= 1 << bank(w);
+        }
+        if hit.count_ones() as usize == word_addrs.len()
+            || word_addrs.iter().all(|&w| w == word_addrs[0])
+        {
+            return 0;
         }
     }
-    per_bank
-        .iter()
-        .copied()
-        .max()
-        .unwrap_or(1)
-        .saturating_sub(1)
+    // Per bank, count *distinct* words (same word broadcasts): sort
+    // (bank, word) pairs and take the longest run of distinct words in
+    // one bank.
+    let mut pairs = [(0u64, 0u64); W];
+    for (p, &w) in pairs.iter_mut().zip(word_addrs) {
+        *p = (bank(w), w);
+    }
+    let pairs = &mut pairs[..word_addrs.len()];
+    pairs.sort_unstable();
+    let mut worst = 0u64;
+    let mut run = 0u64;
+    for i in 0..pairs.len() {
+        if i > 0 && pairs[i] == pairs[i - 1] {
+            continue;
+        }
+        run = if i > 0 && pairs[i].0 == pairs[i - 1].0 {
+            run + 1
+        } else {
+            1
+        };
+        worst = worst.max(run);
+    }
+    worst.saturating_sub(1)
 }
 
 #[cfg(test)]

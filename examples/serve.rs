@@ -196,7 +196,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     // A cold request's trace carries the compile pipeline's own spans,
-    // each under the engine phase that ran it.
+    // each under the engine phase that ran it, and the simulator's two
+    // stages under `core/run`.
     let cold = cold_trace
         .and_then(|ctx| traces.lookup(ctx.trace_id))
         .expect("round 0 kept a cold trace");
@@ -215,9 +216,12 @@ fn main() -> Result<(), Box<dyn Error>> {
     };
     assert_eq!(parent_of("core", "compile"), ("engine", "compile"));
     assert_eq!(parent_of("core", "run"), ("engine", "run"));
+    assert_eq!(parent_of("sim", "specialize"), ("core", "run"));
+    assert_eq!(parent_of("sim", "execute"), ("core", "run"));
     println!();
     println!(
-        "cold request trace: {} spans, core/compile under engine/compile, core/run under engine/run",
+        "cold request trace: {} spans, core/compile under engine/compile, core/run under \
+         engine/run, sim/specialize and sim/execute under core/run",
         cold.spans.len()
     );
 

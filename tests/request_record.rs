@@ -238,7 +238,8 @@ fn kept_completion_records_phases_and_mapping() {
     // The cold compile carries the pipeline's own spans: `core/compile`
     // under the engine's compile span, the mapping search, static
     // analysis and lowering under `core/compile`, and `core/run` under
-    // the engine's run span.
+    // the engine's run span, split into the simulator's specialization
+    // and execution.
     let (core_compile, parent) = with_parent(&trace, "core", "compile");
     assert_eq!(parent.span_id, compile.span_id);
     assert_eq!(arg(core_compile, "fused").as_deref(), Some("0"));
@@ -254,8 +255,16 @@ fn kept_completion_records_phases_and_mapping() {
         );
         assert!(stage.dur_us <= core_compile.dur_us);
     }
-    let (_, parent) = with_parent(&trace, "core", "run");
+    let (core_run, parent) = with_parent(&trace, "core", "run");
     assert_eq!(parent.span_id, run.span_id);
+    for name in ["specialize", "execute"] {
+        let (stage, parent) = with_parent(&trace, "sim", name);
+        assert_eq!(
+            parent.span_id, core_run.span_id,
+            "sim/{name} nests under core/run"
+        );
+        assert!(stage.dur_us <= core_run.dur_us);
+    }
     assert_eq!(arg(compile, "cache_hit").as_deref(), Some("false"));
     assert_eq!(
         arg(compile, "fingerprint"),

@@ -46,7 +46,12 @@ fn traced_counters_sum_to_sim_totals() {
         let (_exe, run, events) = traced_run(r, c);
         let slices: Vec<&trace::Event> = events
             .iter()
-            .filter(|e| e.cat == "sim" && e.phase == trace::Phase::Complete)
+            // Kernel slices sit on the simulated-GPU lane; the simulator's
+            // wall-clock spans (`sim/specialize`, `sim/execute`) share the
+            // category on the pipeline lane.
+            .filter(|e| {
+                e.cat == "sim" && e.phase == trace::Phase::Complete && e.pid == trace::PID_SIM
+            })
             .collect();
         assert_eq!(
             slices.len(),
