@@ -14,8 +14,9 @@
 //! * **Locality analysis**: per-candidate-mapping classification of every
 //!   global access (coalesced / strided / broadcast / scattered), proven
 //!   shared-memory bank-conflict degrees and per-block footprints, reuse
-//!   summaries, and a sound memory-transaction lower bound that prunes the
-//!   mapping search ([`locality_of`], [`LocalitySummary`]).
+//!   summaries, a sound memory-transaction lower bound, and a seconds
+//!   floor that prunes the mapping search ([`locality_of`],
+//!   [`LocalitySummary`], [`seconds_lower_bound`]).
 //! * **Diagnostics**: stable `MD0xx` codes, severities, a
 //!   proven/refuted/unknown verdict lattice, terminal + JSON renderings,
 //!   and trace-event emission.
@@ -81,8 +82,8 @@ mod sanitizer;
 pub use diag::{ArrayVerdicts, Code, CodeRow, Diagnostic, Report, Severity, Verdict, CODE_TABLE};
 pub use lint::lint_mapping;
 pub use locality::{
-    locality_cross_check, locality_of, AccessClass, AccessLocality, BankProof, LocalityFacts,
-    LocalitySummary, ReuseSummary, SmemProof,
+    locality_cross_check, locality_of, seconds_lower_bound, AccessClass, AccessLocality, BankProof,
+    LocalityFacts, LocalitySummary, ReuseSummary, SmemProof,
 };
 pub use sanitizer::cross_check;
 

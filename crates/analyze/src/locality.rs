@@ -11,9 +11,13 @@
 //! * a **transaction lower bound**: the simulated run must issue at least
 //!   this many 128-byte DRAM transactions, no matter what the lowered code
 //!   looks like (see "Soundness" below);
-//! * a **seconds lower bound** from the roofline memory floor plus the
-//!   per-kernel launch/dispatch overhead — the pruning hook used by
-//!   [`multidim_mapping::tune_pruned`];
+//! * a **seconds lower bound**: the simulator's own floor of each kernel
+//!   ([`multidim_sim::seconds_floor`]: its issue, latency and bandwidth
+//!   terms over the counters a static walk proves, plus launch and
+//!   dispatch), raised to the roofline memory floor of the transaction
+//!   bound where that is larger — the pruning hook used by
+//!   [`multidim_mapping::tune_pruned`], also computed alone by
+//!   [`seconds_lower_bound`];
 //! * per-kernel shared-memory **footprint proofs** (overflow = `Error`
 //!   before the simulator ever faults) and per-access **bank-conflict
 //!   degrees**, proven by enumerating the real block's warps;
@@ -33,13 +37,24 @@
 //! filter bodies, sequential `Iterate` trip estimates, atomics, reads the
 //! prefetch may stage through shared memory) contribute zero — dropping a
 //! site only lowers the bound, so it is always sound.
+//!
+//! # Soundness of the seconds bound
+//!
+//! A kernel's simulated time is its largest pipe (issue, latency,
+//! bandwidth) plus its malloc and launch overhead, and each term of the
+//! kernel's static floor is at most the simulator's. Over all kernels,
+//! `Σ_k max(pipes_k) ≥ max(Σ_k issue_k, Σ_k latency_k, Σ_k bandwidth_k)`,
+//! so both the sum of the floors' largest pipes and the memory floor of
+//! the whole run's transaction bound sit below the simulated pipes; the
+//! larger of the two plus every kernel's overhead is the bound.
 
 use crate::diag::{Code, Diagnostic, Severity, Verdict};
 use crate::eval::eval_signed;
 use multidim_codegen::{KExpr, Kernel, KernelProgram, LocalId, SmemId, Stmt};
 use multidim_device::{GpuSpec, WARP_SIZE};
 use multidim_ir::{
-    collect_accesses, filter_patterns, AffineForm, BinOp, Bindings, PatternId, Program, UnOp, VarId,
+    collect_accesses, filter_patterns, AffineForm, BinOp, Bindings, PatternId, Program, SymId,
+    UnOp, VarId,
 };
 use multidim_mapping::{MappingDecision, Span};
 use multidim_sim::SimResult;
@@ -92,6 +107,8 @@ pub struct LocalityFacts {
     /// Program name (diagnostics).
     pub program: String,
     pub(crate) sites: Vec<SiteFacts>,
+    /// The program's size symbols: the simulator's floor needs each bound.
+    symbols: Vec<SymId>,
 }
 
 impl LocalityFacts {
@@ -174,6 +191,7 @@ impl LocalityFacts {
         LocalityFacts {
             program: program.name.clone(),
             sites,
+            symbols: program.symbols.iter().map(|d| d.id).collect(),
         }
     }
 }
@@ -298,8 +316,11 @@ pub struct LocalitySummary {
     pub reuse: Vec<ReuseSummary>,
     /// Proven lower bound on DRAM transactions for the whole program run.
     pub tx_lower_bound: u64,
-    /// Proven lower bound on simulated seconds (memory floor + per-kernel
-    /// launch/dispatch overhead).
+    /// Proven lower bound on simulated seconds: `Σ_k overhead_k +
+    /// max(Σ_k max(issue_k, latency_k, bandwidth_k), memory floor of
+    /// tx_lower_bound)` over the kernels' static floors (see
+    /// [`seconds_lower_bound`]); at most the simulated `total_seconds` of
+    /// any run that succeeds.
     pub seconds_lower_bound: f64,
 }
 
@@ -319,33 +340,7 @@ pub fn locality_of(
     gpu: &GpuSpec,
     smem_prefetch: bool,
 ) -> LocalitySummary {
-    let prefetch_active = smem_prefetch
-        && mapping.depth() >= 2
-        && !mapping.level(0).dim.is_x()
-        && mapping.level(0).span == Span::Span(1)
-        && mapping.level(0).block_size >= 2;
-    let any_split = mapping
-        .levels()
-        .iter()
-        .any(|l| matches!(l.span, Span::Split(_)));
-
-    // Block dims exactly as lowering assigns them; refuse the refined
-    // capacity if two levels share a hardware axis or use a dim ≥ 3.
-    let mut dims = [1u64; 3];
-    let mut axes_ok = true;
-    let mut level_axis: Vec<Option<usize>> = Vec::new();
-    for lm in mapping.levels() {
-        let a = lm.dim.0 as usize;
-        if a >= 3 || dims[a] != 1 {
-            axes_ok = false;
-            level_axis.push(None);
-            continue;
-        }
-        dims[a] = u64::from(lm.block_size.max(1));
-        level_axis.push(Some(a));
-    }
-    let block_threads = dims[0] * dims[1] * dims[2];
-
+    let layout = Layout::of(mapping, smem_prefetch);
     let x_level: Option<usize> = mapping.levels().iter().position(|l| l.dim.is_x());
 
     let mut accesses = Vec::new();
@@ -391,19 +386,165 @@ pub fn locality_of(
                             pattern: site.pattern,
                             level: lvl,
                             factor: extent as u64,
-                            staged: site.prefetch_shape && prefetch_active,
+                            staged: site.prefetch_shape && layout.prefetch_active,
                         });
                 }
             }
         }
 
-        // -- transaction lower bound -----------------------------------
+        let bound = layout.transactions(site);
+        tx_lb += bound.transactions;
+        accesses.push(AccessLocality {
+            array: site.array_name.clone(),
+            pattern: site.pattern,
+            is_write: site.is_write,
+            class,
+            verdict,
+            executions: site.executions,
+            segment_capacity: bound.capacity,
+            transactions_lb: bound.transactions,
+            dropped: bound.dropped,
+        });
+    }
+
+    // -- per-kernel shared-memory proofs ---------------------------------
+    let smem = kernels
+        .kernels
+        .iter()
+        .map(|k| {
+            let bytes = u64::from(k.smem_bytes());
+            let capacity = u64::from(gpu.smem_per_sm);
+            SmemProof {
+                kernel: k.name.clone(),
+                bytes,
+                capacity,
+                overflow: bytes > capacity,
+                pressure: bytes.saturating_mul(2) > capacity && bytes <= capacity,
+                banks: bank_proofs(k, bindings, gpu),
+            }
+        })
+        .collect();
+
+    LocalitySummary {
+        program: facts.program.clone(),
+        accesses,
+        smem,
+        reuse: reuse_set.into_values().collect(),
+        tx_lower_bound: tx_lb,
+        seconds_lower_bound: combined_floor(facts, kernels, bindings, gpu, tx_lb),
+    }
+}
+
+/// [`locality_of`]`(..).seconds_lower_bound` alone, bit for bit: the
+/// per-site transaction bound and the simulator's floor, without the
+/// bank-conflict proofs, reuse summaries or access list. The autotuner's
+/// pruning bound.
+pub fn seconds_lower_bound(
+    facts: &LocalityFacts,
+    mapping: &MappingDecision,
+    kernels: &KernelProgram,
+    bindings: &Bindings,
+    gpu: &GpuSpec,
+    smem_prefetch: bool,
+) -> f64 {
+    let layout = Layout::of(mapping, smem_prefetch);
+    let tx_lb = facts
+        .sites
+        .iter()
+        .map(|site| layout.transactions(site).transactions)
+        .sum();
+    combined_floor(facts, kernels, bindings, gpu, tx_lb)
+}
+
+/// The seconds floor of a run that moves at least `tx_lb` transactions:
+/// `Σ_k overhead_k + max(Σ_k max(issue_k, latency_k, bandwidth_k),
+/// memory_floor(tx_lb))` over [`multidim_sim::seconds_floor`]'s kernels.
+/// Each kernel's simulated time is at least `overhead_k` plus its largest
+/// pipe, and both the sum of those pipes and the memory floor bound the
+/// sum of the simulated ones from below (`Σ max ≥ max Σ`). With a size
+/// symbol unbound the simulator cannot run the program at all; the floor
+/// is then the memory floor plus one launch per kernel.
+fn combined_floor(
+    facts: &LocalityFacts,
+    kernels: &KernelProgram,
+    bindings: &Bindings,
+    gpu: &GpuSpec,
+    tx_lb: u64,
+) -> f64 {
+    let memory = multidim_sim::memory_floor_seconds(gpu, tx_lb);
+    if facts.symbols.iter().any(|&s| bindings.get(s).is_none()) {
+        return memory + kernels.kernels.len() as f64 * gpu.kernel_launch_overhead_s;
+    }
+    let (mut overhead, mut pipes) = (0.0f64, 0.0f64);
+    for k in multidim_sim::seconds_floor(kernels, gpu, bindings) {
+        overhead += k.time.overhead;
+        pipes += k.time.issue.max(k.time.bandwidth).max(k.time.latency);
+    }
+    overhead + pipes.max(memory)
+}
+
+/// What the per-site transaction bound needs of a mapping: the block
+/// dims exactly as lowering assigns them, and whether the Section V-B
+/// prefetch may fire.
+struct Layout {
+    depth: usize,
+    prefetch_active: bool,
+    any_split: bool,
+    dims: [u64; 3],
+    /// `false` when two levels share a hardware axis or one uses a dim
+    /// ≥ 3: the refined capacity is then refused.
+    axes_ok: bool,
+    level_axis: Vec<Option<usize>>,
+}
+
+/// One site's share of [`LocalitySummary::tx_lower_bound`].
+struct SiteBound {
+    capacity: u64,
+    transactions: u64,
+    dropped: Option<&'static str>,
+}
+
+impl Layout {
+    fn of(mapping: &MappingDecision, smem_prefetch: bool) -> Layout {
+        let prefetch_active = smem_prefetch
+            && mapping.depth() >= 2
+            && !mapping.level(0).dim.is_x()
+            && mapping.level(0).span == Span::Span(1)
+            && mapping.level(0).block_size >= 2;
+        let any_split = mapping
+            .levels()
+            .iter()
+            .any(|l| matches!(l.span, Span::Split(_)));
+        let mut dims = [1u64; 3];
+        let mut axes_ok = true;
+        let mut level_axis = Vec::with_capacity(mapping.depth());
+        for lm in mapping.levels() {
+            let a = lm.dim.0 as usize;
+            if a >= 3 || dims[a] != 1 {
+                axes_ok = false;
+                level_axis.push(None);
+                continue;
+            }
+            dims[a] = u64::from(lm.block_size.max(1));
+            level_axis.push(Some(a));
+        }
+        Layout {
+            depth: mapping.depth(),
+            prefetch_active,
+            any_split,
+            dims,
+            axes_ok,
+            level_axis,
+        }
+    }
+
+    fn transactions(&self, site: &SiteFacts) -> SiteBound {
         let mut dropped: Option<&'static str> = None;
         if !site.countable {
             dropped = Some("conditional, filtered, iterated, or atomic execution");
         } else if site.executions.is_none() {
             dropped = Some("execution count not exactly known");
-        } else if site.prefetch_shape && prefetch_active {
+        } else if site.prefetch_shape && self.prefetch_active {
             dropped = Some("may be staged through shared memory");
         }
 
@@ -411,18 +552,19 @@ pub fn locality_of(
             && !site.nonaffine
             && !site.foreign_terms
             && site.coeffs.values().all(|&(_, exact)| exact)
-            && site.chain.iter().all(|&(lvl, ..)| lvl < mapping.depth())
+            && site.chain.iter().all(|&(lvl, ..)| lvl < self.depth)
             && site.has_array
             && !site.flexible
-            && !(site.is_write && any_split)
-            && axes_ok
-            && block_threads <= 1024;
+            && !(site.is_write && self.any_split)
+            && self.axes_ok
+            && self.dims.iter().product::<u64>() <= 1024;
 
-        let capacity = if refined_ok {
+        let mut capacity = u64::from(WARP_SIZE);
+        if refined_ok {
             let mut coeff_bytes = [0i128; 3];
             let mut ok = true;
             for &(lvl, var, _, _) in &site.chain {
-                match level_axis.get(lvl).copied().flatten() {
+                match self.level_axis.get(lvl).copied().flatten() {
                     Some(a) => {
                         let c = site.coeffs.get(&var).map(|c| c.0).unwrap_or(0);
                         coeff_bytes[a] += i128::from(c) * i128::from(site.elem_bytes);
@@ -431,73 +573,19 @@ pub fn locality_of(
                 }
             }
             if ok {
-                warp_capacity(dims, coeff_bytes)
-            } else {
-                u64::from(WARP_SIZE)
+                capacity = warp_capacity(self.dims, coeff_bytes);
             }
-        } else {
-            u64::from(WARP_SIZE)
-        };
+        }
 
-        let site_tx = match (dropped, site.executions) {
+        let transactions = match (dropped, site.executions) {
             (None, Some(e)) => e.div_ceil(capacity.max(1)),
             _ => 0,
         };
-        tx_lb += site_tx;
-
-        accesses.push(AccessLocality {
-            array: site.array_name.clone(),
-            pattern: site.pattern,
-            is_write: site.is_write,
-            class,
-            verdict,
-            executions: site.executions,
-            segment_capacity: capacity,
-            transactions_lb: site_tx,
-            dropped,
-        });
-    }
-
-    // -- per-kernel proofs + seconds floor -----------------------------
-    let mut smem = Vec::new();
-    let mut overhead_s = 0.0f64;
-    for k in &kernels.kernels {
-        let mut blocks: u64 = 1;
-        let mut blocks_exact = true;
-        for axis in &k.grid {
-            let s = eval_signed(axis, bindings);
-            if s.exact && s.value >= 0 {
-                blocks = blocks.saturating_mul(s.value as u64);
-            } else {
-                blocks_exact = false;
-            }
-        }
-        overhead_s += gpu.kernel_launch_overhead_s;
-        if blocks_exact {
-            overhead_s += gpu
-                .cycles_to_seconds(blocks as f64 * gpu.block_dispatch_cycles / gpu.sm_count as f64);
-        }
-
-        let bytes = u64::from(k.smem_bytes());
-        let capacity = u64::from(gpu.smem_per_sm);
-        smem.push(SmemProof {
-            kernel: k.name.clone(),
-            bytes,
+        SiteBound {
             capacity,
-            overflow: bytes > capacity,
-            pressure: bytes.saturating_mul(2) > capacity && bytes <= capacity,
-            banks: bank_proofs(k, bindings, gpu),
-        });
-    }
-    let seconds_lb = multidim_sim::memory_floor_seconds(gpu, tx_lb) + overhead_s;
-
-    LocalitySummary {
-        program: facts.program.clone(),
-        accesses,
-        smem,
-        reuse: reuse_set.into_values().collect(),
-        tx_lower_bound: tx_lb,
-        seconds_lower_bound: seconds_lb,
+            transactions,
+            dropped,
+        }
     }
 }
 

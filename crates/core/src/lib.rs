@@ -60,14 +60,15 @@ use multidim_mapping::{
 };
 use multidim_sim::{run_program, KernelCost, KernelTime, LaunchShape, RunMetrics};
 use multidim_trace as trace;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 
 pub use fingerprint::Fingerprint;
 pub use multidim_analyze::{
     analyze_program, cross_check, kernel_defect, lint_mapping, locality_cross_check, locality_of,
-    AccessClass, AccessLocality, BankProof, Code, Diagnostic, LocalityFacts, LocalitySummary,
-    Report as AnalysisReport, ReuseSummary, Severity, SmemProof, Verdict,
+    seconds_lower_bound, AccessClass, AccessLocality, BankProof, Code, Diagnostic, LocalityFacts,
+    LocalitySummary, Report as AnalysisReport, ReuseSummary, Severity, SmemProof, Verdict,
 };
 pub use multidim_codegen::{LaunchStrategy, LayoutPolicy, SiteDecision};
 pub use multidim_dynpar::DynParPolicy;
@@ -342,7 +343,7 @@ impl Compiler {
     ///
     /// This recovers the Figure 17 "region C" false negatives the static
     /// score misses, at the cost of one simulation per candidate that its
-    /// proven locality floor cannot rule out.
+    /// proven seconds floor cannot rule out.
     ///
     /// # Errors
     ///
@@ -355,18 +356,39 @@ impl Compiler {
         options: &multidim_mapping::TuneOptions,
     ) -> Result<(Executable, multidim_mapping::TuneResult), CompileError> {
         let prepared = self.prepare_tune(program, bindings, options)?;
-        // Locality-proof pruning: a candidate whose *proven* memory
-        // transaction / launch-overhead floor already exceeds the best
-        // simulated time so far cannot win, so skip its simulation.
-        // Selection stays bit-identical to measuring every candidate
-        // because the bound is sound (`cost >= lower bound > best so far`)
-        // and pruning only triggers on a strict comparison.
+        // Floor pruning: a candidate whose proven seconds floor
+        // ([`seconds_lower_bound`]) already exceeds the best simulated time
+        // so far cannot win, so skip its simulation. Selection stays
+        // bit-identical to measuring every candidate because the floor is
+        // sound for every run that succeeds (`cost >= floor > best so
+        // far`) and pruning only triggers on a strict comparison. A pruned
+        // candidate may be one whose simulation would have failed: it is
+        // then counted as pruned, not skipped.
+        //
+        // Each candidate is lowered once: the bound lowers it, and its
+        // measurement simulates those kernels. A candidate that does not
+        // lower or validate has no bound and fails its measurement.
         let facts = LocalityFacts::of(&prepared.program, bindings);
+        let lowered = Cell::new(None);
         let result = multidim_mapping::tune_pruned(
             &prepared.plan,
             options.max_measurements,
-            |cand| self.candidate_bound(&prepared, bindings, &facts, &cand.mapping),
-            |cand| self.measure_candidate(&prepared, bindings, inputs, &cand.mapping),
+            |cand| {
+                let kernels = self.lower_candidate(&prepared, &cand.mapping);
+                let bound = kernels.as_ref().map(|k| {
+                    seconds_lower_bound(
+                        &facts,
+                        &cand.mapping,
+                        k,
+                        bindings,
+                        &self.gpu,
+                        self.options.smem_prefetch,
+                    )
+                });
+                lowered.set(kernels);
+                bound
+            },
+            |_| self.simulated_seconds(&lowered.take()?, bindings, inputs),
         )
         .ok_or_else(|| CompileError("no mapping candidate was executable".into()))?;
         let exe = self.compile_tuned(&prepared, bindings, result.best.clone())?;
@@ -386,27 +408,15 @@ impl Compiler {
         Some(kernels)
     }
 
-    /// Proven lower bound (simulated seconds) for one tuning candidate, or
-    /// `None` when the candidate does not lower/validate (it then falls
-    /// through to measurement, which fails the same way and records the
-    /// failure exactly as an unpruned run would).
-    fn candidate_bound(
+    /// Simulated seconds of one lowered candidate; `None` when it faults.
+    fn simulated_seconds(
         &self,
-        prepared: &TunePrepared,
+        kernels: &KernelProgram,
         bindings: &Bindings,
-        facts: &LocalityFacts,
-        mapping: &MappingDecision,
+        inputs: &HashMap<ArrayId, Vec<f64>>,
     ) -> Option<f64> {
-        let kernels = self.lower_candidate(prepared, mapping)?;
-        let summary = locality_of(
-            facts,
-            mapping,
-            &kernels,
-            bindings,
-            &self.gpu,
-            self.options.smem_prefetch,
-        );
-        Some(summary.seconds_lower_bound)
+        let sim = run_program(kernels, &self.gpu, bindings, inputs).ok()?;
+        Some(sim.total_seconds)
     }
 
     /// The serial front half of [`Compiler::autotune`]: fuse + validate the
@@ -454,8 +464,7 @@ impl Compiler {
         mapping: &MappingDecision,
     ) -> Option<f64> {
         let kernels = self.lower_candidate(prepared, mapping)?;
-        let sim = run_program(&kernels, &self.gpu, bindings, inputs).ok()?;
-        Some(sim.total_seconds)
+        self.simulated_seconds(&kernels, bindings, inputs)
     }
 
     /// Compile the winning mapping of a prepared tuning run. The program

@@ -146,10 +146,14 @@ pub fn select(plan: &TunePlan, costs: &[Option<f64>]) -> Option<TuneResult> {
 /// or `None` when it cannot be compiled/executed.
 ///
 /// Before measuring a candidate, `bound` may return a **sound lower
-/// bound** on its cost (e.g. the locality analysis's roofline memory
-/// floor); pass `|_| None` to measure every candidate. A candidate whose
-/// bound *strictly exceeds* the best measured cost so far is discarded
-/// without measurement.
+/// bound** on its cost (e.g. the locality analysis's seconds floor); pass
+/// `|_| None` to measure every candidate. A candidate whose bound
+/// *strictly exceeds* the best measured cost so far is discarded without
+/// measurement. The bound need only hold for candidates that measure
+/// successfully, so a pruned candidate may be one whose measurement would
+/// have failed: it then counts as pruned rather than skipped (on the
+/// catalog, the seconds floor leaves 6 candidates skipped where an
+/// unpruned search skips 12).
 ///
 /// # Selection is bit-identical to measuring everything
 ///

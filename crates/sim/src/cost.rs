@@ -196,9 +196,13 @@ pub fn kernel_time(gpu: &GpuSpec, shape: &LaunchShape, cost: &KernelCost) -> Ker
 /// * `total = max(issue, bw, lat) + … ≥ max(bw, lat)` per kernel, and
 ///   `Σ max(a_k, b_k) ≥ max(Σ a_k, Σ b_k)`.
 ///
-/// The static locality analysis uses this to prune mapping candidates:
-/// keeping the formula next to [`kernel_time`] means a timing-model change
-/// cannot silently invalidate the bound.
+/// This is one term of the seconds floor the autotuner prunes with: the
+/// static locality analysis takes the larger of it and the per-kernel
+/// pipes of [`seconds_floor`](crate::seconds_floor), and adds the launch
+/// overheads. It is the larger term when coalescing proofs count many
+/// more transactions than the one-per-request walk. Keeping the formula next
+/// to [`kernel_time`] means a timing-model change cannot silently
+/// invalidate it.
 pub fn memory_floor_seconds(gpu: &GpuSpec, transactions: u64) -> f64 {
     let bytes = (transactions as f64) * (gpu.transaction_bytes as f64);
     let bw = bytes / gpu.dram_bandwidth;

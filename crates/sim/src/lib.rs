@@ -46,6 +46,7 @@ mod cost;
 mod cpu;
 mod exec;
 mod flat;
+mod floor;
 mod memory;
 pub mod metrics;
 mod report;
@@ -56,6 +57,7 @@ pub use exec::{
     run_program, run_program_sanitized, DeviceBuffer, SanitizerReport, SimError, SimResult,
     WriteConflict,
 };
+pub use floor::{seconds_floor, KernelFloor};
 pub use memory::{bank_conflicts, coalesce};
 pub use metrics::{KernelMetrics, RunMetrics};
 pub use report::{kernel_report, BoundBy, Efficiency};

@@ -1,0 +1,595 @@
+//! `seconds_floor` against the executor on hand-built kernels.
+//!
+//! On straight-line kernels whose loops have constant trip counts the
+//! floor's warp instructions, requests, shared accesses and syncs must
+//! equal the simulator's `KernelCost`: that ties the walk to the charges
+//! the executor makes. On kernels whose cost depends on data or on which
+//! lanes diverge, every counter and every time term must stay at or below
+//! the simulator's — on the fixtures here, and on seeded random kernels
+//! that mix every operator the interval arithmetic models.
+
+use multidim_codegen::{
+    Axis, BufId, BufferDecl, BufferInit, KExpr, Kernel, KernelProgram, SmemDecl, Stmt,
+};
+use multidim_device::GpuSpec;
+use multidim_ir::{ArrayId, BinOp, Bindings, ReduceOp, Size, UnOp};
+use multidim_sim::{run_program, seconds_floor, KernelFloor, SimResult};
+use std::collections::HashMap;
+
+/// Elements of the input buffer (`in`, array 0) and the output (`out`,
+/// array 1).
+const N: i64 = 256;
+
+fn program(kernels: Vec<Kernel>, children: Vec<Kernel>) -> KernelProgram {
+    let buffer = |name: &str, init, array| BufferDecl {
+        name: name.into(),
+        elem_bytes: 4,
+        len: Size::from(N),
+        init,
+        array: Some(ArrayId(array)),
+    };
+    KernelProgram {
+        name: "floor".into(),
+        buffers: vec![
+            buffer("in", BufferInit::FromArray(ArrayId(0)), 0),
+            buffer("out", BufferInit::Zero, 1),
+        ],
+        kernels,
+        children,
+        notes: vec![],
+    }
+}
+
+fn kernel(grid: u32, block: [u32; 3], smem: u32, locals: u32, body: Vec<Stmt>) -> Kernel {
+    Kernel {
+        name: "k".into(),
+        grid: [Size::from(i64::from(grid)), Size::from(1), Size::from(1)],
+        block,
+        smem: (smem > 0)
+            .then(|| SmemDecl {
+                name: "s".into(),
+                len: smem,
+            })
+            .into_iter()
+            .collect(),
+        locals,
+        body,
+    }
+}
+
+fn load(buf: u32, idx: KExpr) -> KExpr {
+    KExpr::Load {
+        buf: BufId(buf),
+        idx: Box::new(idx),
+    }
+}
+
+fn smem_load(idx: KExpr) -> KExpr {
+    KExpr::SmemLoad {
+        arr: 0,
+        idx: Box::new(idx),
+    }
+}
+
+fn store(idx: KExpr, value: KExpr) -> Stmt {
+    Stmt::Store {
+        buf: BufId(1),
+        idx,
+        value,
+    }
+}
+
+fn for_loop(var: u32, start: KExpr, end: KExpr, step: KExpr, body: Vec<Stmt>) -> Stmt {
+    Stmt::For {
+        var,
+        start,
+        end,
+        step,
+        body,
+    }
+}
+
+fn local(l: u32) -> KExpr {
+    KExpr::Local(l)
+}
+
+/// Global thread index along x.
+fn gid() -> KExpr {
+    KExpr::global_tid(Axis::X)
+}
+
+/// The floor and the simulated run of `kp` on `input`.
+fn floor_and_run(kp: &KernelProgram, input: Vec<f64>) -> (Vec<KernelFloor>, SimResult) {
+    let gpu = GpuSpec::tesla_k20c();
+    let bindings = Bindings::new();
+    let inputs: HashMap<_, _> = [(ArrayId(0), input)].into_iter().collect();
+    let sim = run_program(kp, &gpu, &bindings, &inputs).expect("fixture runs");
+    let floor = seconds_floor(kp, &gpu, &bindings);
+    assert_eq!(floor.len(), sim.costs.len());
+    for (f, shape) in floor.iter().zip(&sim.shapes) {
+        assert_eq!(&f.shape, shape, "the floor's launch is the executor's");
+    }
+    (floor, sim)
+}
+
+/// `(warp instructions, requests, shared accesses, syncs)`.
+fn counts(c: &multidim_sim::KernelCost) -> [u64; 4] {
+    [c.warp_instr, c.mem_requests, c.smem_accesses, c.syncs]
+}
+
+fn assert_exact(name: &str, kp: &KernelProgram, input: Vec<f64>) {
+    let (floor, sim) = floor_and_run(kp, input);
+    for (f, cost) in floor.iter().zip(&sim.costs) {
+        assert_eq!(counts(&f.cost), counts(cost), "{name}: floor counters");
+    }
+    assert_below(name, &floor, &sim);
+}
+
+fn assert_below(name: &str, floor: &[KernelFloor], sim: &SimResult) {
+    for ((f, cost), t) in floor.iter().zip(&sim.costs).zip(&sim.times) {
+        for (lo, hi) in counts(&f.cost).into_iter().zip(counts(cost)) {
+            assert!(lo <= hi, "{name}: floor {:?} above {cost:?}", f.cost);
+        }
+        assert!(f.cost.transactions <= cost.transactions, "{name}");
+        assert!(f.cost.dram_bytes <= cost.dram_bytes, "{name}");
+        let pipes = [
+            (f.time.issue, t.issue),
+            (f.time.bandwidth, t.bandwidth),
+            (f.time.latency, t.latency),
+            (f.time.overhead, t.overhead),
+            (f.time.total, t.total),
+        ];
+        for (lo, hi) in pipes {
+            assert!(lo <= hi, "{name}: floor {:?} above {t:?}", f.time);
+        }
+    }
+}
+
+fn assert_strictly_below(name: &str, kp: &KernelProgram, input: Vec<f64>) {
+    let (floor, sim) = floor_and_run(kp, input);
+    assert_below(name, &floor, &sim);
+    let total: u64 = floor.iter().map(|f| f.cost.warp_instr).sum();
+    assert!(
+        total < sim.total_cost().warp_instr,
+        "{name}: the fixture should cost more than its floor"
+    );
+}
+
+fn ramp() -> Vec<f64> {
+    (0..N).map(|i| (i % 7) as f64).collect()
+}
+
+#[test]
+fn straight_line_kernels_match_the_executor_exactly() {
+    // out[gid] = in[gid] * 2 + in[gid], 4 blocks of 64 threads.
+    let elementwise = vec![
+        Stmt::Assign {
+            dst: 0,
+            value: gid(),
+        },
+        store(
+            local(0),
+            KExpr::add(
+                KExpr::mul(load(0, local(0)), KExpr::imm(2)),
+                load(0, local(0)),
+            ),
+        ),
+    ];
+    assert_exact(
+        "elementwise",
+        &program(vec![kernel(4, [64, 1, 1], 0, 1, elementwise)], vec![]),
+        ramp(),
+    );
+
+    // A constant loop, and one whose bounds vary by thread but whose
+    // trips do not: every lane of `for (i = tid; i < tid + 64; i += 32)`
+    // makes two.
+    let loops = vec![
+        Stmt::Assign {
+            dst: 0,
+            value: gid(),
+        },
+        for_loop(
+            1,
+            KExpr::imm(0),
+            KExpr::imm(5),
+            KExpr::imm(1),
+            vec![Stmt::Assign {
+                dst: 2,
+                value: KExpr::add(local(2), load(0, KExpr::add(local(1), KExpr::imm(3)))),
+            }],
+        ),
+        for_loop(
+            3,
+            KExpr::Tid(Axis::X),
+            KExpr::add(KExpr::Tid(Axis::X), KExpr::imm(64)),
+            KExpr::Bdim(Axis::X),
+            vec![Stmt::Assign {
+                dst: 2,
+                value: KExpr::add(local(2), load(0, local(3))),
+            }],
+        ),
+        // Always taken: `gid < N` holds on every thread.
+        Stmt::If {
+            cond: KExpr::lt(local(0), KExpr::imm(N)),
+            then: vec![store(local(0), local(2))],
+            els: vec![],
+        },
+    ];
+    assert_exact(
+        "loops",
+        &program(vec![kernel(8, [32, 1, 1], 0, 4, loops)], vec![]),
+        ramp(),
+    );
+
+    // Block-lockstep: a shared store, a barrier, and a three-trip loop
+    // around a barrier, over 2 × 32 threads in two warps.
+    let flat_tid = KExpr::add(
+        KExpr::Tid(Axis::X),
+        KExpr::mul(KExpr::Tid(Axis::Y), KExpr::Bdim(Axis::X)),
+    );
+    let lockstep = vec![
+        Stmt::SmemStore {
+            arr: 0,
+            idx: flat_tid.clone(),
+            value: load(0, flat_tid.clone()),
+        },
+        Stmt::Sync,
+        for_loop(
+            0,
+            KExpr::imm(0),
+            KExpr::imm(3),
+            KExpr::imm(1),
+            vec![
+                Stmt::SmemStore {
+                    arr: 0,
+                    idx: flat_tid.clone(),
+                    value: KExpr::add(smem_load(flat_tid.clone()), local(0)),
+                },
+                Stmt::Sync,
+            ],
+        ),
+        store(flat_tid.clone(), smem_load(flat_tid)),
+    ];
+    assert_exact(
+        "lockstep",
+        &program(vec![kernel(1, [32, 2, 1], 64, 1, lockstep)], vec![]),
+        ramp(),
+    );
+}
+
+#[test]
+fn data_and_divergence_stay_at_or_below_the_executor() {
+    // A divergent branch: the floor charges the cheaper (empty) side.
+    let divergent = vec![Stmt::If {
+        cond: KExpr::lt(KExpr::Tid(Axis::X), KExpr::imm(10)),
+        then: vec![store(gid(), load(0, gid()))],
+        els: vec![],
+    }];
+    assert_strictly_below(
+        "divergent if",
+        &program(vec![kernel(8, [32, 1, 1], 0, 0, divergent)], vec![]),
+        ramp(),
+    );
+
+    // A loop bounded by a load: one check.
+    let data_loop = vec![
+        for_loop(
+            0,
+            KExpr::imm(0),
+            load(0, gid()),
+            KExpr::imm(1),
+            vec![Stmt::Assign {
+                dst: 1,
+                value: KExpr::add(local(1), load(0, local(0))),
+            }],
+        ),
+        store(gid(), local(1)),
+    ];
+    assert_strictly_below(
+        "data-dependent loop",
+        &program(vec![kernel(8, [32, 1, 1], 0, 2, data_loop)], vec![]),
+        ramp(),
+    );
+
+    // A constant loop a lane may leave through a `Break`.
+    let breaking = vec![
+        for_loop(
+            0,
+            KExpr::imm(0),
+            KExpr::imm(8),
+            KExpr::imm(1),
+            vec![
+                Stmt::If {
+                    cond: KExpr::ge(load(0, local(0)), KExpr::imm(5)),
+                    then: vec![Stmt::Break],
+                    els: vec![],
+                },
+                Stmt::Assign {
+                    dst: 1,
+                    value: KExpr::add(local(1), KExpr::imm(1)),
+                },
+            ],
+        ),
+        store(gid(), local(1)),
+    ];
+    assert_strictly_below(
+        "loop with break",
+        &program(vec![kernel(8, [32, 1, 1], 0, 2, breaking)], vec![]),
+        ramp(),
+    );
+
+    // A loop that writes its own variable.
+    let self_writing = vec![
+        for_loop(
+            0,
+            KExpr::imm(0),
+            KExpr::imm(8),
+            KExpr::imm(1),
+            vec![Stmt::Assign {
+                dst: 0,
+                value: KExpr::add(local(0), KExpr::imm(1)),
+            }],
+        ),
+        store(gid(), local(0)),
+    ];
+    assert_strictly_below(
+        "loop writing its variable",
+        &program(vec![kernel(8, [32, 1, 1], 0, 1, self_writing)], vec![]),
+        ramp(),
+    );
+
+    // A lockstep loop around a barrier, bounded by a load.
+    let lockstep_data = vec![
+        for_loop(
+            0,
+            KExpr::imm(0),
+            load(0, KExpr::imm(6)),
+            KExpr::imm(1),
+            vec![
+                Stmt::SmemStore {
+                    arr: 0,
+                    idx: KExpr::Tid(Axis::X),
+                    value: KExpr::add(smem_load(KExpr::Tid(Axis::X)), KExpr::imm(1)),
+                },
+                Stmt::Sync,
+            ],
+        ),
+        store(gid(), smem_load(KExpr::Tid(Axis::X))),
+    ];
+    assert_strictly_below(
+        "lockstep loop with __syncthreads",
+        &program(vec![kernel(2, [64, 1, 1], 64, 1, lockstep_data)], vec![]),
+        ramp(),
+    );
+
+    // Every lane launches a child grid sized by its input; the children's
+    // work folds into the parent's counters, the floor leaves it out.
+    let parent = vec![Stmt::ChildLaunch {
+        kernel: 0,
+        extent: KExpr::add(load(0, gid()), KExpr::imm(1)),
+        args: vec![gid()],
+    }];
+    let child = vec![store(local(0), load(0, local(0)))];
+    assert_strictly_below(
+        "child launch",
+        &program(
+            vec![kernel(2, [32, 1, 1], 0, 0, parent)],
+            vec![kernel(1, [32, 1, 1], 0, 1, child)],
+        ),
+        ramp(),
+    );
+}
+
+/// xorshift64*: a fixed, dependency-free sequence.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// Random kernels for the soundness property: expressions over the
+/// operators the floor's intervals model, loads, shared loads, guards, loops (with
+/// breaks, barriers and thread-dependent bounds) and atomics. Indices are
+/// floored and clamped, loop steps are at least 1, loop ends at most 16,
+/// and no loop body writes its variable, so every run terminates without
+/// faulting. As in generated code, a kernel with barriers has no `Break`
+/// (one would escape a lockstep loop's statement).
+struct Gen {
+    rng: Rng,
+    /// Threads per block: the shared array's length.
+    threads: i64,
+    /// Loop variables in scope.
+    loops: u32,
+    /// The kernel may hold barriers (and then holds no `Break`).
+    lockstep: bool,
+}
+
+/// First local used as a loop variable; locals below it are assigned.
+const LOOP_VAR: u32 = 6;
+
+impl Gen {
+    fn clamp(e: KExpr, lo: i64, hi: i64) -> KExpr {
+        let floored = KExpr::Un(UnOp::Floor, Box::new(e));
+        let above = KExpr::Bin(BinOp::Max, Box::new(floored), Box::new(KExpr::imm(lo)));
+        KExpr::Bin(BinOp::Min, Box::new(above), Box::new(KExpr::imm(hi)))
+    }
+
+    fn leaf(&mut self) -> KExpr {
+        let axis = Axis::from_index(self.rng.below(3) as u8);
+        match self.rng.below(8) {
+            0 => KExpr::imm(self.rng.below(12) as i64 - 3),
+            1 => KExpr::Imm(self.rng.below(16) as f64 / 4.0 - 1.0),
+            2 => KExpr::Tid(axis),
+            3 => KExpr::Bid(Axis::X),
+            4 => KExpr::Bdim(axis),
+            5 => KExpr::Gdim(Axis::X),
+            _ => KExpr::Local(self.rng.below(u64::from(LOOP_VAR + self.loops)) as u32),
+        }
+    }
+
+    fn expr(&mut self, depth: u32) -> KExpr {
+        if depth == 0 || self.rng.below(4) == 0 {
+            return self.leaf();
+        }
+        const BINS: [BinOp; 14] = [
+            BinOp::Add,
+            BinOp::Sub,
+            BinOp::Mul,
+            BinOp::Div,
+            BinOp::Min,
+            BinOp::Max,
+            BinOp::Lt,
+            BinOp::Le,
+            BinOp::Gt,
+            BinOp::Ge,
+            BinOp::Eq,
+            BinOp::Ne,
+            BinOp::And,
+            BinOp::Or,
+        ];
+        const UNS: [UnOp; 5] = [UnOp::Neg, UnOp::Not, UnOp::Abs, UnOp::Floor, UnOp::Sqrt];
+        match self.rng.below(6) {
+            0 => {
+                let idx = Gen::clamp(self.expr(depth - 1), 0, N - 1);
+                load(0, idx)
+            }
+            1 => {
+                let idx = Gen::clamp(self.expr(depth - 1), 0, self.threads - 1);
+                smem_load(idx)
+            }
+            2 => {
+                let op = UNS[self.rng.below(UNS.len() as u64) as usize];
+                KExpr::Un(op, Box::new(self.expr(depth - 1)))
+            }
+            3 => KExpr::Select(
+                Box::new(self.expr(depth - 1)),
+                Box::new(self.expr(depth - 1)),
+                Box::new(self.expr(depth - 1)),
+            ),
+            _ => {
+                let op = BINS[self.rng.below(BINS.len() as u64) as usize];
+                KExpr::Bin(
+                    op,
+                    Box::new(self.expr(depth - 1)),
+                    Box::new(self.expr(depth - 1)),
+                )
+            }
+        }
+    }
+
+    fn body(&mut self, depth: u32, in_loop: bool) -> Vec<Stmt> {
+        (0..1 + self.rng.below(3))
+            .map(|_| self.stmt(depth, in_loop))
+            .collect()
+    }
+
+    fn stmt(&mut self, depth: u32, in_loop: bool) -> Stmt {
+        let local = self.rng.below(u64::from(LOOP_VAR)) as u32;
+        match self.rng.below(if depth == 0 { 6 } else { 9 }) {
+            0 | 1 => Stmt::Assign {
+                dst: local,
+                value: self.expr(3),
+            },
+            2 => store(Gen::clamp(self.expr(2), 0, N - 1), self.expr(2)),
+            3 => Stmt::AtomicRmw {
+                buf: BufId(1),
+                idx: Gen::clamp(self.expr(2), 0, N - 1),
+                op: ReduceOp::Add,
+                value: self.expr(2),
+                capture: (self.rng.below(2) == 0).then_some(local),
+            },
+            4 => Stmt::SmemStore {
+                arr: 0,
+                idx: Gen::clamp(self.expr(2), 0, self.threads - 1),
+                value: self.expr(2),
+            },
+            5 => match self.rng.below(4) {
+                0 if in_loop && !self.lockstep => Stmt::Break,
+                1 if self.lockstep => Stmt::Sync,
+                2 => Stmt::DeviceMalloc {
+                    bytes: self.expr(1),
+                },
+                _ => Stmt::Assign {
+                    dst: local,
+                    value: self.expr(1),
+                },
+            },
+            6 | 7 => Stmt::If {
+                cond: self.expr(2),
+                then: self.body(depth - 1, in_loop),
+                els: if self.rng.below(2) == 0 {
+                    self.body(depth - 1, in_loop)
+                } else {
+                    vec![]
+                },
+            },
+            _ if self.loops < 2 => {
+                let var = LOOP_VAR + self.loops;
+                let (start, end) = (
+                    Gen::clamp(self.expr(2), -4, 8),
+                    Gen::clamp(self.expr(2), -4, 16),
+                );
+                let step = Gen::clamp(self.expr(1), 1, 4);
+                self.loops += 1;
+                let body = self.body(depth - 1, true);
+                self.loops -= 1;
+                for_loop(var, start, end, step, body)
+            }
+            _ => store(Gen::clamp(self.expr(1), 0, N - 1), self.expr(2)),
+        }
+    }
+}
+
+#[test]
+fn random_kernels_stay_at_or_below_the_executor() {
+    const BLOCKS: [[u32; 3]; 5] = [[32, 1, 1], [64, 1, 1], [48, 1, 1], [16, 4, 1], [8, 4, 2]];
+    let mut g = Gen {
+        rng: Rng(0x9e37_79b9_7f4a_7c15),
+        threads: 0,
+        loops: 0,
+        lockstep: false,
+    };
+    let input: Vec<f64> = (0..N).map(|i| ((i * 7) % 13) as f64 / 2.0 - 3.0).collect();
+    let gpu = GpuSpec::tesla_k20c();
+    let inputs: HashMap<_, _> = [(ArrayId(0), input)].into_iter().collect();
+    let (mut ran, mut lockstep) = (0, 0);
+    for case in 0..1000 {
+        let kernels = (0..1 + g.rng.below(2))
+            .map(|_| {
+                let block = BLOCKS[g.rng.below(BLOCKS.len() as u64) as usize];
+                g.threads = i64::from(block.iter().product::<u32>());
+                g.lockstep = g.rng.below(2) == 0;
+                let mut body = g.body(3, false);
+                if g.lockstep {
+                    let at = g.rng.below(body.len() as u64 + 1) as usize;
+                    body.insert(at, Stmt::Sync);
+                }
+                let grid = 1 + g.rng.below(3) as u32;
+                kernel(grid, block, g.threads as u32, LOOP_VAR + 2, body)
+            })
+            .collect();
+        let kp = program(kernels, vec![]);
+        let Ok(sim) = run_program(&kp, &gpu, &Bindings::new(), &inputs) else {
+            continue;
+        };
+        ran += 1;
+        lockstep += usize::from(kp.kernels.iter().any(Kernel::has_sync));
+        let floor = seconds_floor(&kp, &gpu, &Bindings::new());
+        assert_below(&format!("random kernel {case}"), &floor, &sim);
+    }
+    assert!(ran >= 900, "only {ran} of 1000 random programs ran");
+    assert!(
+        lockstep >= 300,
+        "only {lockstep} random programs ran in lockstep"
+    );
+}

@@ -6,15 +6,19 @@
 //! ```
 //!
 //! For each workload: the candidate count, how many were measured, how
-//! many were pruned by the proven transaction / launch-overhead lower
-//! bound, and the winning cost. The final line totals the sweep; CI runs
-//! this as a smoke check that the pruning hook stays live (a change that
-//! silently stops pruning would show up as `pruned 0`).
+//! many were pruned by the proven seconds floor, and the winning cost. The
+//! final line totals the sweep with the pruned share of all candidates;
+//! CI runs this as a smoke check that the floor stays tight, and it exits
+//! non-zero when the share falls below 0.3 (a change that loosens the
+//! floor, or silently stops pruning, shows up here).
 
 use multidim::prelude::*;
 use multidim_mapping::TuneOptions;
 use multidim_workloads::catalog::catalog;
 use std::collections::HashMap;
+
+/// The least share of the catalog's candidates the floor must prune.
+const MIN_PRUNED_SHARE: f64 = 0.3;
 
 fn main() {
     let compiler = Compiler::new().checks(false);
@@ -52,12 +56,14 @@ fn main() {
             }
         }
     }
+    let share = total_pruned as f64 / total_candidates.max(1) as f64;
     println!(
         "total: {total_candidates} candidates, {total_measured} measured, \
-         {total_pruned} pruned ({workloads_with_pruning} workload(s) with pruning)"
+         {total_pruned} pruned ({workloads_with_pruning} workload(s) with pruning); \
+         pruned share {share:.3}"
     );
-    if total_pruned == 0 {
-        eprintln!("pruning hook appears dead: no candidate was ever pruned");
+    if share < MIN_PRUNED_SHARE {
+        eprintln!("the floor pruned a share of {share:.3}, below {MIN_PRUNED_SHARE}");
         std::process::exit(1);
     }
 }

@@ -4,8 +4,10 @@
 //! mapping.
 
 use multidim::prelude::*;
-use multidim::{locality_cross_check, AccessClass};
-use multidim_codegen::CodegenOptions;
+use multidim::{
+    locality_cross_check, locality_of, seconds_lower_bound, AccessClass, LocalityFacts,
+};
+use multidim_codegen::{lower_planned, validate_kernels, CodegenOptions};
 use multidim_ir::ArrayId;
 use multidim_mapping::{select, Dim, LevelMapping, MappingDecision, Span, TuneOptions};
 use multidim_workloads::catalog::catalog;
@@ -37,14 +39,24 @@ fn catalog_locality_agrees_with_simulator() {
 }
 
 /// The pruned search must select a bit-identical mapping (and cost) to the
-/// exhaustive one on every catalog workload, while actually pruning on a
-/// meaningful fraction of them. The exhaustive reference reuses the pruned
-/// run's measurements and measures only what it left out.
+/// exhaustive one on every catalog workload, while actually pruning a
+/// meaningful share of the candidates. The exhaustive reference reuses the
+/// pruned run's measurements and measures only what it left out, so every
+/// candidate's simulated time is known: none may fall below its seconds
+/// floor, and the tuner's floor-only bound must equal the full locality
+/// summary's bit for bit.
 #[test]
 fn pruned_search_is_bit_identical_and_prunes() {
     let compiler = Compiler::new().checks(false);
     let opts = TuneOptions::default();
+    let gpu = GpuSpec::tesla_k20c();
+    // The options `Compiler::autotune` lowers its candidates with.
+    let lowering = CodegenOptions {
+        smem_budget: Some(gpu.smem_per_sm),
+        ..CodegenOptions::default()
+    };
     let mut workloads_with_pruning = 0usize;
+    let (mut candidates, mut pruned) = (0usize, 0usize);
     for e in catalog() {
         let (_, fast) = compiler
             .autotune(&e.program, &e.bindings, &e.inputs, &opts)
@@ -95,10 +107,50 @@ fn pruned_search_is_bit_identical_and_prunes() {
         if fast.pruned > 0 {
             workloads_with_pruning += 1;
         }
+        candidates += prepared.plan.candidates.len();
+        pruned += fast.pruned;
+
+        let facts = LocalityFacts::of(&prepared.program, &e.bindings);
+        for (cand, cost) in prepared.plan.candidates.iter().zip(&costs) {
+            let Ok(kernels) = lower_planned(
+                &prepared.program,
+                &cand.mapping,
+                &lowering,
+                &prepared.dynpar,
+            ) else {
+                continue;
+            };
+            if validate_kernels(&kernels, gpu.smem_per_sm).is_err() {
+                continue;
+            }
+            let (b, prefetch) = (&e.bindings, lowering.smem_prefetch);
+            let summary = locality_of(&facts, &cand.mapping, &kernels, b, &gpu, prefetch);
+            let floor = seconds_lower_bound(&facts, &cand.mapping, &kernels, b, &gpu, prefetch);
+            assert_eq!(
+                floor.to_bits(),
+                summary.seconds_lower_bound.to_bits(),
+                "{}: {}: the tuner's floor {floor:e} is not the summary's {:e}",
+                e.name(),
+                cand.mapping,
+                summary.seconds_lower_bound
+            );
+            if let Some(cost) = *cost {
+                assert!(
+                    cost >= floor * (1.0 - 1e-9),
+                    "{}: {}: simulated {cost:e} s is below the proven floor {floor:e} s",
+                    e.name(),
+                    cand.mapping
+                );
+            }
+        }
     }
     assert!(
         workloads_with_pruning >= 5,
         "pruning fired on only {workloads_with_pruning} workload(s); expected >= 5"
+    );
+    assert!(
+        pruned as f64 >= 0.3 * candidates as f64,
+        "the floor pruned {pruned} of {candidates} candidates; expected a share >= 0.3"
     );
 }
 
