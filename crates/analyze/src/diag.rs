@@ -3,7 +3,6 @@
 
 use multidim_ir::{ArrayId, PatternId};
 use multidim_trace::json::Json;
-use multidim_trace::{self as trace, Event};
 use std::fmt;
 
 /// A stable diagnostic code, displayed as `MD0xx`.
@@ -314,6 +313,17 @@ impl Report {
             .any(|d| d.severity == Severity::Error)
     }
 
+    /// The diagnostics' codes in discovery order, joined by `,` — the
+    /// form trace spans carry them in.
+    pub fn codes(&self) -> String {
+        let codes: Vec<String> = self
+            .diagnostics
+            .iter()
+            .map(|d| d.code.to_string())
+            .collect();
+        codes.join(",")
+    }
+
     /// All `Error`-severity diagnostics.
     pub fn errors(&self) -> impl Iterator<Item = &Diagnostic> {
         self.diagnostics
@@ -401,30 +411,5 @@ impl Report {
                 ),
             ),
         ])
-    }
-
-    /// Emit the report as trace events (category `analyze`) so profiling
-    /// traces include the static-analysis phase.
-    pub fn emit_trace(&self) {
-        if !trace::enabled() {
-            return;
-        }
-        for d in &self.diagnostics {
-            let mut ev = Event::instant("analyze", d.code.to_string())
-                .arg("severity", d.severity.to_string())
-                .arg("message", d.message.clone());
-            if let Some(a) = &d.array {
-                ev = ev.arg("array", a.clone());
-            }
-            trace::emit(ev);
-        }
-        for v in &self.arrays {
-            trace::emit(
-                Event::instant("analyze", "verdict")
-                    .arg("array", v.name.clone())
-                    .arg("race_free", v.race_free.to_string())
-                    .arg("in_bounds", v.in_bounds.to_string()),
-            );
-        }
     }
 }

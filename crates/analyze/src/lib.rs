@@ -19,7 +19,8 @@
 //!   [`LocalitySummary`], [`seconds_lower_bound`]).
 //! * **Diagnostics**: stable `MD0xx` codes, severities, a
 //!   proven/refuted/unknown verdict lattice, terminal + JSON renderings,
-//!   and trace-event emission.
+//!   and the comma-joined code list trace spans carry
+//!   ([`Report::codes`]).
 //! * **Sanitizer cross-check**: dynamic confirmation of every `Proven`
 //!   verdict against the simulator's recorded write sets; the locality
 //!   stage has an equivalent check ([`locality_cross_check`]) against the

@@ -53,8 +53,7 @@ use crate::eval::eval_signed;
 use multidim_codegen::{KExpr, Kernel, KernelProgram, LocalId, SmemId, Stmt};
 use multidim_device::{GpuSpec, WARP_SIZE};
 use multidim_ir::{
-    collect_accesses, filter_patterns, AffineForm, BinOp, Bindings, PatternId, Program, SymId,
-    UnOp, VarId,
+    collect_accesses, filter_patterns, AffineForm, BinOp, Bindings, PatternId, Program, UnOp, VarId,
 };
 use multidim_mapping::{MappingDecision, Span};
 use multidim_sim::SimResult;
@@ -107,8 +106,6 @@ pub struct LocalityFacts {
     /// Program name (diagnostics).
     pub program: String,
     pub(crate) sites: Vec<SiteFacts>,
-    /// The program's size symbols: the simulator's floor needs each bound.
-    symbols: Vec<SymId>,
 }
 
 impl LocalityFacts {
@@ -191,7 +188,6 @@ impl LocalityFacts {
         LocalityFacts {
             program: program.name.clone(),
             sites,
-            symbols: program.symbols.iter().map(|d| d.id).collect(),
         }
     }
 }
@@ -431,7 +427,7 @@ pub fn locality_of(
         smem,
         reuse: reuse_set.into_values().collect(),
         tx_lower_bound: tx_lb,
-        seconds_lower_bound: combined_floor(facts, kernels, bindings, gpu, tx_lb),
+        seconds_lower_bound: combined_floor(kernels, bindings, gpu, tx_lb),
     }
 }
 
@@ -453,7 +449,7 @@ pub fn seconds_lower_bound(
         .iter()
         .map(|site| layout.transactions(site).transactions)
         .sum();
-    combined_floor(facts, kernels, bindings, gpu, tx_lb)
+    combined_floor(kernels, bindings, gpu, tx_lb)
 }
 
 /// The seconds floor of a run that moves at least `tx_lb` transactions:
@@ -462,21 +458,15 @@ pub fn seconds_lower_bound(
 /// Each kernel's simulated time is at least `overhead_k` plus its largest
 /// pipe, and both the sum of those pipes and the memory floor bound the
 /// sum of the simulated ones from below (`Σ max ≥ max Σ`). With a size
-/// symbol unbound the simulator cannot run the program at all; the floor
-/// is then the memory floor plus one launch per kernel.
-fn combined_floor(
-    facts: &LocalityFacts,
-    kernels: &KernelProgram,
-    bindings: &Bindings,
-    gpu: &GpuSpec,
-    tx_lb: u64,
-) -> f64 {
+/// of the kernels unbound the simulator cannot run the program at all;
+/// the floor is then the memory floor plus one launch per kernel.
+fn combined_floor(kernels: &KernelProgram, bindings: &Bindings, gpu: &GpuSpec, tx_lb: u64) -> f64 {
     let memory = multidim_sim::memory_floor_seconds(gpu, tx_lb);
-    if facts.symbols.iter().any(|&s| bindings.get(s).is_none()) {
+    let Ok(floors) = multidim_sim::seconds_floor(kernels, gpu, bindings) else {
         return memory + kernels.kernels.len() as f64 * gpu.kernel_launch_overhead_s;
-    }
+    };
     let (mut overhead, mut pipes) = (0.0f64, 0.0f64);
-    for k in multidim_sim::seconds_floor(kernels, gpu, bindings) {
+    for k in floors {
         overhead += k.time.overhead;
         pipes += k.time.issue.max(k.time.bandwidth).max(k.time.latency);
     }

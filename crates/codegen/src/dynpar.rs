@@ -249,6 +249,11 @@ pub fn find_site(program: &Program) -> Option<LaunchSite<'_>> {
 /// mapping decision is ignored (the kernels are launch-shaped by the
 /// strategy, not by the per-level span analysis).
 ///
+/// The `codegen/lower` span names the program, the mapping and the
+/// temporaries' layout policy and allocation mode and, when lowering
+/// succeeds, counts the kernels and buffers and carries the
+/// [`KernelProgram::notes`] joined by `; `.
+///
 /// # Errors
 ///
 /// Returns [`LowerError`] if the planned site no longer matches the
@@ -260,12 +265,31 @@ pub fn lower_planned(
     opts: &CodegenOptions,
     plan: &DynParPlan,
 ) -> Result<KernelProgram, LowerError> {
-    let Some(site_decision) = plan.site.as_ref() else {
-        return lower(program, mapping, opts);
-    };
-    if site_decision.strategy == LaunchStrategy::Inline {
-        return lower(program, mapping, opts);
+    let mut sp = trace::span("codegen", "lower");
+    if let Some(s) = sp.as_mut() {
+        s.arg("program", program.name.as_str());
+        s.arg("mapping", mapping.to_string());
+        s.arg("layout_policy", format!("{:?}", opts.layout));
+        s.arg("device_malloc", opts.device_malloc);
     }
+    let kernels = match plan.site.as_ref() {
+        Some(site) if site.strategy != LaunchStrategy::Inline => consolidate(program, site)?,
+        _ => lower(program, mapping, opts)?,
+    };
+    if let Some(s) = sp.as_mut() {
+        s.arg("kernels", kernels.kernels.len());
+        s.arg("buffers", kernels.buffers.len());
+        s.arg("notes", kernels.notes.join("; "));
+    }
+    Ok(kernels)
+}
+
+/// Compile the planned site's nest into the consolidated kernel structure
+/// `site_decision` chose.
+fn consolidate(
+    program: &Program,
+    site_decision: &SiteDecision,
+) -> Result<KernelProgram, LowerError> {
     let site = find_site(program).ok_or_else(|| {
         LowerError("dynpar plan refers to a launch site the program no longer has".into())
     })?;
@@ -274,15 +298,6 @@ pub fn lower_planned(
             "dynpar plan targets pattern {} but the site is pattern {}",
             site_decision.pattern, site.inner.id.0
         )));
-    }
-    if trace::enabled() {
-        trace::emit(
-            trace::Event::instant("codegen", "dynpar_consolidate")
-                .arg("program", program.name.as_str())
-                .arg("strategy", site_decision.strategy.name())
-                .arg("outer", site_decision.outer as u64)
-                .arg("estimate", site_decision.estimate as u64),
-        );
     }
     let mut b = SiteBuilder {
         program,
@@ -307,7 +322,7 @@ pub fn lower_planned(
         LaunchStrategy::Naive => b.naive()?,
         LaunchStrategy::Coarsen(k) => b.coarsen(k.max(1))?,
         LaunchStrategy::Aggregate => b.aggregate()?,
-        LaunchStrategy::Inline => unreachable!("handled above"),
+        LaunchStrategy::Inline => unreachable!("lower_planned lowers inline sites"),
     };
     Ok(KernelProgram {
         name: program.name.clone(),

@@ -11,7 +11,6 @@
 //! ids).
 
 use multidim_ir::{Body, Expr, Pattern, PatternKind, Program, ReadSrc, VarId};
-use multidim_trace as trace;
 
 /// Fuse `let t = map …; reduce over t` chains throughout `program`.
 ///
@@ -20,13 +19,6 @@ pub fn fuse_map_reduce(program: &Program) -> (Program, usize) {
     let mut count = 0usize;
     let mut out = program.clone();
     out.root = fuse_pattern(&program.root, &mut count);
-    if trace::enabled() {
-        trace::emit(
-            trace::Event::instant("codegen", "fusion")
-                .arg("program", program.name.as_str())
-                .arg("fused", count),
-        );
-    }
     (out, count)
 }
 

@@ -28,7 +28,6 @@ use multidim_ir::{
     ReduceOp, Size, UnOp, VarId,
 };
 use multidim_mapping::{MappingDecision, Span};
-use multidim_trace as trace;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -113,11 +112,6 @@ pub fn lower(
     mapping: &MappingDecision,
     opts: &CodegenOptions,
 ) -> Result<KernelProgram, LowerError> {
-    let mut sp = trace::span("codegen", "lower");
-    if let Some(s) = sp.as_mut() {
-        s.arg("program", program.name.as_str());
-        s.arg("mapping", mapping.to_string());
-    }
     if mapping.depth() > 3 {
         return Err(LowerError(format!(
             "nest depth {} exceeds the 3 hardware dimensions",
@@ -129,13 +123,6 @@ pub fn lower(
     // are consumed by further in-kernel computation are demoted to
     // `Span(all)`.
     let (mapping, demotion_notes) = demote_consumed_splits(program, mapping);
-    if trace::enabled() {
-        for note in &demotion_notes {
-            trace::emit(
-                trace::Event::instant("codegen", "split_demoted").arg("note", note.as_str()),
-            );
-        }
-    }
     let mapping = &mapping;
     let mut lo = Lowerer {
         program,
@@ -214,12 +201,6 @@ pub fn lower(
 
     let mut kernels = vec![main];
     kernels.append(&mut lo.combiners);
-
-    if let Some(s) = sp.as_mut() {
-        s.arg("kernels", kernels.len());
-        s.arg("buffers", lo.buffers.len());
-        s.arg("combiner", kernels.len() > 1);
-    }
 
     Ok(KernelProgram {
         name: program.name.clone(),
@@ -1520,15 +1501,6 @@ impl<'p> Lowerer<'p> {
         };
         self.notes
             .push(format!("temp v{} layout: {:?}", v.0, layout));
-        if trace::enabled() {
-            trace::emit(
-                trace::Event::instant("codegen", "temp_prealloc")
-                    .arg("var", v.0 as u64)
-                    .arg("layout", format!("{layout:?}"))
-                    .arg("policy", format!("{:?}", self.opts.layout))
-                    .arg("device_malloc", self.opts.device_malloc),
-            );
-        }
 
         let buf = self.add_buffer(
             format!("{}_temp_v{}", self.program.name, v.0),
@@ -1605,15 +1577,16 @@ impl<'p> Lowerer<'p> {
     /// deeper nest whose outer dimension is not x, stage the block's chunk
     /// through shared memory and read from there.
     fn try_prefetch(&mut self, array: ArrayId, idxs: &'p [Expr]) -> Option<KExpr> {
-        // Names the reason a candidate read was not staged, so traces
-        // explain "why did the Section V-B optimization not fire here".
-        let skip = |this: &Self, reason: &'static str| {
-            if trace::enabled() {
-                trace::emit(
-                    trace::Event::instant("codegen", "prefetch_skipped")
-                        .arg("array", this.program.array(array).name.as_str())
-                        .arg("reason", reason),
-                );
+        // Notes the reason a candidate read was not staged, once per array
+        // and reason, so the record explains "why did the Section V-B
+        // optimization not fire here".
+        let skip = |this: &mut Self, reason: &'static str| {
+            let note = format!(
+                "prefetch of `{}` skipped: {reason}",
+                this.program.array(array).name
+            );
+            if !this.notes.contains(&note) {
+                this.notes.push(note);
             }
             None
         };
@@ -1683,16 +1656,9 @@ impl<'p> Lowerer<'p> {
                 });
                 self.preamble.push(Stmt::Sync);
                 self.notes.push(format!(
-                    "prefetching `{}` through shared memory",
+                    "prefetching `{}` through shared memory ({b_outer} words)",
                     self.program.array(array).name
                 ));
-                if trace::enabled() {
-                    trace::emit(
-                        trace::Event::instant("codegen", "prefetch_applied")
-                            .arg("array", self.program.array(array).name.as_str())
-                            .arg("smem_words", b_outer),
-                    );
-                }
                 self.prefetched.insert(array, sm);
                 sm
             }

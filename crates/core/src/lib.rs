@@ -287,20 +287,24 @@ impl Compiler {
     }
 
     /// The `core/compile` span around a whole compile: fuse and validate
-    /// `program`, then finish with `rest`. The span names the program and
-    /// counts the fusions applied as `fused`.
+    /// `program` under a `codegen/fuse` span, then finish with `rest`. The
+    /// span names the program and counts the fusions applied as `fused`.
     fn compile_traced(
         &self,
         program: &Program,
         rest: impl FnOnce(Program) -> Result<Executable, CompileError>,
     ) -> Result<Executable, CompileError> {
         let mut sp = trace::span("core", "compile");
-        let (program, fused) = self.fuse(program);
-        if let Some(sp) = sp.as_mut() {
-            sp.arg("program", program.name.as_str());
-            sp.arg("fused", fused);
-        }
-        program.validate()?;
+        let program = {
+            let _fuse = trace::span("codegen", "fuse");
+            let (program, fused) = self.fuse(program);
+            if let Some(sp) = sp.as_mut() {
+                sp.arg("program", program.name.as_str());
+                sp.arg("fused", fused);
+            }
+            program.validate()?;
+            program
+        };
         rest(program)
     }
 
@@ -515,9 +519,13 @@ impl Compiler {
         let opts = self.effective_options();
         let dynpar = choose(&program, bindings, &self.gpu, &self.dynpar);
         let kernels = lower_planned(&program, &mapping, &opts, &dynpar)?;
-        multidim_codegen::validate_kernels(&kernels, self.gpu.smem_per_sm)
-            .map_err(|e| CompileError(multidim_analyze::kernel_defect(&e).render_line()))?;
+        {
+            let _validate = trace::span("codegen", "validate");
+            multidim_codegen::validate_kernels(&kernels, self.gpu.smem_per_sm)
+                .map_err(|e| CompileError(multidim_analyze::kernel_defect(&e).render_line()))?;
+        }
         let locality = if self.checks {
+            let mut sp = trace::span("analyze", "locality");
             let facts = LocalityFacts::of(&program, bindings);
             let summary = locality_of(
                 &facts,
@@ -528,14 +536,17 @@ impl Compiler {
                 opts.smem_prefetch,
             );
             // Render MD010–MD015 through the same report machinery as the
-            // pre-lowering stage: trace events, then abort on errors
-            // (proven smem overflow), then ride along as diagnostics.
+            // pre-lowering stage: abort on errors (proven smem overflow),
+            // else ride along as diagnostics.
             let report = multidim_analyze::Report {
                 program: program.name.clone(),
                 diagnostics: summary.diagnostics(),
                 arrays: Vec::new(),
             };
-            report.emit_trace();
+            if let Some(sp) = sp.as_mut() {
+                sp.arg("codes", report.codes());
+                sp.arg("tx_lower_bound", summary.tx_lower_bound);
+            }
             if report.has_errors() {
                 let lines: Vec<String> = report.errors().map(|d| d.render_line()).collect();
                 return Err(CompileError(format!(
@@ -564,8 +575,9 @@ impl Compiler {
 
     /// The static-analysis stage: race/bounds proofs, nest lints, and
     /// mapping-dependent determinism lints. Errors abort compilation with
-    /// their `MD` codes; warnings and infos ride along as trace events and
-    /// in [`Executable::diagnostics`].
+    /// their `MD` codes; warnings and infos ride along in
+    /// [`Executable::diagnostics`]. The `analyze/static_analysis` span
+    /// carries the codes and each array's verdicts.
     fn check_program(
         &self,
         program: &Program,
@@ -580,8 +592,18 @@ impl Compiler {
         if let Some(sp) = sp.as_mut() {
             sp.arg("diagnostics", report.diagnostics.len() as u64);
             sp.arg("errors", report.errors().count() as u64);
+            sp.arg("codes", report.codes());
+            let verdicts = |verdict: fn(&multidim_analyze::ArrayVerdicts) -> Verdict| {
+                let pairs: Vec<String> = report
+                    .arrays
+                    .iter()
+                    .map(|v| format!("{}={}", v.name, verdict(v)))
+                    .collect();
+                pairs.join(" ")
+            };
+            sp.arg("race_free", verdicts(|v| v.race_free));
+            sp.arg("in_bounds", verdicts(|v| v.in_bounds));
         }
-        report.emit_trace();
         if report.has_errors() {
             let lines: Vec<String> = report.errors().map(|d| d.render_line()).collect();
             return Err(CompileError(format!(
@@ -903,19 +925,41 @@ mod tests {
                 span: Span::All,
             },
         ]);
-        let sink = std::rc::Rc::new(trace::MemorySink::new());
-        let guard = trace::set_sink(sink.clone());
-        let exe = Compiler::new()
-            .compile_with_mapping(&p, &bind, mapping.clone())
-            .unwrap();
-        drop(guard);
+        let store = std::sync::Arc::new(trace::TraceStore::new(trace::TailSamplerConfig {
+            latency_threshold: 0.0,
+            ..Default::default()
+        }));
+        let installed = trace::install_store(store.clone());
+        let ctx = trace::TraceContext::mint();
+        let start = std::time::Instant::now();
+        let exe = {
+            let _current = trace::set_current(ctx);
+            Compiler::new()
+                .compile_with_mapping(&p, &bind, mapping.clone())
+                .unwrap()
+        };
+        let root = trace::RequestRoot {
+            cat: "test",
+            start,
+            workload: "sumCols",
+            args: Vec::new(),
+        };
+        let kept = trace::finish_request(
+            &ctx,
+            root,
+            trace::TraceOutcome::Completed,
+            None::<&String>,
+            Some(0.0),
+        );
+        drop(installed);
         assert_eq!(exe.mapping, mapping);
         // An explicit-mapping compile (the engine's tuned-store path) opens
         // the same `core/compile` span as `compile`.
-        let events = sink.events();
-        let span = events
+        let spans = store.lookup(kept.expect("kept")).expect("stored").spans;
+        let span = spans
             .iter()
-            .find(|e| (e.cat, e.name.as_str()) == ("core", "compile"))
+            .find(|s| (s.cat, s.name) == ("core", "compile"))
+            .map(trace::chrome::span_event)
             .expect("core/compile span");
         assert_eq!(span.get_str("program"), Some("sumCols"));
         assert_eq!(span.get_u64("fused"), Some(0));

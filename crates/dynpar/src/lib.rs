@@ -169,13 +169,15 @@ pub fn model_strategies(
 /// Returns a plan with `site: None` when the stage is disabled or the
 /// program has no supported launch site; otherwise the single site's
 /// [`SiteDecision`] with the chosen strategy and the full set of modeled
-/// times. The decision is also emitted as a trace event.
+/// times. The `dynpar/choose` span carries a site's strategy, reason,
+/// outer extent and inner-extent estimate.
 pub fn choose(
     program: &Program,
     bindings: &Bindings,
     gpu: &GpuSpec,
     config: &DynParConfig,
 ) -> DynParPlan {
+    let mut sp = trace::span("dynpar", "choose");
     if !config.enabled {
         return DynParPlan::default();
     }
@@ -236,15 +238,11 @@ pub fn choose(
         }
     };
 
-    if trace::enabled() {
-        trace::emit(
-            trace::Event::instant("dynpar", "site_decision")
-                .arg("program", program.name.as_str())
-                .arg("strategy", strategy.name())
-                .arg("outer", p as u64)
-                .arg("estimate", m as u64)
-                .arg("reason", reason.as_str()),
-        );
+    if let Some(s) = sp.as_mut() {
+        s.arg("strategy", strategy.name());
+        s.arg("reason", reason.as_str());
+        s.arg("outer", p as u64);
+        s.arg("estimate", m as u64);
     }
 
     DynParPlan {

@@ -760,16 +760,6 @@ impl Engine {
                 )
                 .set(delta);
         }
-        if multidim_trace::enabled() {
-            let mut ev = multidim_trace::Event::gauge("engine", "autotune")
-                .arg("program", record.program.as_str())
-                .arg("tuned_cost", record.tuned_cost)
-                .arg("measured", record.measured);
-            if let Some(delta) = record.analytic_delta() {
-                ev = ev.arg("analytic_delta", delta);
-            }
-            multidim_trace::emit(ev);
-        }
 
         let exe = Arc::new(compiler.compile_tuned(&prepared, bindings, result.best.clone())?);
         // Replace any analytically-mapped cache entry so subsequent
@@ -1094,14 +1084,8 @@ fn serve(
         span.arg("cache_hit", cache_hit);
         span.arg("tuned", tuned);
         span.arg("mapping", exe.mapping.to_string());
-        let codes: Vec<String> = exe
-            .diagnostics
-            .diagnostics
-            .iter()
-            .map(|d| d.code.to_string())
-            .collect();
-        if !codes.is_empty() {
-            span.arg("diagnostics", codes.join(","));
+        if !exe.diagnostics.diagnostics.is_empty() {
+            span.arg("diagnostics", exe.diagnostics.codes());
         }
     }
     drop(compile_span);

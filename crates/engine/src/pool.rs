@@ -15,10 +15,9 @@
 //! whole requests, and the parallel auto-tuner for individual candidate
 //! measurements.
 //!
-//! Workers install no trace sink of their own (`multidim-trace` sinks are
-//! thread-local). A job that serves a request makes the request's trace
-//! context current instead, so the spans it opens land in that request's
-//! trace when a `multidim_trace::TraceStore` is installed.
+//! A job that serves a request makes the request's trace context current,
+//! so the spans it opens land in that request's trace when a
+//! `multidim_trace::TraceStore` is installed.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

@@ -90,8 +90,13 @@ impl Size {
     /// Panics if a symbol has no binding; use [`Size::eval_or_default`] for
     /// analysis-time evaluation.
     pub fn eval(&self, b: &Bindings) -> i64 {
-        self.eval_inner(b, None)
+        self.try_eval(b)
             .unwrap_or_else(|| panic!("unbound size symbol in {self}"))
+    }
+
+    /// Evaluate with all symbols bound; `None` if a symbol has no binding.
+    pub fn try_eval(&self, b: &Bindings) -> Option<i64> {
+        self.eval_inner(b, None)
     }
 
     /// Evaluate, substituting `DEFAULT_UNKNOWN_SIZE` for unbound symbols —

@@ -240,10 +240,11 @@ impl ConstraintSet {
         self.first_violation(mapping).is_none()
     }
 
-    /// The first hard constraint `mapping` violates, if any — the prune
-    /// reason attached to rejected candidates in the trace.
-    pub fn first_violation(&self, mapping: &MappingDecision) -> Option<&HardConstraint> {
-        self.hard.iter().find(|h| !self.holds(h, mapping))
+    /// The index in [`ConstraintSet::hard`] of the first hard constraint
+    /// `mapping` violates, if any — the prune reason the search counts
+    /// per constraint.
+    pub fn first_violation(&self, mapping: &MappingDecision) -> Option<usize> {
+        self.hard.iter().position(|h| !self.holds(h, mapping))
     }
 
     fn holds(&self, h: &HardConstraint, mapping: &MappingDecision) -> bool {

@@ -158,36 +158,21 @@ pub fn analyze_with(
         (sat_dop, u64::MAX - sync_threads, near_256)
     };
 
-    let mut best: Option<(MappingDecision, f64, (u64, u64, u64))> = None;
+    // The best and second-best hard-valid candidates under that order.
+    let mut best: Option<Ranked> = None;
+    let mut runner_up: Option<Ranked> = None;
     let mut candidates = 0usize;
-    let pruned = for_each_candidate(&nest, &constraints, gpu, &mut |mapping| {
+    let pruned_by = for_each_candidate(&nest, &constraints, gpu, &mut |mapping| {
         candidates += 1;
         let score = constraints.score(&mapping);
         let k = key(&mapping);
-        // Scores within a relative epsilon are ties (weights span many
-        // orders of magnitude; micro-weights must not pre-empt the DOP
-        // tie-break).
-        let better = match &best {
-            None => true,
-            Some((_, bs, bk)) => {
-                let eps = 1e-6 * bs.abs().max(score.abs()).max(1.0);
-                score > bs + eps || ((score - bs).abs() <= eps && k > *bk)
-            }
-        };
-        if trace::enabled() {
-            trace::emit(
-                trace::Event::instant("search", "candidate")
-                    .arg("mapping", mapping.to_string())
-                    .arg("score", score)
-                    .arg("normalized_score", constraints.normalized_score(&mapping))
-                    .arg("dop", mapping.dop(&extents))
-                    .arg("leads", better),
-            );
-        }
-        if better {
-            best = Some((mapping, score, k));
+        if outranks(score, k, &best) {
+            runner_up = best.replace((mapping, score, k));
+        } else if outranks(score, k, &runner_up) {
+            runner_up = Some((mapping, score, k));
         }
     });
+    let pruned = pruned_by.iter().sum();
     let (mut decision, score, _) =
         best.expect("at least one candidate must satisfy the hard constraints");
 
@@ -195,21 +180,17 @@ pub fn analyze_with(
     let dop = decision.dop(&extents);
     let normalized_score = constraints.normalized_score(&decision);
 
-    if trace::enabled() {
-        trace::emit(
-            trace::Event::instant("search", "selected")
-                .arg("program", program.name.as_str())
-                .arg("mapping", decision.to_string())
-                .arg("score", score)
-                .arg("normalized_score", normalized_score)
-                .arg("dop", dop)
-                .arg("candidates", candidates)
-                .arg("pruned", pruned),
-        );
-    }
     if let Some(s) = sp.as_mut() {
         s.arg("candidates", candidates);
         s.arg("pruned", pruned);
+        s.arg("pruned_by", pruned_by_text(&constraints, &pruned_by));
+        s.arg("selected", decision.to_string());
+        s.arg("score", score);
+        s.arg("dop", dop);
+        if let Some((mapping, score, _)) = &runner_up {
+            s.arg("runner_up", mapping.to_string());
+            s.arg("runner_up_score", *score);
+        }
     }
 
     Analysis {
@@ -222,6 +203,37 @@ pub fn analyze_with(
         candidates,
         pruned,
     }
+}
+
+/// A candidate with its raw score and its tie-break key.
+type Ranked = (MappingDecision, f64, (u64, u64, u64));
+
+/// Does a candidate scoring `score` with tie-break key `key` outrank
+/// `other`? Scores within a relative epsilon are ties (weights span many
+/// orders of magnitude; micro-weights must not pre-empt the DOP
+/// tie-break); a tie goes to the larger key, then to the earlier
+/// candidate.
+fn outranks(score: f64, key: (u64, u64, u64), other: &Option<Ranked>) -> bool {
+    match other {
+        None => true,
+        Some((_, other_score, other_key)) => {
+            let eps = 1e-6 * other_score.abs().max(score.abs()).max(1.0);
+            score > other_score + eps || ((score - other_score).abs() <= eps && key > *other_key)
+        }
+    }
+}
+
+/// The per-constraint prune counts as `constraint: count` pairs joined by
+/// `; `, for every hard constraint that pruned a candidate.
+fn pruned_by_text(constraints: &ConstraintSet, pruned_by: &[usize]) -> String {
+    let pairs: Vec<String> = constraints
+        .hard
+        .iter()
+        .zip(pruned_by)
+        .filter(|(_, &n)| n > 0)
+        .map(|(h, n)| format!("{h}: {n}"))
+        .collect();
+    pairs.join("; ")
 }
 
 /// Enumerate *all* hard-valid candidates with scores (Figure 17's scatter;
@@ -269,13 +281,16 @@ pub fn size_set(gpu: &GpuSpec) -> Vec<u32> {
     v
 }
 
+/// Call `f` on every hard-valid candidate. Returns how many candidates
+/// each hard constraint pruned, indexed like [`ConstraintSet::hard`]; a
+/// candidate counts under the first constraint it violates.
 fn for_each_candidate(
     nest: &NestInfo,
     constraints: &ConstraintSet,
     gpu: &GpuSpec,
     f: &mut dyn FnMut(MappingDecision),
-) -> usize {
-    let mut pruned = 0usize;
+) -> Vec<usize> {
+    let mut pruned_by = vec![0usize; constraints.hard.len()];
     let depth = nest.depth().max(1);
     let sizes = size_set(gpu);
     let forced: Vec<Option<SpanAllReason>> = (0..depth)
@@ -308,30 +323,15 @@ fn for_each_candidate(
                         })
                         .collect();
                     let mapping = MappingDecision::new(levels);
-                    if trace::enabled() {
-                        // Traced path: name the violated constraint so the
-                        // "why was this candidate pruned" table can be built.
-                        match constraints.first_violation(&mapping) {
-                            None => f(mapping),
-                            Some(v) => {
-                                pruned += 1;
-                                trace::emit(
-                                    trace::Event::instant("search", "pruned")
-                                        .arg("mapping", mapping.to_string())
-                                        .arg("violates", v.to_string()),
-                                );
-                            }
-                        }
-                    } else if constraints.hard_ok(&mapping) {
-                        f(mapping);
-                    } else {
-                        pruned += 1;
+                    match constraints.first_violation(&mapping) {
+                        None => f(mapping),
+                        Some(i) => pruned_by[i] += 1,
                     }
                 });
             },
         );
     });
-    pruned
+    pruned_by
 }
 
 fn permutations(items: &mut [u8], k: usize, f: &mut dyn FnMut(&[u8])) {
@@ -425,8 +425,14 @@ pub fn control_dop(
             .max_by_key(|&l| extents[l]);
         if let Some(l) = candidate {
             // Don't split finer than one block worth of work per section.
+            // `Split(1)` has the DOP of `Span(all)` plus the combiner
+            // launch, so a level that cannot take two sections keeps
+            // `Span(all)`.
             let max_k = (extents[l] / mapping.level(l).block_size.max(1) as i64).max(1);
-            mapping.level_mut(l).span = Span::Split(k.clamp(1, max_k));
+            let k = k.clamp(1, max_k);
+            if k > 1 {
+                mapping.level_mut(l).span = Span::Split(k);
+            }
         }
     } else if dop > max_dop {
         let n = (dop as f64 / max_dop as f64).ceil() as i64;
@@ -608,9 +614,52 @@ mod tests {
         assert_eq!(s, vec![1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]);
     }
 
+    /// Run `f` as one request whose trace a fresh store keeps, and return
+    /// its result with the kept trace. Tests that install the store
+    /// serialize on one lock.
+    fn traced<T>(f: impl FnOnce() -> T) -> (T, trace::StoredTrace) {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let store = std::sync::Arc::new(trace::TraceStore::new(trace::TailSamplerConfig {
+            latency_threshold: 0.0,
+            ..Default::default()
+        }));
+        let _installed = trace::install_store(store.clone());
+        let ctx = trace::TraceContext::mint();
+        let start = std::time::Instant::now();
+        let out = {
+            let _current = trace::set_current(ctx);
+            f()
+        };
+        let root = trace::RequestRoot {
+            cat: "test",
+            start,
+            workload: "search",
+            args: Vec::new(),
+        };
+        let kept = trace::finish_request(
+            &ctx,
+            root,
+            trace::TraceOutcome::Completed,
+            None::<&String>,
+            Some(start.elapsed().as_secs_f64()),
+        );
+        let trace = store.lookup(kept.expect("kept")).expect("stored");
+        (out, trace)
+    }
+
+    /// The `search/analyze` span of a kept trace, as an event.
+    fn analyze_span(trace: &trace::StoredTrace) -> trace::Event {
+        let span = trace
+            .spans
+            .iter()
+            .find(|s| (s.cat, s.name) == ("search", "analyze"))
+            .expect("search/analyze span");
+        trace::chrome::span_event(span)
+    }
+
     #[test]
     fn traced_search_names_prune_reasons() {
-        use std::rc::Rc;
         // Starve shared memory so large reduce blocks violate SmemCapacity
         // and get pruned (with a reason) instead of scored.
         let (p, bind) = sum_rows(1024, 1024);
@@ -618,50 +667,39 @@ mod tests {
             smem_per_sm: 512,
             ..k20c()
         };
-        let sink = Rc::new(trace::MemorySink::new());
-        let guard = trace::set_sink(sink.clone());
-        let a = analyze(&p, &bind, &gpu);
-        drop(guard);
-        let events = sink.drain();
+        let (a, trace) = traced(|| analyze(&p, &bind, &gpu));
+        let span = analyze_span(&trace);
 
-        let pruned: Vec<_> = events
-            .iter()
-            .filter(|e| e.cat == "search" && e.name == "pruned")
-            .collect();
-        assert!(
-            !pruned.is_empty(),
-            "tiny smem should prune large reduce blocks"
-        );
-        assert_eq!(pruned.len(), a.pruned, "analysis counts its own prunes");
-        for e in &pruned {
-            let why = e
-                .get_str("violates")
-                .expect("pruned event names its constraint");
+        assert!(a.pruned > 0, "tiny smem should prune large reduce blocks");
+        assert_eq!(span.get_u64("pruned"), Some(a.pruned as u64));
+        // Every prune is counted under the constraint it violates, and
+        // the counts add up to the analysis' own bookkeeping.
+        let pruned_by = span.get_str("pruned_by").expect("pruned_by");
+        let mut counted = 0;
+        for pair in pruned_by.split("; ") {
+            let (why, n) = pair.rsplit_once(": ").expect("constraint: count");
             assert!(why.contains("smem"), "unexpected reason: {why}");
+            counted += n.parse::<usize>().expect("count");
         }
-        // Every surviving candidate was emitted, and the count matches the
+        assert_eq!(counted, a.pruned, "analysis counts its own prunes");
+        // Every surviving candidate was scored, and the count matches the
         // analysis' own bookkeeping.
-        let scored = events
-            .iter()
-            .filter(|e| e.cat == "search" && e.name == "candidate")
-            .count();
-        assert_eq!(scored, a.candidates);
-        let selected = events
-            .iter()
-            .find(|e| e.cat == "search" && e.name == "selected")
-            .expect("selected event");
-        assert_eq!(selected.get_str("mapping").unwrap(), a.decision.to_string());
+        assert_eq!(span.get_u64("candidates"), Some(a.candidates as u64));
+        assert_eq!(
+            span.get_str("selected"),
+            Some(a.decision.to_string().as_str())
+        );
+        assert_eq!(span.get_f64("score"), Some(a.score));
+        assert_eq!(span.get_u64("dop"), Some(a.dop));
+        assert!(span.get_str("runner_up").is_some_and(|r| !r.is_empty()));
+        assert!(span.get_f64("runner_up_score").unwrap() <= a.score);
     }
 
     #[test]
     fn tracing_does_not_change_the_decision() {
-        use std::rc::Rc;
         let (p, bind) = sum_rows(4096, 512);
         let untraced = analyze(&p, &bind, &k20c());
-        let sink = Rc::new(trace::MemorySink::new());
-        let guard = trace::set_sink(sink.clone());
-        let traced = analyze(&p, &bind, &k20c());
-        drop(guard);
+        let (traced, _) = traced(|| analyze(&p, &bind, &k20c()));
         assert_eq!(untraced.decision, traced.decision);
         assert_eq!(untraced.candidates, traced.candidates);
         assert_eq!(untraced.pruned, traced.pruned, "both paths count prunes");

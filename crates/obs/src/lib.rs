@@ -30,8 +30,8 @@
 //! request with its outcome, failure reason and stitched spans.
 //!
 //! Like the rest of the workspace, the crate has no external
-//! dependencies; JSON goes through [`multidim_trace::json`] and trace
-//! events through [`multidim_trace::Event`].
+//! dependencies; JSON goes through [`multidim_trace::json`], and
+//! exemplars name kept traces by [`multidim_trace::trace_id_hex`].
 //!
 //! # Example
 //!

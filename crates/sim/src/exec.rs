@@ -25,7 +25,7 @@
 use crate::cost::{kernel_time, KernelCost, KernelTime, LaunchShape};
 use crate::flat::{Body, Expr, Flat, FlatKernel, Kind, Op};
 use crate::memory::{bank_conflicts, coalesce};
-use crate::report::{BoundBy, Efficiency};
+use crate::report::BoundBy;
 use multidim_codegen::{BufId, BufferInit, KernelProgram};
 use multidim_device::{GpuSpec, WARP_SIZE};
 use multidim_ir::{apply_bin, apply_un, ArrayId, BinOp, Bindings, ReduceOp, UnOp};
@@ -209,9 +209,9 @@ fn run_program_inner(
 ) -> Result<(SimResult, Option<SanitizerReport>), SimError> {
     let flat = {
         let _span = trace::span("sim", "specialize");
-        Flat::lower(kp, gpu, bindings)
+        Flat::lower(kp, gpu, bindings)?
     };
-    let _span = trace::span("sim", "execute");
+    let mut span = trace::span("sim", "execute");
     let mut m = Machine::new(gpu, &flat, device_buffers(kp, &flat, inputs)?, sanitize);
 
     let mut names = Vec::with_capacity(kp.kernels.len());
@@ -267,9 +267,6 @@ fn run_program_inner(
             smem_bytes: kernel.smem_bytes(),
         };
         let t = kernel_time(gpu, &shape, &cost);
-        if trace::enabled() {
-            emit_kernel_timeline(gpu, &kernel.name, total, &shape, &cost, &t);
-        }
         total += t.total;
         names.push(kernel.name.clone());
         shapes.push(shape);
@@ -289,6 +286,15 @@ fn run_program_inner(
                 });
             }
         }
+    }
+
+    if let Some(span) = span.as_mut() {
+        let kernels: Vec<String> = names
+            .iter()
+            .zip(&times)
+            .map(|(name, t)| format!("{name}: {}", BoundBy::classify(t).label()))
+            .collect();
+        span.arg("kernels", kernels.join("; "));
     }
 
     // Device buffers move into the result: the run is over.
@@ -358,64 +364,6 @@ fn device_buffers(
         });
     }
     Ok(buffers)
-}
-
-/// Emit the per-kernel slice, per-pipe breakdown, and counter samples on the
-/// simulated-GPU trace lane ([`trace::PID_SIM`], microsecond timestamps).
-fn emit_kernel_timeline(
-    gpu: &GpuSpec,
-    name: &str,
-    start_s: f64,
-    shape: &LaunchShape,
-    cost: &KernelCost,
-    t: &KernelTime,
-) {
-    let ts = start_s * 1e6;
-    let eff = Efficiency::of(gpu, shape, cost);
-    trace::emit(
-        trace::Event::instant("sim", "launch")
-            .at(ts)
-            .on_pid(trace::PID_SIM)
-            .arg("kernel", name.to_string())
-            .arg("blocks", shape.blocks)
-            .arg("block_threads", u64::from(shape.block_threads))
-            .arg("smem_bytes", u64::from(shape.smem_bytes)),
-    );
-    trace::emit(
-        trace::Event::complete("sim", name.to_string(), ts, t.total * 1e6)
-            .arg("bound_by", BoundBy::classify(t).label())
-            .arg("blocks", shape.blocks)
-            .arg("block_threads", u64::from(shape.block_threads))
-            .arg("smem_bytes", u64::from(shape.smem_bytes))
-            .arg("tx_per_request", eff.transactions_per_request)
-            .arg("conflicts_per_access", eff.conflicts_per_access)
-            .arg("resident_warps", u64::from(eff.resident_warps))
-            .arg("warp_instr", cost.warp_instr)
-            .arg("mem_requests", cost.mem_requests)
-            .arg("transactions", cost.transactions)
-            .arg("dram_bytes", cost.dram_bytes)
-            .arg("smem_accesses", cost.smem_accesses)
-            .arg("smem_conflicts", cost.smem_conflicts)
-            .arg("syncs", cost.syncs)
-            .arg("mallocs", cost.mallocs)
-            .arg("atomic_serial", cost.atomic_serial)
-            .arg("child_launches", cost.child_launches)
-            .arg("child_blocks", cost.child_blocks),
-    );
-    // Per-pipe roofline terms as parallel sub-tracks: the tallest slice is
-    // the one the kernel is bound by.
-    let pipes: [(&'static str, u32, f64); 4] = [
-        ("issue", 1, t.issue),
-        ("bandwidth", 2, t.bandwidth),
-        ("latency", 3, t.latency),
-        ("overhead+malloc", 4, t.overhead + t.malloc),
-    ];
-    for (pipe, tid, dur) in pipes {
-        if dur > 0.0 {
-            trace::emit(trace::Event::complete("sim.pipe", pipe, ts, dur * 1e6).on_tid(tid));
-        }
-    }
-    trace::emit(trace::Event::counter("sim", "dram_bytes", ts).arg("bytes", cost.dram_bytes));
 }
 
 const W: usize = WARP_SIZE as usize;

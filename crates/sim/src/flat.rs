@@ -20,9 +20,10 @@
 //! `apply_un` call, but its statement is still charged the subtree's full
 //! node count: the cost record cannot tell the two forms apart.
 
+use crate::exec::SimError;
 use multidim_codegen::{KExpr, Kernel, KernelProgram, Stmt};
 use multidim_device::{GpuSpec, WARP_SIZE};
-use multidim_ir::{apply_bin, apply_un, BinOp, Bindings, ReduceOp, UnOp};
+use multidim_ir::{apply_bin, apply_un, BinOp, Bindings, ReduceOp, Size, UnOp};
 
 /// Index of a lane-vector slot.
 pub(crate) type Slot = u32;
@@ -173,11 +174,20 @@ pub(crate) struct Flat<'p> {
 
 impl<'p> Flat<'p> {
     /// Lower `kp` for launch with `bindings` on `gpu`.
-    pub fn lower(kp: &'p KernelProgram, gpu: &GpuSpec, bindings: &Bindings) -> Flat<'p> {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError`] naming the first buffer length, grid or
+    /// `SizeVal` operand that mentions a symbol `bindings` leaves unbound.
+    pub fn lower(
+        kp: &'p KernelProgram,
+        gpu: &GpuSpec,
+        bindings: &Bindings,
+    ) -> Result<Flat<'p>, SimError> {
         let mut buffers = Vec::with_capacity(kp.buffers.len());
         let mut base = 0u64;
         for decl in &kp.buffers {
-            let len = decl.len.eval(bindings).max(0) as usize;
+            let len = eval(&decl.len, bindings)?.max(0) as usize;
             buffers.push(BufLayout { len, base });
             // Segment-align the next buffer.
             base += (len as u64 * decl.elem_bytes).next_multiple_of(gpu.transaction_bytes.max(1));
@@ -194,16 +204,20 @@ impl<'p> Flat<'p> {
             stmts: Vec::with_capacity(stmts),
             ops: Vec::with_capacity(ops),
             slots: 1,
+            unbound: None,
         };
-        let kernels = kp
-            .kernels
-            .iter()
-            .map(|k| {
-                let grid = k.grid.each_ref().map(|g| g.eval(bindings).max(1) as u64);
-                l.kernel(k, grid)
-            })
-            .collect();
+        let mut kernels = Vec::with_capacity(kp.kernels.len());
+        for k in &kp.kernels {
+            let mut grid = [1u64; 3];
+            for (g, size) in grid.iter_mut().zip(&k.grid) {
+                *g = eval(size, bindings)?.max(1) as u64;
+            }
+            kernels.push(l.kernel(k, grid));
+        }
         let children = kp.children.iter().map(|k| l.kernel(k, [1; 3])).collect();
+        if let Some(size) = &l.unbound {
+            return Err(unbound(size));
+        }
         let mut flat = Flat {
             buffers,
             kernels,
@@ -221,8 +235,17 @@ impl<'p> Flat<'p> {
             flat.lanes = flat.lanes.max(lanes);
             flat.smem_words = flat.smem_words.max(k.smem_words);
         }
-        flat
+        Ok(flat)
     }
+}
+
+/// `size` under `bindings`, or the error naming it.
+fn eval(size: &Size, bindings: &Bindings) -> Result<i64, SimError> {
+    size.try_eval(bindings).ok_or_else(|| unbound(size))
+}
+
+fn unbound(size: &Size) -> SimError {
+    SimError(format!("unbound size symbol in {size}"))
 }
 
 /// Count the statements and expression nodes of `body` (capacity hints,
@@ -278,6 +301,9 @@ struct Lowering<'b> {
     stmts: Vec<FStmt>,
     ops: Vec<Op>,
     slots: usize,
+    /// The first `SizeVal` operand with an unbound symbol; lowering
+    /// finishes with a zero in its place and then fails.
+    unbound: Option<Size>,
 }
 
 impl Lowering<'_> {
@@ -484,8 +510,11 @@ impl Lowering<'_> {
                 1,
             ),
             KExpr::SizeVal(s) => {
-                let v = s.eval(self.bindings) as f64;
-                (Op::Imm { at, v }, 1)
+                let v = s.try_eval(self.bindings).unwrap_or_else(|| {
+                    self.unbound.get_or_insert_with(|| s.clone());
+                    0
+                });
+                (Op::Imm { at, v: v as f64 }, 1)
             }
             KExpr::Load { buf, idx } => {
                 let n = self.node(idx, at);

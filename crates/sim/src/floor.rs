@@ -31,6 +31,7 @@
 //! the executor's counters, so leaving them out keeps the floor below it.
 
 use crate::cost::{kernel_time, KernelCost, KernelTime, LaunchShape};
+use crate::exec::SimError;
 use crate::flat::{Body, Expr, Flat, FlatKernel, Kind, Op};
 use multidim_codegen::KernelProgram;
 use multidim_device::GpuSpec;
@@ -55,14 +56,19 @@ pub struct KernelFloor {
 /// charges each kernel at least its floor's counters, so each kernel's
 /// simulated time is at least its floor's, term by term.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if a size of `kp` mentions an unbound symbol, as
+/// Returns [`SimError`] if a size of `kp` mentions an unbound symbol, as
 /// [`run_program`](crate::run_program) does.
-pub fn seconds_floor(kp: &KernelProgram, gpu: &GpuSpec, bindings: &Bindings) -> Vec<KernelFloor> {
-    let flat = Flat::lower(kp, gpu, bindings);
+pub fn seconds_floor(
+    kp: &KernelProgram,
+    gpu: &GpuSpec,
+    bindings: &Bindings,
+) -> Result<Vec<KernelFloor>, SimError> {
+    let flat = Flat::lower(kp, gpu, bindings)?;
     let mut regs = vec![None; flat.slots];
-    flat.kernels
+    let floors = flat
+        .kernels
         .iter()
         .map(|k| {
             let mut walk = Walk {
@@ -101,7 +107,8 @@ pub fn seconds_floor(kp: &KernelProgram, gpu: &GpuSpec, bindings: &Bindings) -> 
                 time: kernel_time(gpu, &shape, &cost),
             }
         })
-        .collect()
+        .collect();
+    Ok(floors)
 }
 
 /// Lower bounds on the counters some execution charges.

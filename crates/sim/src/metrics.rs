@@ -10,6 +10,7 @@ use crate::exec::SimResult;
 use crate::report::{BoundBy, Efficiency};
 use multidim_device::GpuSpec;
 use multidim_trace::json::Json;
+use multidim_trace::{self as trace, Event};
 
 /// Everything the simulator knows about one kernel launch.
 #[derive(Debug, Clone, PartialEq)]
@@ -164,6 +165,63 @@ impl RunMetrics {
                 )
                 .add(total);
         }
+    }
+
+    /// The run as the simulated-GPU lane of a Chrome trace
+    /// ([`trace::PID_SIM`], microsecond timestamps): per kernel, the
+    /// launch instant, the kernel slice with its counters, the per-pipe
+    /// breakdown on sub-tracks, and a DRAM-bytes counter sample.
+    pub fn trace_events(&self) -> Vec<Event> {
+        let mut events = Vec::new();
+        for k in &self.kernels {
+            let (name, shape, cost, t, eff) = (&k.name, &k.shape, &k.cost, &k.time, &k.efficiency);
+            let ts = k.start_seconds * 1e6;
+            events.push(
+                Event::instant("sim", "launch")
+                    .at(ts)
+                    .on_pid(trace::PID_SIM)
+                    .arg("kernel", name.to_string())
+                    .arg("blocks", shape.blocks)
+                    .arg("block_threads", u64::from(shape.block_threads))
+                    .arg("smem_bytes", u64::from(shape.smem_bytes)),
+            );
+            events.push(
+                Event::complete("sim", name.to_string(), ts, t.total * 1e6)
+                    .arg("bound_by", k.bound_by.as_str())
+                    .arg("blocks", shape.blocks)
+                    .arg("block_threads", u64::from(shape.block_threads))
+                    .arg("smem_bytes", u64::from(shape.smem_bytes))
+                    .arg("tx_per_request", eff.transactions_per_request)
+                    .arg("conflicts_per_access", eff.conflicts_per_access)
+                    .arg("resident_warps", u64::from(eff.resident_warps))
+                    .arg("warp_instr", cost.warp_instr)
+                    .arg("mem_requests", cost.mem_requests)
+                    .arg("transactions", cost.transactions)
+                    .arg("dram_bytes", cost.dram_bytes)
+                    .arg("smem_accesses", cost.smem_accesses)
+                    .arg("smem_conflicts", cost.smem_conflicts)
+                    .arg("syncs", cost.syncs)
+                    .arg("mallocs", cost.mallocs)
+                    .arg("atomic_serial", cost.atomic_serial)
+                    .arg("child_launches", cost.child_launches)
+                    .arg("child_blocks", cost.child_blocks),
+            );
+            // Per-pipe roofline terms as parallel sub-tracks: the tallest
+            // slice is the one the kernel is bound by.
+            let pipes: [(&'static str, u32, f64); 4] = [
+                ("issue", 1, t.issue),
+                ("bandwidth", 2, t.bandwidth),
+                ("latency", 3, t.latency),
+                ("overhead+malloc", 4, t.overhead + t.malloc),
+            ];
+            for (pipe, tid, dur) in pipes {
+                if dur > 0.0 {
+                    events.push(Event::complete("sim.pipe", pipe, ts, dur * 1e6).on_tid(tid));
+                }
+            }
+            events.push(Event::counter("sim", "dram_bytes", ts).arg("bytes", cost.dram_bytes));
+        }
+        events
     }
 
     /// Total dynamic-parallelism child launches and child blocks across

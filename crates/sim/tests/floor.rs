@@ -104,7 +104,7 @@ fn floor_and_run(kp: &KernelProgram, input: Vec<f64>) -> (Vec<KernelFloor>, SimR
     let bindings = Bindings::new();
     let inputs: HashMap<_, _> = [(ArrayId(0), input)].into_iter().collect();
     let sim = run_program(kp, &gpu, &bindings, &inputs).expect("fixture runs");
-    let floor = seconds_floor(kp, &gpu, &bindings);
+    let floor = seconds_floor(kp, &gpu, &bindings).expect("every size is bound");
     assert_eq!(floor.len(), sim.costs.len());
     for (f, shape) in floor.iter().zip(&sim.shapes) {
         assert_eq!(&f.shape, shape, "the floor's launch is the executor's");
@@ -584,7 +584,7 @@ fn random_kernels_stay_at_or_below_the_executor() {
         };
         ran += 1;
         lockstep += usize::from(kp.kernels.iter().any(Kernel::has_sync));
-        let floor = seconds_floor(&kp, &gpu, &Bindings::new());
+        let floor = seconds_floor(&kp, &gpu, &Bindings::new()).expect("every size is bound");
         assert_below(&format!("random kernel {case}"), &floor, &sim);
     }
     assert!(ran >= 900, "only {ran} of 1000 random programs ran");

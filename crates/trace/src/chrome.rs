@@ -5,12 +5,13 @@
 //! entries carry `ph` (phase), `ts`/`dur` (microseconds), `pid`/`tid` lane
 //! coordinates and an `args` payload. Two metadata events name the process
 //! lanes so viewers label the wall-clock pipeline track and the
-//! simulated-GPU track distinctly.
+//! simulated-GPU track distinctly. A kept request trace's spans render on
+//! the pipeline lane through [`span_event`].
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
 use crate::json::Json;
-use crate::{Event, Phase, Value, PID_PIPELINE, PID_SIM};
+use crate::{Event, Phase, SpanRecord, Value, PID_PIPELINE, PID_SIM};
 use std::io::{self, Write};
 
 fn value_json(v: &Value) -> Json {
@@ -54,6 +55,21 @@ pub fn event_json(e: &Event) -> Json {
         fields.push(("args".to_string(), Json::Obj(args)));
     }
     Json::Obj(fields)
+}
+
+/// A kept span as a wall-clock slice on the pipeline lane, with its
+/// arguments.
+pub fn span_event(span: &SpanRecord) -> Event {
+    Event {
+        phase: Phase::Complete,
+        cat: span.cat,
+        name: span.name.to_string(),
+        ts_us: span.start_us,
+        dur_us: span.dur_us,
+        pid: PID_PIPELINE,
+        tid: 0,
+        args: span.args.clone(),
+    }
 }
 
 fn metadata(name: &str, pid: u32, label: &str) -> Json {

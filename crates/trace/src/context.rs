@@ -315,15 +315,8 @@ mod tests {
     use super::*;
     use crate::span;
     use crate::store::TailSamplerConfig;
+    use crate::store_lock as lock;
     use std::collections::HashSet;
-
-    /// Tests touching the process-global store slot serialize on this
-    /// lock, so none sees another's store installed.
-    static STORE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        STORE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn minted_ids_are_unique_and_nonzero() {
@@ -385,8 +378,6 @@ mod tests {
         assert!(span("t", "b").is_none());
         let root = TraceContext::mint();
         let _gc = set_current(root);
-        let sink = std::rc::Rc::new(crate::MemorySink::new());
-        let _gk = crate::set_sink(sink.clone());
         {
             let mut outer = span("t", "outer").expect("span opens");
             outer.arg("k", 1u64);
@@ -407,9 +398,14 @@ mod tests {
         assert_eq!(by_name("outer").parent, Some(root.span_id));
         assert_eq!(by_name("after").parent, Some(root.span_id));
         assert_eq!(by_name("outer").args, [("k", Value::UInt(1))]);
-        // The thread's sink saw the same spans as Chrome events.
-        let events: Vec<_> = sink.events().into_iter().map(|e| e.name).collect();
-        assert_eq!(events, ["inner", "outer", "after"]);
+        // The kept spans render as Chrome slices on the pipeline lane.
+        let events: Vec<_> = spans.iter().map(crate::chrome::span_event).collect();
+        let names: Vec<_> = events.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["inner", "outer", "after"]);
+        assert_eq!(events[1].get_u64("k"), Some(1));
+        assert!(events
+            .iter()
+            .all(|e| e.phase == crate::Phase::Complete && e.pid == crate::PID_PIPELINE));
     }
 
     #[test]

@@ -4,19 +4,17 @@
 //! another; this crate is the measurement substrate that keeps that
 //! evidence. It provides:
 //!
-//! * a typed event model ([`Event`], [`Value`]) covering spans, counters
-//!   and instant events, with a dual-clock convention (wall-clock for the
-//!   compiler pipeline, *simulated* time for the GPU timeline — separate
-//!   `pid` lanes keep the two apart in viewers);
-//! * one span type, [`Span`] (opened with [`span`]), which reports to
-//!   both collectors below: a Chrome `Complete` event to the thread's
-//!   sink, and a [`SpanRecord`] into the current request's trace;
-//! * a thread-local [`MemorySink`], installed with [`set_sink`]; with no
-//!   sink the hot path is guarded by [`enabled`] and performs **no
-//!   allocation**;
+//! * one span type, [`Span`] (opened with [`span`]), which records a
+//!   [`SpanRecord`] — its name, wall-clock interval and typed arguments
+//!   ([`Value`]) — into the current request's trace;
 //! * request-scoped trace contexts and the tail-sampling [`TraceStore`]
 //!   ([`context`], [`mod@store`]), which keep one span tree per request
-//!   across the threads that serve it;
+//!   across the threads that serve it: the kept trace is the one record
+//!   of a request;
+//! * a typed event model ([`Event`]) for rendering, with a dual-clock
+//!   convention (wall clock for the compiler pipeline, *simulated* time
+//!   for the GPU timeline — separate `pid` lanes keep the two apart in
+//!   viewers);
 //! * exporters: [`chrome::write_trace`] renders events as Chrome
 //!   trace-event JSON loadable in Perfetto / `chrome://tracing`, and
 //!   [`json`] is a tiny self-contained JSON value model (render + parse)
@@ -24,39 +22,50 @@
 //!
 //! # Usage
 //!
-//! Emitting layers (search, codegen, simulator) guard every emission site:
+//! Each pipeline stage opens a span and records its decision as
+//! arguments, computed only when the span is open:
 //!
 //! ```
 //! use multidim_trace as trace;
-//! if trace::enabled() {
-//!     trace::emit(trace::Event::instant("search", "candidate")
-//!         .arg("score", 12.5)
-//!         .arg("mapping", "x(32)"));
+//! let mut span = trace::span("search", "analyze");
+//! if let Some(s) = span.as_mut() {
+//!     s.arg("selected", "x(32)");
+//!     s.arg("score", 12.5);
 //! }
 //! ```
 //!
-//! Collecting ends install a sink for the current thread:
+//! With no [`TraceStore`] installed, or no sampled current
+//! [`TraceContext`] on the thread, [`span`] returns `None` and allocates
+//! nothing. A collector installs a store, mints a context, makes it
+//! current around the work, and ends it with [`finish_request`]:
 //!
 //! ```
 //! use multidim_trace as trace;
-//! use std::rc::Rc;
-//! let sink = Rc::new(trace::MemorySink::new());
+//! use std::sync::Arc;
+//! use std::time::Instant;
+//! let store = Arc::new(trace::TraceStore::new(trace::TailSamplerConfig {
+//!     latency_threshold: 0.0,
+//!     ..Default::default()
+//! }));
+//! let _installed = trace::install_store(store.clone());
+//! let ctx = trace::TraceContext::mint();
+//! let start = Instant::now();
 //! {
-//!     let _guard = trace::set_sink(sink.clone());
-//!     let _span = trace::span("core", "compile"); // closes before the guard
-//! } // previous sink restored
-//! assert_eq!(sink.events().len(), 1);
+//!     let _current = trace::set_current(ctx);
+//!     let _span = trace::span("core", "compile");
+//! }
+//! let root = trace::RequestRoot { cat: "example", start, workload: "w", args: Vec::new() };
+//! let kept = trace::finish_request(&ctx, root, trace::TraceOutcome::Completed, None::<&String>, Some(0.0));
+//! let trace = store.lookup(kept.expect("kept")).expect("stored");
+//! assert_eq!(trace.spans[0].name, "compile");
 //! ```
 //!
-//! The sink is thread-local: parallel tests or parallel pipeline runs
-//! never observe each other's events, and no locking sits on the hot
-//! path. Work that hops threads — a request served by an engine worker —
-//! is collected through its trace instead: the worker makes the request's
+//! Work that hops threads — a request served by an engine worker — is
+//! collected the same way: the worker makes the request's
 //! [`TraceContext`] current, and every [`span`] it opens lands in that
 //! request's kept trace, nested under the span that was open around it.
-//!
-//! All pipeline timestamps share one process-wide epoch, so events from
-//! different threads land on one coherent timeline.
+//! All timestamps share one process-wide epoch, so spans from different
+//! threads land on one coherent timeline.
 
 #![warn(missing_docs)]
 
@@ -71,9 +80,7 @@ pub use context::{
 };
 pub use store::{SpanRecord, StoredTrace, TailSamplerConfig, TailStats, TraceOutcome, TraceStore};
 
-use std::cell::{Cell, RefCell};
 use std::fmt;
-use std::rc::Rc;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -228,23 +235,6 @@ impl Event {
         }
     }
 
-    /// A counter/gauge sample on the *pipeline* lane, stamped with the
-    /// current wall clock — for host-side state that evolves over a
-    /// session (cache hit/miss totals, queue depth, worker occupancy)
-    /// rather than over simulated GPU time.
-    pub fn gauge(cat: &'static str, name: impl Into<String>) -> Event {
-        Event {
-            phase: Phase::Counter,
-            cat,
-            name: name.into(),
-            ts_us: now_us(),
-            dur_us: 0.0,
-            pid: PID_PIPELINE,
-            tid: 0,
-            args: Vec::new(),
-        }
-    }
-
     /// Attach an argument (builder style).
     pub fn arg(mut self, key: &'static str, value: impl Into<Value>) -> Event {
         self.args.push((key, value.into()));
@@ -303,36 +293,6 @@ impl Event {
     }
 }
 
-/// Collects events in memory (tests, table reconstruction, exporters).
-/// The one sink type: install it for the current thread with
-/// [`set_sink`].
-#[derive(Debug, Default)]
-pub struct MemorySink {
-    events: RefCell<Vec<Event>>,
-}
-
-impl MemorySink {
-    /// An empty collector.
-    pub fn new() -> MemorySink {
-        MemorySink::default()
-    }
-
-    /// A copy of everything collected so far.
-    pub fn events(&self) -> Vec<Event> {
-        self.events.borrow().clone()
-    }
-
-    /// Take the collected events, leaving the sink empty.
-    pub fn drain(&self) -> Vec<Event> {
-        std::mem::take(&mut *self.events.borrow_mut())
-    }
-}
-
-thread_local! {
-    static SINK: RefCell<Option<Rc<MemorySink>>> = const { RefCell::new(None) };
-    static ENABLED: Cell<bool> = const { Cell::new(false) };
-}
-
 // Process-wide wall-clock epoch: every thread's pipeline timestamps share
 // it, so multi-threaded traces (engine workers + main thread) land on one
 // coherent timeline.
@@ -349,65 +309,17 @@ pub(crate) fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-/// Does the current thread have a sink? Emission sites must check this
-/// before constructing an [`Event`]; when it returns `false` (the
-/// default) the hot path does no allocation.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.with(|e| e.get())
-}
-
-/// Restores the previously installed sink when dropped.
-pub struct SinkGuard {
-    prev: Option<Rc<MemorySink>>,
-}
-
-impl Drop for SinkGuard {
-    fn drop(&mut self) {
-        let prev = self.prev.take();
-        ENABLED.with(|e| e.set(prev.is_some()));
-        SINK.with(|s| *s.borrow_mut() = prev);
-    }
-}
-
-/// Install `sink` as the current thread's tracer until the returned guard
-/// drops.
-pub fn set_sink(sink: Rc<MemorySink>) -> SinkGuard {
-    ENABLED.with(|e| e.set(true));
-    let prev = SINK.with(|s| s.borrow_mut().replace(sink));
-    SinkGuard { prev }
-}
-
-/// Deliver one event to the current thread's sink (drops it when none is
-/// installed). Callers should guard with [`enabled`] so the event is not
-/// even constructed when tracing is off.
-pub fn emit(event: Event) {
-    SINK.with(|s| {
-        if let Some(sink) = s.borrow().as_ref() {
-            sink.events.borrow_mut().push(event);
-        }
-    });
-}
-
-/// A wall-clock span, closed when dropped. Construct through [`span`].
+/// A wall-clock span of a request's trace, closed when dropped.
+/// Construct through [`span`].
 ///
-/// On drop it emits a [`Phase::Complete`] event on the pipeline lane to
-/// the thread's sink, when one is installed, and records a [`SpanRecord`]
-/// into the current request's trace, when it opened under a sampled
-/// [`TraceContext`] with a [`TraceStore`] installed. In that second case
-/// the span is the thread's current context while it is open, so spans
-/// opened inside it nest under it.
+/// It is the thread's current context while it is open, so spans opened
+/// inside it nest under it. On drop it records a [`SpanRecord`] into the
+/// request's trace.
 pub struct Span {
     cat: &'static str,
     name: &'static str,
     start_us: f64,
     args: Vec<(&'static str, Value)>,
-    traced: Option<Traced>,
-}
-
-/// The request-trace half of an open [`Span`]: its own context, its
-/// parent's span id, and the guard that restores the parent as current.
-struct Traced {
     ctx: TraceContext,
     parent: u64,
     _guard: ContextGuard,
@@ -423,143 +335,80 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         let dur_us = now_us() - self.start_us;
-        if enabled() {
-            emit(Event {
-                phase: Phase::Complete,
-                cat: self.cat,
-                name: self.name.to_string(),
-                ts_us: self.start_us,
-                dur_us,
-                pid: PID_PIPELINE,
-                tid: 0,
-                args: self.args.clone(),
-            });
-        }
-        if let Some(traced) = &self.traced {
-            if let Some(store) = store() {
-                store.record(
-                    &traced.ctx,
-                    SpanRecord {
-                        span_id: traced.ctx.span_id,
-                        parent: Some(traced.parent),
-                        cat: self.cat,
-                        name: self.name,
-                        start_us: self.start_us,
-                        dur_us,
-                        args: std::mem::take(&mut self.args),
-                    },
-                );
-            }
+        if let Some(store) = store() {
+            store.record(
+                &self.ctx,
+                SpanRecord {
+                    span_id: self.ctx.span_id,
+                    parent: Some(self.parent),
+                    cat: self.cat,
+                    name: self.name,
+                    start_us: self.start_us,
+                    dur_us,
+                    args: std::mem::take(&mut self.args),
+                },
+            );
         }
     }
 }
 
-/// Open a wall-clock span; it reports when the returned value drops (see
-/// [`Span`]). Returns `None`, and allocates nothing, when neither a sink
-/// nor a sampled request trace would receive it: with no sink and no
-/// store installed that costs one thread-local read and one relaxed load.
+/// Open a wall-clock span of the current request's trace; it records
+/// when the returned value drops (see [`Span`]). Returns `None`, and
+/// allocates nothing, unless a [`TraceStore`] is installed and the thread
+/// has a sampled current [`TraceContext`]: with no store installed that
+/// costs one relaxed load.
 pub fn span(cat: &'static str, name: &'static str) -> Option<Span> {
-    let parent = if store_enabled() {
-        current().filter(|c| c.sampled)
-    } else {
-        None
-    };
-    if parent.is_none() && !enabled() {
+    if !store_enabled() {
         return None;
     }
-    let traced = parent.map(|parent| {
-        let ctx = parent.child();
-        Traced {
-            ctx,
-            parent: parent.span_id,
-            _guard: set_current(ctx),
-        }
-    });
+    let parent = current().filter(|c| c.sampled)?;
+    let ctx = parent.child();
     Some(Span {
         cat,
         name,
         start_us: now_us(),
         args: Vec::new(),
-        traced,
+        ctx,
+        parent: parent.span_id,
+        _guard: set_current(ctx),
     })
+}
+
+/// Tests touching the process-global store slot serialize on this lock,
+/// so none sees another's store installed.
+#[cfg(test)]
+pub(crate) fn store_lock() -> std::sync::MutexGuard<'static, ()> {
+    static STORE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    STORE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn disabled_by_default() {
-        assert!(!enabled());
-    }
-
-    #[test]
-    fn noop_sink_disables_hot_path() {
-        let sink = Rc::new(MemorySink::new());
-        drop(set_sink(sink.clone()));
-        // Dropping the guard leaves no sink: the hot path is off again.
-        assert!(!enabled());
-        // A (wrongly) unguarded emit is dropped, not delivered.
-        emit(Event::instant("t", "x"));
-        assert!(sink.events().is_empty());
-    }
-
-    #[test]
-    fn disabled_sink_never_receives_events() {
-        let sink = Rc::new(MemorySink::new());
-        {
-            let _g = set_sink(sink.clone());
-        }
-        // The pipeline pattern: guarded construction.
-        if enabled() {
-            emit(Event::instant("t", "should-not-happen"));
-        }
-        // Even an unguarded emit must not reach a sink whose guard dropped.
-        emit(Event::instant("t", "also-dropped"));
-        // Spans short-circuit to None when nothing collects.
+        // No store and no current context: spans are off.
         assert!(span("t", "s").is_none());
-        assert!(sink.events().is_empty());
-    }
-
-    #[test]
-    fn memory_sink_collects_and_guard_restores() {
-        let outer = Rc::new(MemorySink::new());
-        let inner = Rc::new(MemorySink::new());
-        let _g1 = set_sink(outer.clone());
-        assert!(enabled());
-        emit(Event::instant("t", "outer-1"));
-        {
-            let _g2 = set_sink(inner.clone());
-            emit(Event::instant("t", "inner"));
-        }
-        emit(Event::instant("t", "outer-2"));
-        let names: Vec<String> = outer.events().into_iter().map(|e| e.name).collect();
-        assert_eq!(names, vec!["outer-1", "outer-2"]);
-        assert_eq!(inner.events().len(), 1);
     }
 
     #[test]
     fn span_measures_wall_time() {
-        let sink = Rc::new(MemorySink::new());
-        let _g = set_sink(sink.clone());
+        let _l = store_lock();
+        let store = Arc::new(TraceStore::new(TailSamplerConfig::default()));
+        let _gs = install_store(store.clone());
+        let root = TraceContext::mint();
         {
+            let _gc = set_current(root);
             let mut s = span("cat", "work").unwrap();
             s.arg("items", 3usize);
         }
-        let ev = &sink.events()[0];
-        assert_eq!(ev.phase, Phase::Complete);
-        assert_eq!(ev.name, "work");
-        assert!(ev.dur_us >= 0.0);
-        assert_eq!(ev.get_u64("items"), Some(3));
-    }
-
-    #[test]
-    fn gauge_samples_pipeline_lane() {
-        let e = Event::gauge("engine", "cache").arg("hits", 3u64);
-        assert_eq!(e.phase, Phase::Counter);
-        assert_eq!(e.pid, PID_PIPELINE);
-        assert!(e.ts_us >= 0.0);
-        assert_eq!(e.get_u64("hits"), Some(3));
+        store.finish(&root, TraceOutcome::Failed, None);
+        let span = &store.lookup(root.trace_id).unwrap().spans[0];
+        assert_eq!((span.cat, span.name), ("cat", "work"));
+        assert!(span.dur_us >= 0.0);
+        assert_eq!(span.args, [("items", Value::UInt(3))]);
     }
 
     #[test]

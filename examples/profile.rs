@@ -1,28 +1,39 @@
-//! Profile a built-in workload end to end: trace the mapping search, the
-//! lowering decisions, and the simulated kernel timeline, then export
-//! everything.
+//! Profile a built-in workload end to end: compile and run it as one
+//! traced request, explain the decisions that shaped it, and export the
+//! record.
 //!
 //! ```text
 //! cargo run --release --example profile [sumrows|sumcols|pagerank] [OUT_DIR]
 //! ```
 //!
-//! Prints the candidate-scoring table (why the winning mapping won, why the
-//! rest were pruned or outscored) and the per-kernel profiler report, and
-//! writes:
+//! Prints the mapping search's verdict (the selected mapping and the
+//! runner-up, every scored candidate, and how many candidates each hard
+//! constraint pruned), the lowering notes, the dynamic-parallelism
+//! decision, the static-analysis findings and the per-kernel profiler
+//! report, and writes:
 //!
 //! * `trace.json` — Chrome trace-event JSON; load in Perfetto or
-//!   `chrome://tracing` to see the compile-pipeline lane (wall clock) and
-//!   the simulated-GPU lane (kernel slices + roofline sub-tracks);
+//!   `chrome://tracing` to see the compile-pipeline lane (the request's
+//!   kept trace: one wall-clock slice per stage, its decisions as
+//!   arguments) and the simulated-GPU lane (kernel slices + roofline
+//!   sub-tracks, rendered from the run's metrics);
 //! * `metrics.json` — machine-readable [`multidim_sim::RunMetrics`].
+//!
+//! It then re-reads `trace.json` and exits non-zero unless both lanes are
+//! labelled, an `analyze` slice and a `search/analyze` slice naming the
+//! selected mapping are present, and the simulated lane has one slice per
+//! kernel.
 
 use multidim::prelude::*;
-use multidim_trace as trace;
-use multidim_trace::chrome;
+use multidim_mapping::{enumerate_scored, Weights};
+use multidim_trace::json::Json;
+use multidim_trace::{self as trace, chrome, Event, StoredTrace};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::BufWriter;
 use std::path::Path;
-use std::rc::Rc;
+use std::sync::Arc;
+use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
@@ -31,35 +42,58 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let (program, bindings, inputs) = build_workload(&workload)?;
 
-    // Collect every event the pipeline emits while tracing is on.
-    let sink = Rc::new(trace::MemorySink::new());
-    let guard = trace::set_sink(sink.clone());
-    let exe = Compiler::new().compile(&program, &bindings)?;
-    let run = exe.run(&inputs)?;
-    drop(guard);
-    let events = sink.drain();
+    // Compile and run as one request whose trace the store keeps.
+    let store = Arc::new(trace::TraceStore::new(trace::TailSamplerConfig {
+        latency_threshold: 0.0,
+        ..Default::default()
+    }));
+    let _installed = trace::install_store(store.clone());
+    let ctx = trace::TraceContext::mint();
+    let start = Instant::now();
+    let (exe, run) = {
+        let _current = trace::set_current(ctx);
+        let exe = Compiler::new().compile(&program, &bindings)?;
+        let run = exe.run(&inputs)?;
+        (exe, run)
+    };
+    let root = trace::RequestRoot {
+        cat: "profile",
+        start,
+        workload: &workload,
+        args: Vec::new(),
+    };
+    let latency = start.elapsed().as_secs_f64();
+    let kept = trace::finish_request(
+        &ctx,
+        root,
+        trace::TraceOutcome::Completed,
+        None::<&String>,
+        Some(latency),
+    );
+    let record = kept
+        .and_then(|id| store.lookup(id))
+        .ok_or("the request's trace was not kept")?;
 
-    print_candidate_table(&events);
-    if !exe.diagnostics.diagnostics.is_empty() {
-        println!("static analysis:");
-        for d in &exe.diagnostics.diagnostics {
-            println!("  {}", d.render_line());
-        }
-        println!();
-    }
+    print_search(&exe, &bindings, &record);
+    print_decisions(&exe);
     println!("{}", exe.report(&run));
 
+    let metrics = exe.metrics(&run);
+    let mut events: Vec<Event> = record.spans.iter().map(chrome::span_event).collect();
+    events.extend(metrics.trace_events());
     let trace_path = Path::new(&out_dir).join("trace.json");
     let trace_file = File::create(&trace_path)
         .map_err(|e| format!("cannot write {}: {e}", trace_path.display()))?;
     chrome::write_trace(&events, &mut BufWriter::new(trace_file))?;
 
     let metrics_path = Path::new(&out_dir).join("metrics.json");
-    std::fs::write(&metrics_path, exe.metrics(&run).render())
+    std::fs::write(&metrics_path, metrics.render())
         .map_err(|e| format!("cannot write {}: {e}", metrics_path.display()))?;
 
     println!("wrote {} ({} events)", trace_path.display(), events.len());
     println!("wrote {}", metrics_path.display());
+    check_trace(&trace_path, metrics.kernels.len())?;
+    println!("trace.json checks out: both lanes, the analysis slices, one slice per kernel");
     Ok(())
 }
 
@@ -108,78 +142,134 @@ fn build_workload(name: &str) -> Result<Workload, String> {
     }
 }
 
-/// Reconstruct the "why this mapping won" table from the search events.
-fn print_candidate_table(events: &[trace::Event]) {
-    let winner = events
+/// Why this mapping won: the search's own record (selected, runner-up,
+/// prune counts per hard constraint) and every scored candidate.
+fn print_search(exe: &multidim::Executable, bindings: &Bindings, record: &StoredTrace) {
+    let search = record
+        .spans
         .iter()
-        .find(|e| e.cat == "search" && e.name == "selected");
-    let best_score = winner
-        .and_then(|e| e.get_f64("score"))
-        .unwrap_or(f64::NEG_INFINITY);
-    let selected = winner.and_then(|e| e.get_str("mapping")).unwrap_or("?");
+        .find(|s| (s.cat, s.name) == ("search", "analyze"))
+        .map(chrome::span_event);
+    let arg = |key| search.as_ref().and_then(|e| e.get_str(key)).unwrap_or("?");
+    let num = |key| search.as_ref().and_then(|e| e.get_f64(key)).unwrap_or(0.0);
+    println!(
+        "mapping search: {} candidates scored, {} pruned",
+        num("candidates"),
+        num("pruned")
+    );
+    println!(
+        "  selected   {} (score {:.1}, dop {})",
+        arg("selected"),
+        num("score"),
+        num("dop")
+    );
+    println!(
+        "  runner-up  {} (score {:.1})",
+        arg("runner_up"),
+        num("runner_up_score")
+    );
+    let pruned_by = arg("pruned_by");
+    if !pruned_by.is_empty() {
+        println!("  pruned by hard constraints:");
+        for pair in pruned_by.split("; ") {
+            println!("    {pair}");
+        }
+    }
 
-    println!("candidate mappings (winner first, then by score):");
+    let mut scored = enumerate_scored(&exe.program, bindings, exe.device(), &Weights::default());
+    scored.sort_by(|a, b| b.score.total_cmp(&a.score));
+    let best_score = scored.first().map_or(0.0, |c| c.score);
+    println!("\ncandidate mappings (by score):");
     println!(
         "  {:<34} {:>8} {:>8} {:>12}  note",
         "mapping", "score", "Δscore", "dop"
     );
-
-    // Scored candidates, winner first then descending score.
-    let mut scored: Vec<&trace::Event> = events
-        .iter()
-        .filter(|e| e.cat == "search" && e.name == "candidate")
-        .collect();
-    scored.sort_by(|a, b| {
-        let (sa, sb) = (
-            a.get_f64("score").unwrap_or(0.0),
-            b.get_f64("score").unwrap_or(0.0),
-        );
-        sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal)
-    });
-    for e in &scored {
-        let mapping = e.get_str("mapping").unwrap_or("?");
-        let score = e.get_f64("score").unwrap_or(0.0);
-        let dop = e.get_u64("dop").unwrap_or(0);
-        let is_winner = mapping == selected;
+    for c in &scored {
+        let note = if c.mapping == exe.mapping {
+            "selected"
+        } else {
+            "outscored"
+        };
         println!(
-            "  {:<34} {:>8.1} {:>8.1} {:>12}  {}",
-            mapping,
-            score,
-            score - best_score,
-            dop,
-            if is_winner { "selected" } else { "outscored" }
+            "  {:<34} {:>8.1} {:>8.1} {:>12}  {note}",
+            c.mapping.to_string(),
+            c.score,
+            c.score - best_score,
+            c.dop
         );
-    }
-
-    // Hard-pruned candidates with the constraint they violate.
-    for e in events
-        .iter()
-        .filter(|e| e.cat == "search" && e.name == "pruned")
-    {
-        println!(
-            "  {:<34} {:>8} {:>8} {:>12}  pruned: {}",
-            e.get_str("mapping").unwrap_or("?"),
-            "-",
-            "-",
-            "-",
-            e.get_str("violates").unwrap_or("?")
-        );
-    }
-
-    // Lowering decisions that shaped the kernels.
-    let notes: Vec<String> = events
-        .iter()
-        .filter(|e| e.cat == "codegen" && e.name != "lower")
-        .map(|e| {
-            let detail: Vec<String> = e.args.iter().map(|(k, v)| format!("{k}={v}")).collect();
-            format!("{}: {}", e.name, detail.join(" "))
-        })
-        .collect();
-    if !notes.is_empty() {
-        println!("\nlowering decisions:");
-        for n in &notes {
-            println!("  {n}");
-        }
     }
     println!();
+}
+
+/// The lowering notes, the launch-consolidation decision and the static
+/// analysis findings.
+fn print_decisions(exe: &multidim::Executable) {
+    if !exe.kernels.notes.is_empty() {
+        println!("lowering notes:");
+        for n in &exe.kernels.notes {
+            println!("  {n}");
+        }
+        println!();
+    }
+    match &exe.dynpar.site {
+        Some(site) => println!("dynpar: {} — {}\n", site.strategy.name(), site.reason),
+        None => println!("dynpar: no data-dependent launch site\n"),
+    }
+    if !exe.diagnostics.diagnostics.is_empty() {
+        println!("static analysis:");
+        for d in &exe.diagnostics.diagnostics {
+            println!("  {}", d.render_line());
+        }
+        println!();
+    }
+}
+
+/// Re-read the written trace and check what a viewer needs of it.
+fn check_trace(path: &Path, kernels: usize) -> Result<(), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let doc = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    let events = doc
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .ok_or("trace.json has no traceEvents array")?;
+    let field = |e: &Json, key| e.get(key).and_then(Json::as_str).map(str::to_string);
+    let pid = |e: &Json| e.get("pid").and_then(Json::as_u64);
+    let slice = |e: &Json| field(e, "ph").as_deref() == Some("X");
+    for lane in [trace::PID_PIPELINE, trace::PID_SIM] {
+        let labelled = events
+            .iter()
+            .any(|e| field(e, "ph").as_deref() == Some("M") && pid(e) == Some(u64::from(lane)));
+        if !labelled {
+            return Err(format!("trace.json does not label lane {lane}"));
+        }
+    }
+    if !events
+        .iter()
+        .any(|e| slice(e) && field(e, "cat").as_deref() == Some("analyze"))
+    {
+        return Err("trace.json has no `analyze` slice".into());
+    }
+    let search_selected = events.iter().any(|e| {
+        slice(e)
+            && field(e, "cat").as_deref() == Some("search")
+            && field(e, "name").as_deref() == Some("analyze")
+            && e.get("args").and_then(|a| a.get("selected")).is_some()
+    });
+    if !search_selected {
+        return Err("trace.json has no `search/analyze` slice naming the selection".into());
+    }
+    let kernel_slices = events
+        .iter()
+        .filter(|e| {
+            slice(e)
+                && pid(e) == Some(u64::from(trace::PID_SIM))
+                && field(e, "cat").as_deref() == Some("sim")
+        })
+        .count();
+    if kernel_slices != kernels {
+        return Err(format!(
+            "trace.json has {kernel_slices} simulated kernel slices for {kernels} kernels"
+        ));
+    }
+    Ok(())
 }

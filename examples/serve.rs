@@ -12,9 +12,10 @@
 //! One workload is auto-tuned in between, so the final rounds also show
 //! the persistent tuning store being preferred over the analytic mapping.
 //! A trace store keeps every request's trace (`latency_threshold: 0.0`):
-//! the run checks that a cold request's trace nests the compile
-//! pipeline's spans under the engine's, and ends with the last response's
-//! kept trace and the registry's Prometheus-style text exposition.
+//! the run checks that a cold request's trace nests each compile stage's
+//! span under `core/compile` and the pipeline's spans under the engine's,
+//! and ends with the last response's kept trace and the registry's
+//! Prometheus-style text exposition.
 
 use multidim::Compiler;
 use multidim_engine::{Engine, EngineConfig, Request};
@@ -86,7 +87,13 @@ fn main() -> Result<(), Box<dyn Error>> {
             }
         }
         if round == 0 {
-            cold_trace = results.iter().find_map(|r| r.as_ref().ok()?.trace);
+            // A program tuned by an earlier run is compiled from the
+            // tuning store, without the mapping search.
+            cold_trace = results
+                .iter()
+                .filter_map(|r| r.as_ref().ok())
+                .find(|r| !r.tuned)
+                .and_then(|r| r.trace);
         }
         if round == ROUNDS - 1 {
             last_response = results.into_iter().next().and_then(Result::ok);
@@ -196,8 +203,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     // A cold request's trace carries the compile pipeline's own spans,
-    // each under the engine phase that ran it, and the simulator's two
-    // stages under `core/run`.
+    // each under the engine phase that ran it, every compile stage under
+    // `core/compile`, and the simulator's two stages under `core/run`.
     let cold = cold_trace
         .and_then(|ctx| traces.lookup(ctx.trace_id))
         .expect("round 0 kept a cold trace");
@@ -215,13 +222,25 @@ fn main() -> Result<(), Box<dyn Error>> {
         (parent.cat, parent.name)
     };
     assert_eq!(parent_of("core", "compile"), ("engine", "compile"));
+    for (cat, name) in [
+        ("codegen", "fuse"),
+        ("search", "analyze"),
+        ("analyze", "static_analysis"),
+        ("dynpar", "choose"),
+        ("codegen", "lower"),
+        ("codegen", "validate"),
+        ("analyze", "locality"),
+    ] {
+        assert_eq!(parent_of(cat, name), ("core", "compile"), "{cat}/{name}");
+    }
     assert_eq!(parent_of("core", "run"), ("engine", "run"));
     assert_eq!(parent_of("sim", "specialize"), ("core", "run"));
     assert_eq!(parent_of("sim", "execute"), ("core", "run"));
     println!();
     println!(
-        "cold request trace: {} spans, core/compile under engine/compile, core/run under \
-         engine/run, sim/specialize and sim/execute under core/run",
+        "cold request trace: {} spans, core/compile under engine/compile with fuse, \
+         search, static analysis, dynpar choice, lower, validate and locality under it, \
+         core/run under engine/run, sim/specialize and sim/execute under core/run",
         cold.spans.len()
     );
 

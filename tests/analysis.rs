@@ -8,7 +8,42 @@ use multidim::{Severity, Verdict};
 use multidim_trace as trace;
 use multidim_workloads::catalog::catalog;
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
+
+/// Run `f` as one request whose trace a fresh store keeps, and return its
+/// result with the kept spans as events. Tests that install the store
+/// serialize on one lock.
+fn traced<T>(f: impl FnOnce() -> T) -> (T, Vec<trace::Event>) {
+    static LOCK: Mutex<()> = Mutex::new(());
+    let _lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let store = Arc::new(trace::TraceStore::new(trace::TailSamplerConfig {
+        latency_threshold: 0.0,
+        ..Default::default()
+    }));
+    let _installed = trace::install_store(store.clone());
+    let ctx = trace::TraceContext::mint();
+    let start = Instant::now();
+    let out = {
+        let _current = trace::set_current(ctx);
+        f()
+    };
+    let root = trace::RequestRoot {
+        cat: "test",
+        start,
+        workload: "analysis",
+        args: Vec::new(),
+    };
+    let kept = trace::finish_request(
+        &ctx,
+        root,
+        trace::TraceOutcome::Completed,
+        None::<&String>,
+        Some(start.elapsed().as_secs_f64()),
+    );
+    let spans = store.lookup(kept.expect("kept")).expect("stored").spans;
+    (out, spans.iter().map(trace::chrome::span_event).collect())
+}
 
 /// A foreach in which every instance stores to `y[0]` — a proven race.
 fn racy_program() -> (Program, Bindings, multidim_ir::ArrayId) {
@@ -134,39 +169,28 @@ fn analyzer_verdicts_appear_in_traces() {
     let mut bind = Bindings::new();
     bind.bind(n, 256);
 
-    let sink = Rc::new(trace::MemorySink::new());
-    let guard = trace::set_sink(sink.clone());
-    let exe = Compiler::new().compile(&p, &bind).unwrap();
-    drop(guard);
-    let events = sink.drain();
+    let (exe, events) = traced(|| Compiler::new().compile(&p, &bind).unwrap());
 
     // The static-analysis phase is a span on the pipeline lane...
-    assert!(
-        events
-            .iter()
-            .any(|e| e.cat == "analyze" && e.name == "static_analysis"),
-        "missing the static_analysis span"
-    );
-    // ...and each array's verdict is an instant event.
-    let verdicts: Vec<&trace::Event> = events
+    let span = events
         .iter()
-        .filter(|e| e.cat == "analyze" && e.name == "verdict")
-        .collect();
-    assert_eq!(verdicts.len(), p.arrays.len());
-    for v in &verdicts {
-        assert_eq!(v.get_str("race_free"), Some("proven"));
-        assert_eq!(v.get_str("in_bounds"), Some("proven"));
+        .find(|e| e.cat == "analyze" && e.name == "static_analysis")
+        .expect("missing the static_analysis span");
+    // ...carrying each array's verdicts as `array=verdict` pairs.
+    for key in ["race_free", "in_bounds"] {
+        let verdicts: Vec<&str> = span.get_str(key).expect("verdicts").split(' ').collect();
+        assert_eq!(verdicts.len(), p.arrays.len());
+        for (v, decl) in verdicts.iter().zip(&p.arrays) {
+            assert_eq!(*v, format!("{}=proven", decl.name), "{key}");
+        }
     }
     assert_eq!(exe.diagnostics.race_free(x), Verdict::Proven);
 
     // A warning-producing program additionally traces its diagnostics.
     let (rp, rbind, _) = racy_program();
-    let sink = Rc::new(trace::MemorySink::new());
-    let guard = trace::set_sink(sink.clone());
-    let _ = Compiler::new().checks(false).compile(&rp, &rbind).unwrap();
-    drop(guard);
-    // checks(false) emits nothing — the stage never ran.
-    assert!(!sink.drain().iter().any(|e| e.cat == "analyze"));
+    let (_, events) = traced(|| Compiler::new().checks(false).compile(&rp, &rbind).unwrap());
+    // checks(false) records nothing — the stage never ran.
+    assert!(!events.iter().any(|e| e.cat == "analyze"));
 }
 
 #[test]

@@ -286,3 +286,53 @@ fn score_pruned_autotune_is_cheaper_and_close() {
     assert!(evaluated(&pruned) < evaluated(&full));
     assert!(pruned.best_cost <= full.best_cost * 1.5);
 }
+
+/// ControlDOP never writes `Split(1)`: it has the DOP of `Span(all)` and
+/// adds a combiner launch, so a level that cannot take two sections keeps
+/// `Span(all)`.
+#[test]
+fn no_catalog_decision_splits_into_one_section() {
+    for e in multidim_workloads::catalog::catalog() {
+        let exe = Compiler::new()
+            .compile(&e.program, &e.bindings)
+            .expect("compile");
+        let analysis = exe.analysis.expect("the analysis ran");
+        assert!(
+            analysis
+                .decision
+                .levels()
+                .iter()
+                .all(|l| l.span != Span::Split(1)),
+            "{} maps to {}",
+            e.name(),
+            analysis.decision
+        );
+    }
+}
+
+/// sumRows compiled with only `R` bound: the analysis substitutes the
+/// default for `C`, but a run cannot size its buffers, so `run` and
+/// `run_sanitized` fail with a typed error naming the size, and the
+/// locality floor falls back to the memory floor plus one launch per
+/// kernel.
+#[test]
+fn unbound_size_symbol_is_a_run_error() {
+    use multidim_workloads::sums::{sum_program, SumKind};
+    let (p, r, _c, m) = sum_program(SumKind::Rows);
+    let mut bind = Bindings::new();
+    bind.bind(r, 12);
+    let exe = Compiler::new().compile(&p, &bind).expect("compile");
+    let inputs: HashMap<_, _> = [(m, vec![1.0; 12 * 20])].into_iter().collect();
+    let err = exe.run(&inputs).expect_err("C is unbound");
+    assert!(err.to_string().contains("unbound size symbol in"), "{err}");
+    let err = exe.run_sanitized(&inputs).expect_err("C is unbound");
+    assert!(err.to_string().contains("unbound size symbol in"), "{err}");
+
+    let locality = exe.locality.as_ref().expect("checks ran");
+    let gpu = exe.device();
+    assert_eq!(
+        locality.seconds_lower_bound,
+        multidim_sim::memory_floor_seconds(gpu, locality.tx_lower_bound)
+            + exe.kernels.kernels.len() as f64 * gpu.kernel_launch_overhead_s
+    );
+}

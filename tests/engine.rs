@@ -7,7 +7,7 @@
 
 use multidim::Compiler;
 use multidim_engine::{Engine, EngineConfig, EngineError, Request};
-use multidim_ir::{ArrayId, SymId};
+use multidim_ir::ArrayId;
 use multidim_workloads::catalog::catalog;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -136,14 +136,37 @@ fn stress_all_workloads_from_eight_threads_matches_serial() {
     assert_eq!(estats.failed, 0);
 }
 
+/// A map over `x[0..N / D]` with `D` bound to zero. The analysis
+/// evaluates the extent, and `Size` division asserts a positive divisor,
+/// so compiling it panics under every build profile.
+fn zero_divisor_workload() -> (
+    multidim_ir::Program,
+    multidim_ir::Bindings,
+    HashMap<ArrayId, Vec<f64>>,
+) {
+    use multidim_ir::{Expr, ProgramBuilder, ScalarKind, Size};
+    let mut b = ProgramBuilder::new("zero-divisor");
+    let n = b.sym("N");
+    let d = b.sym("D");
+    let x = b.input("x", ScalarKind::F32, &[Size::sym(n)]);
+    let root = b.map(Size::sym(n) / Size::sym(d), |b, i| {
+        b.read(x, &[i.into()]) * Expr::lit(2.0)
+    });
+    let program = b.finish_map(root, "y", ScalarKind::F32).expect("validates");
+    let mut bindings = multidim_ir::Bindings::new();
+    bindings.bind(n, 64);
+    bindings.bind(d, 0);
+    let inputs = [(x, vec![1.0; 64])].into_iter().collect();
+    (program, bindings, inputs)
+}
+
 #[test]
 fn panicking_request_is_isolated_and_pool_survives() {
     let engine = Engine::new(Compiler::new(), small_config());
 
-    // A hostile binding (N = i64::MAX) deterministically panics inside
-    // the mapping parameter search. The engine must contain it.
-    let (program, mut bindings, inputs) = multidim_engine::doctest_workload();
-    bindings.bind(SymId(0), i64::MAX);
+    // A hostile binding (a zero divisor) deterministically panics inside
+    // the mapping analysis. The engine must contain it.
+    let (program, bindings, inputs) = zero_divisor_workload();
     let err = engine
         .submit(Request::new(program, bindings, inputs))
         .expect("accepted")
@@ -166,6 +189,29 @@ fn panicking_request_is_isolated_and_pool_survives() {
     let stats = engine.stats();
     assert_eq!(stats.panicked, 1);
     assert_eq!(stats.completed, 1);
+}
+
+#[test]
+fn unbound_size_symbol_fails_the_request_without_a_panic() {
+    use multidim_workloads::sums::{sum_program, SumKind};
+    let engine = Engine::new(Compiler::new(), small_config());
+    // sumRows with only `R` bound compiles (the analysis substitutes the
+    // default for `C`) but cannot run: a typed run error, not a panic.
+    let (program, r, _c, m) = sum_program(SumKind::Rows);
+    let mut bindings = multidim_ir::Bindings::new();
+    bindings.bind(r, 12);
+    let inputs = [(m, vec![1.0; 12 * 20])].into_iter().collect();
+    let err = engine
+        .submit(Request::new(program, bindings, inputs))
+        .expect("accepted")
+        .wait()
+        .expect_err("C is unbound");
+    assert!(
+        matches!(&err, EngineError::Run(e) if e.to_string().contains("unbound size symbol in")),
+        "expected a run error, got {err:?}"
+    );
+    let stats = engine.stats();
+    assert_eq!((stats.failed, stats.panicked), (1, 0));
 }
 
 #[test]
@@ -253,42 +299,61 @@ fn parallel_autotune_matches_serial_selection() {
 
 #[test]
 fn analytic_cost_is_the_compiled_mappings_measured_cost() {
+    use multidim_mapping::Span;
+    use multidim_workloads::{data, sums};
     let entries = catalog();
     let engine = Engine::new(Compiler::new(), small_config());
     let compiler = Compiler::new();
     let options = multidim_mapping::TuneOptions::default();
-    // Tune one catalog entry; also report where its compiled mapping sits
-    // in the plan and that candidate's measured cost.
-    let tune = |name: &str| {
-        let e = entries.iter().find(|e| e.name() == name).expect(name);
-        let compiled = compiler.compile(&e.program, &e.bindings).expect("compile");
+    // Tune one program; also report its compiled mapping, where that
+    // mapping sits in the plan, and that candidate's measured cost.
+    let tune = |program, bindings, inputs| {
+        let compiled = compiler.compile(program, bindings).expect("compile");
         let prepared = compiler
-            .prepare_tune(&e.program, &e.bindings, &options)
+            .prepare_tune(program, bindings, &options)
             .expect("plan");
         let candidates = &prepared.plan.candidates;
         let index = candidates
             .iter()
             .position(|c| c.mapping == compiled.mapping);
         let cost = index.and_then(|_| {
-            compiler.measure_candidate(&prepared, &e.bindings, &e.inputs, &compiled.mapping)
+            compiler.measure_candidate(&prepared, bindings, inputs, &compiled.mapping)
         });
         let (_exe, record) = engine
-            .autotune(&e.program, &e.bindings, &e.inputs, &options)
+            .autotune(program, bindings, inputs, &options)
             .expect("tune");
-        (index, cost, record)
+        (compiled.mapping, index, cost, record)
     };
 
     // hotspot compiles to the plan's third candidate: its measured cost
     // is the analytic baseline.
-    let (index, cost, record) = tune("hotspot");
+    let e = entries
+        .iter()
+        .find(|e| e.name() == "hotspot")
+        .expect("hotspot");
+    let (_, index, cost, record) = tune(&e.program, &e.bindings, &e.inputs);
     assert_eq!(index, Some(2));
     assert!(cost.is_some());
     assert_eq!(record.analytic_cost, cost);
     assert_eq!(record.analytic_delta(), cost.map(|a| a / record.tuned_cost));
 
-    // sumRows compiles to a split(1) mapping outside the plan: no
-    // candidate's cost stands in for it.
-    let (index, _, record) = tune("sumRows");
+    // sumCols over four long columns has too little parallelism, so DOP
+    // control splits its reduce: the compiled mapping is outside the
+    // plan, and no candidate's cost stands in for it.
+    let (rows, cols) = (1024, 4);
+    let (program, rs, cs, m) = sums::sum_program(sums::SumKind::Cols);
+    let mut bindings = multidim_ir::Bindings::new();
+    bindings.bind(rs, rows as i64);
+    bindings.bind(cs, cols as i64);
+    let inputs = [(m, data::matrix(rows, cols, 42))].into_iter().collect();
+    let (mapping, index, _, record) = tune(&program, &bindings, &inputs);
+    assert!(
+        mapping
+            .levels()
+            .iter()
+            .any(|l| matches!(l.span, Span::Split(k) if k > 1)),
+        "{mapping}"
+    );
     assert_eq!(index, None);
     assert_eq!(record.analytic_cost, None);
     assert_eq!(record.analytic_delta(), None);

@@ -8,7 +8,7 @@
 
 use multidim::Compiler;
 use multidim_engine::{Engine, EngineConfig, Request};
-use multidim_ir::{Bindings, Effect, Expr, Program, ProgramBuilder, ScalarKind, Size, SymId};
+use multidim_ir::{Bindings, Effect, Expr, Program, ProgramBuilder, ScalarKind, Size};
 use multidim_trace::json::Json;
 use multidim_trace::{
     install_store, SpanRecord, StoreGuard, StoredTrace, TailSamplerConfig, TraceOutcome, TraceStore,
@@ -68,6 +68,26 @@ fn racy_workload() -> (Program, Bindings, HashMap<multidim_ir::ArrayId, Vec<f64>
     (p, bind, inputs)
 }
 
+/// A map over `x[0..N / D]` with `D` bound to zero. The analysis
+/// evaluates the extent, and `Size` division asserts a positive divisor,
+/// so compiling it panics under every build profile.
+fn zero_divisor_workload() -> (Program, Bindings, HashMap<multidim_ir::ArrayId, Vec<f64>>) {
+    let mut b = ProgramBuilder::new("zero-divisor");
+    let n = b.sym("N");
+    let d = b.sym("D");
+    let x = b.input("x", ScalarKind::F32, &[Size::sym(n)]);
+    let root = b.map(Size::sym(n) / Size::sym(d), |b, i| {
+        b.read(x, &[i.into()]) * Expr::lit(2.0)
+    });
+    let p = b.finish_map(root, "y", ScalarKind::F32).expect("validates");
+    let mut bind = Bindings::new();
+    bind.bind(n, 64);
+    bind.bind(d, 0);
+    let mut inputs = HashMap::new();
+    inputs.insert(x, vec![1.0; 64]);
+    (p, bind, inputs)
+}
+
 /// A span argument in its display form.
 fn arg(span: &SpanRecord, key: &str) -> Option<String> {
     span.args
@@ -75,6 +95,18 @@ fn arg(span: &SpanRecord, key: &str) -> Option<String> {
         .find(|(k, _)| *k == key)
         .map(|(_, v)| v.to_string())
 }
+
+/// The compile pipeline's stage spans, each a child of `core/compile` in
+/// a cold compile's trace.
+const COMPILE_STAGES: [(&str, &str); 7] = [
+    ("codegen", "fuse"),
+    ("search", "analyze"),
+    ("analyze", "static_analysis"),
+    ("dynpar", "choose"),
+    ("codegen", "lower"),
+    ("codegen", "validate"),
+    ("analyze", "locality"),
+];
 
 /// The trace's one root span.
 fn root(trace: &StoredTrace) -> &SpanRecord {
@@ -126,10 +158,9 @@ fn worker_panic_keeps_a_failed_trace_with_its_fingerprint() {
     let (_lock, store) = locked_store();
     let engine = Engine::new(Compiler::new(), small_config());
 
-    // A hostile binding (N = i64::MAX) deterministically panics inside the
-    // mapping search — after the fingerprint phase, during compile.
-    let (program, mut bindings, inputs) = multidim_engine::doctest_workload();
-    bindings.bind(SymId(0), i64::MAX);
+    // A hostile binding (a zero divisor) deterministically panics inside
+    // the mapping analysis — after the fingerprint phase, during compile.
+    let (program, bindings, inputs) = zero_divisor_workload();
     let expected_fp = Compiler::new().fingerprint(&program, &bindings);
     engine
         .submit(Request::new(program, bindings, inputs))
@@ -137,7 +168,7 @@ fn worker_panic_keeps_a_failed_trace_with_its_fingerprint() {
         .wait()
         .expect_err("hostile request must fail");
 
-    let trace = kept_trace(&store, "doctest-saxpy", TraceOutcome::Failed);
+    let trace = kept_trace(&store, "zero-divisor", TraceOutcome::Failed);
     let reason = arg(root(&trace), "reason").expect("a failed root carries its reason");
     assert!(
         reason.contains("panicked"),
@@ -236,18 +267,14 @@ fn kept_completion_records_phases_and_mapping() {
     assert_eq!(compile.parent, Some(root.span_id));
     assert_eq!(run.parent, Some(root.span_id));
     // The cold compile carries the pipeline's own spans: `core/compile`
-    // under the engine's compile span, the mapping search, static
-    // analysis and lowering under `core/compile`, and `core/run` under
-    // the engine's run span, split into the simulator's specialization
-    // and execution.
+    // under the engine's compile span; fusion, the mapping search, static
+    // analysis, the dynpar choice, lowering, kernel validation and
+    // locality under `core/compile`; and `core/run` under the engine's
+    // run span, split into the simulator's specialization and execution.
     let (core_compile, parent) = with_parent(&trace, "core", "compile");
     assert_eq!(parent.span_id, compile.span_id);
     assert_eq!(arg(core_compile, "fused").as_deref(), Some("0"));
-    for (cat, name) in [
-        ("search", "analyze"),
-        ("analyze", "static_analysis"),
-        ("codegen", "lower"),
-    ] {
+    for (cat, name) in COMPILE_STAGES {
         let (stage, parent) = with_parent(&trace, cat, name);
         assert_eq!(
             parent.span_id, core_compile.span_id,
@@ -292,4 +319,96 @@ fn kept_completion_records_phases_and_mapping() {
             .is_some_and(|k| !k.is_empty()),
         "per-kernel simulator metrics"
     );
+}
+
+#[test]
+fn kept_cold_traces_explain_every_catalog_decision() {
+    let (_lock, store) = locked_store();
+    let engine = Engine::new(Compiler::new(), small_config());
+    let entries = multidim_workloads::catalog::catalog();
+    assert_eq!(entries.len(), 27, "the full catalog");
+    let mut sites = 0;
+    for e in &entries {
+        let name = e.name();
+        let resp = engine
+            .submit(Request::new(
+                e.program.clone(),
+                e.bindings.clone(),
+                e.inputs.clone(),
+            ))
+            .expect("accepted")
+            .wait()
+            .unwrap_or_else(|err| panic!("{name}: {err}"));
+        assert!(!resp.cache_hit, "{name} is served cold");
+        let exe = &resp.executable;
+        let trace = resp
+            .trace
+            .and_then(|t| store.lookup(t.trace_id))
+            .unwrap_or_else(|| panic!("{name}: the completion is kept"));
+        let stage = |cat, stage| {
+            span(&trace, cat, stage).unwrap_or_else(|| panic!("{name}: no {cat}/{stage} span"))
+        };
+        let text = |span, key| {
+            arg(span, key).unwrap_or_else(|| panic!("{name}: {} carries no {key}", span.name))
+        };
+        let number = |span, key| -> f64 { text(span, key).parse().expect("a number") };
+
+        // Why this mapping: the selection with its score and DOP, the
+        // prune count per hard constraint, and the runner-up.
+        let analysis = exe.analysis.as_ref().expect("the analysis ran");
+        let search = stage("search", "analyze");
+        assert_eq!(text(search, "selected"), exe.mapping.to_string(), "{name}");
+        assert_eq!(number(search, "score"), analysis.score, "{name}");
+        assert_eq!(number(search, "dop"), analysis.dop as f64, "{name}");
+        let pruned = number(search, "pruned") as usize;
+        assert_eq!(pruned, analysis.pruned, "{name}");
+        let pruned_by: usize = text(search, "pruned_by")
+            .split("; ")
+            .filter(|pair| !pair.is_empty())
+            .map(|pair| {
+                let (_, n) = pair.rsplit_once(": ").expect("constraint: count");
+                n.parse::<usize>().expect("a count")
+            })
+            .sum();
+        assert_eq!(pruned_by, pruned, "{name}: pruned_by sums to pruned");
+        if number(search, "candidates") >= 2.0 {
+            assert!(!text(search, "runner_up").is_empty(), "{name}");
+            assert!(
+                number(search, "runner_up_score") <= analysis.score,
+                "{name}"
+            );
+        }
+
+        // Why this dynpar strategy.
+        if let Some(site) = &exe.dynpar.site {
+            sites += 1;
+            let choose = stage("dynpar", "choose");
+            assert_eq!(text(choose, "strategy"), site.strategy.name(), "{name}");
+            assert_eq!(text(choose, "reason"), site.reason, "{name}");
+        }
+
+        // Every MD code, from the stage that found it.
+        let program_codes = text(stage("analyze", "static_analysis"), "codes");
+        let locality_codes = text(stage("analyze", "locality"), "codes");
+        let codes: Vec<&str> = program_codes
+            .split(',')
+            .chain(locality_codes.split(','))
+            .filter(|c| !c.is_empty())
+            .collect();
+        assert_eq!(codes.join(","), exe.diagnostics.codes(), "{name}");
+
+        // Which kernel was bound by what.
+        let metrics = exe.metrics(&resp.run);
+        let kernels: Vec<String> = metrics
+            .kernels
+            .iter()
+            .map(|k| format!("{}: {}", k.name, k.bound_by))
+            .collect();
+        assert_eq!(
+            text(stage("sim", "execute"), "kernels"),
+            kernels.join("; "),
+            "{name}"
+        );
+    }
+    assert!(sites > 0, "the catalog has data-dependent launch sites");
 }

@@ -1,12 +1,18 @@
 //! End-to-end checks for the tracing/metrics layer: traced counters must
 //! agree with the simulator's own result, the metrics JSON must round-trip
 //! losslessly, and the exported trace must be valid Chrome trace-event JSON.
+//!
+//! A traced run is one request whose trace a fresh store keeps; its
+//! events are the kept spans (the pipeline lane) and the run's metrics
+//! (the simulated-GPU lane), as `examples/profile.rs` renders them. Tests
+//! that install the store serialize on one lock.
 
 use multidim::prelude::*;
 use multidim_trace as trace;
 use multidim_trace::json::Json;
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 fn sum_rows(r: i64, c: i64) -> (Program, Bindings, multidim_ir::ArrayId) {
     let mut b = ProgramBuilder::new("sumRows");
@@ -30,12 +36,39 @@ fn traced_run(r: i64, c: i64) -> (multidim::Executable, multidim::RunReport, Vec
     let inputs: HashMap<_, _> = [(m, (0..r * c).map(|x| (x % 5) as f64).collect::<Vec<_>>())]
         .into_iter()
         .collect();
-    let sink = Rc::new(trace::MemorySink::new());
-    let guard = trace::set_sink(sink.clone());
-    let exe = Compiler::new().compile(&p, &bind).unwrap();
-    let run = exe.run(&inputs).unwrap();
-    drop(guard);
-    (exe, run, sink.drain())
+    static LOCK: Mutex<()> = Mutex::new(());
+    let _lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let store = Arc::new(trace::TraceStore::new(trace::TailSamplerConfig {
+        latency_threshold: 0.0,
+        ..Default::default()
+    }));
+    let installed = trace::install_store(store.clone());
+    let ctx = trace::TraceContext::mint();
+    let start = Instant::now();
+    let (exe, run) = {
+        let _current = trace::set_current(ctx);
+        let exe = Compiler::new().compile(&p, &bind).unwrap();
+        let run = exe.run(&inputs).unwrap();
+        (exe, run)
+    };
+    let root = trace::RequestRoot {
+        cat: "test",
+        start,
+        workload: "sumRows",
+        args: Vec::new(),
+    };
+    let kept = trace::finish_request(
+        &ctx,
+        root,
+        trace::TraceOutcome::Completed,
+        None::<&String>,
+        Some(start.elapsed().as_secs_f64()),
+    );
+    drop(installed);
+    let spans = store.lookup(kept.expect("kept")).expect("stored").spans;
+    let mut events: Vec<trace::Event> = spans.iter().map(trace::chrome::span_event).collect();
+    events.extend(exe.metrics(&run).trace_events());
+    (exe, run, events)
 }
 
 /// Per-kernel counters in the trace must sum to the simulator's totals —
@@ -162,13 +195,14 @@ fn exported_trace_is_valid_chrome_json() {
     assert!(pids.contains(&u64::from(trace::PID_SIM)));
 }
 
-/// Without a sink the pipeline emits nothing and produces identical results.
+/// Outside a traced request the pipeline records nothing and produces
+/// identical results.
 #[test]
 fn untraced_run_matches_traced_run() {
     let (p, bind, m) = sum_rows(128, 64);
     let inputs: HashMap<_, _> = [(m, vec![1.0; 128 * 64])].into_iter().collect();
 
-    assert!(!trace::enabled());
+    assert!(trace::span("test", "untraced").is_none());
     let exe = Compiler::new().compile(&p, &bind).unwrap();
     let quiet = exe.run(&inputs).unwrap();
 
