@@ -10,6 +10,9 @@
 //! mismatch the test writes the full actual record next to the build's
 //! temporary files and names the first differing line.
 
+#[path = "support/golden.rs"]
+mod golden;
+
 use multidim::prelude::*;
 use multidim::SanitizerReport;
 use multidim_workloads::catalog::catalog;
@@ -20,14 +23,7 @@ const GOLDEN: &str = include_str!("golden/sim_golden.txt");
 
 /// 64-bit FNV-1a over the f64 bits of `values`.
 fn digest(values: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in values {
-        for byte in v.to_bits().to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    golden::fnv1a(values.iter().flat_map(|v| v.to_bits().to_le_bytes()))
 }
 
 fn outputs_line(outputs: &HashMap<multidim_ir::ArrayId, Vec<f64>>) -> String {
@@ -105,25 +101,5 @@ fn record() -> String {
 
 #[test]
 fn simulator_reproduces_the_golden_record_over_the_catalog() {
-    let actual = record();
-    if actual == GOLDEN {
-        return;
-    }
-    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("sim_golden.actual.txt");
-    std::fs::write(&path, &actual).expect("write the actual record");
-    let want: Vec<&str> = GOLDEN.lines().collect();
-    let got: Vec<&str> = actual.lines().collect();
-    let line = (0..want.len().max(got.len()))
-        .find(|&i| want.get(i) != got.get(i))
-        .unwrap_or(0);
-    let (want, got) = (
-        want.get(line).copied().unwrap_or("<end>"),
-        got.get(line).copied().unwrap_or("<end>"),
-    );
-    let line = line + 1;
-    panic!(
-        "simulator output differs from tests/golden/sim_golden.txt at line {line}\n  \
-         want: {want}\n  got:  {got}\nfull actual record: {}",
-        path.display()
-    );
+    golden::check("sim_golden", GOLDEN, &record());
 }
