@@ -159,9 +159,21 @@ impl KExpr {
     pub fn div(a: KExpr, b: KExpr) -> KExpr {
         KExpr::Bin(BinOp::Div, Box::new(a), Box::new(b))
     }
+    /// `min(a, b)`
+    pub fn min(a: KExpr, b: KExpr) -> KExpr {
+        KExpr::Bin(BinOp::Min, Box::new(a), Box::new(b))
+    }
+    /// `max(a, b)`
+    pub fn max(a: KExpr, b: KExpr) -> KExpr {
+        KExpr::Bin(BinOp::Max, Box::new(a), Box::new(b))
+    }
     /// `a < b`
     pub fn lt(a: KExpr, b: KExpr) -> KExpr {
         KExpr::Bin(BinOp::Lt, Box::new(a), Box::new(b))
+    }
+    /// `a <= b`
+    pub fn le(a: KExpr, b: KExpr) -> KExpr {
+        KExpr::Bin(BinOp::Le, Box::new(a), Box::new(b))
     }
     /// `a >= b`
     pub fn ge(a: KExpr, b: KExpr) -> KExpr {
@@ -321,16 +333,18 @@ impl Kernel {
 
     /// Does the body contain a `Sync` (forces block-lockstep simulation)?
     pub fn has_sync(&self) -> bool {
-        fn any_sync(stmts: &[Stmt]) -> bool {
-            stmts.iter().any(|s| match s {
-                Stmt::Sync => true,
-                Stmt::For { body, .. } => any_sync(body),
-                Stmt::If { then, els, .. } => any_sync(then) || any_sync(els),
-                _ => false,
-            })
-        }
-        any_sync(&self.body)
+        has_sync(&self.body)
     }
+}
+
+/// Does `stmts` contain a `Sync` at any depth?
+pub(crate) fn has_sync(stmts: &[Stmt]) -> bool {
+    stmts.iter().any(|s| match s {
+        Stmt::Sync => true,
+        Stmt::For { body, .. } => has_sync(body),
+        Stmt::If { then, els, .. } => has_sync(then) || has_sync(els),
+        _ => false,
+    })
 }
 
 /// A compiled program: buffers plus an ordered list of kernels to launch.

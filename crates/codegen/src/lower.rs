@@ -21,13 +21,14 @@
 //! outer-level reads) are applied here, controlled by [`CodegenOptions`].
 
 use crate::kernel::{
-    Axis, BufId, BufferDecl, BufferInit, KExpr, Kernel, KernelProgram, LocalId, SmemDecl, Stmt,
+    has_sync, Axis, BufId, BufferDecl, BufferInit, KExpr, Kernel, KernelProgram, LocalId, SmemDecl,
+    Stmt,
 };
 use multidim_ir::{
     ArrayId, ArrayRole, BinOp, Body, Effect, Expr, Pattern, PatternKind, Program, ReadSrc,
     ReduceOp, Size, UnOp, VarId,
 };
-use multidim_mapping::{MappingDecision, Span};
+use multidim_mapping::{LevelMapping, MappingDecision, Span};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -123,52 +124,8 @@ pub fn lower(
     // are consumed by further in-kernel computation are demoted to
     // `Span(all)`.
     let (mapping, demotion_notes) = demote_consumed_splits(program, mapping);
-    let mapping = &mapping;
-    let mut lo = Lowerer {
-        program,
-        mapping,
-        opts,
-        buffers: Vec::new(),
-        combiners: Vec::new(),
-        notes: Vec::new(),
-        next_local: 0,
-        smem: Vec::new(),
-        vars: HashMap::new(),
-        temps: HashMap::new(),
-        chain: Vec::new(),
-        out_chain: Vec::new(),
-        prefetched: HashMap::new(),
-        preamble: Vec::new(),
-        clamp_mode: needs_clamp(program, mapping),
-        valid_conds: Vec::new(),
-    };
+    let mut lo = Lowerer::new(program, mapping.levels(), opts);
     lo.notes.extend(demotion_notes);
-
-    // Device buffers for the program's arrays.
-    for decl in &program.arrays {
-        let mut len = Size::from(1);
-        for d in &decl.shape {
-            len = len * d.clone();
-        }
-        let init = match decl.role {
-            ArrayRole::Input => BufferInit::FromArray(decl.id),
-            // Outputs/temps may be seeded by the host (in-place updates).
-            _ => BufferInit::FromArrayOrZero(decl.id),
-        };
-        lo.buffers.push(BufferDecl {
-            name: decl.name.clone(),
-            elem_bytes: decl.elem.bytes(),
-            len,
-            init,
-            array: Some(decl.id),
-        });
-    }
-    // GroupBy roots accumulate into the output: initialize with the
-    // combine identity.
-    if let PatternKind::GroupBy { op, .. } = &program.root.kind {
-        let out = program.output.expect("groupBy root has an output");
-        lo.buffers[out.0 as usize].init = BufferInit::Fill(op.identity());
-    }
 
     let mut body = Vec::new();
     lo.lower_root(&mut body)?;
@@ -266,12 +223,11 @@ fn demote_consumed_splits(
 /// construct that lowers to a block-level exchange (a reduce parallelized
 /// within the block, or a materialized temporary) coexists with
 /// multi-thread blocks.
-fn needs_clamp(program: &Program, mapping: &MappingDecision) -> bool {
+fn needs_clamp(program: &Program, levels: &[LevelMapping]) -> bool {
     let mut sync_construct = false;
     program.root.visit_patterns(&mut |p, lvl| {
         if matches!(p.kind, PatternKind::Reduce { .. })
-            && lvl < mapping.depth()
-            && mapping.level(lvl).block_size > 1
+            && levels.get(lvl).is_some_and(|lm| lm.block_size > 1)
         {
             sync_construct = true;
         }
@@ -279,7 +235,7 @@ fn needs_clamp(program: &Program, mapping: &MappingDecision) -> bool {
     if !sync_construct {
         // Materialized temporaries insert a sync when their level is
         // block-parallel; detect let-bound maps conservatively.
-        let any_block_parallel = (0..mapping.depth()).any(|l| mapping.level(l).block_size > 1);
+        let any_block_parallel = levels.iter().any(|lm| lm.block_size > 1);
         if any_block_parallel {
             program.root.visit_exprs(&mut |e| {
                 if let Expr::Let(_, val, _) = e {
@@ -319,26 +275,30 @@ struct TempInfo {
 #[derive(Debug, Clone)]
 struct ChainLink {
     var: VarId,
-
     idx: LocalId,
     extent: Size,
 }
 
-struct Lowerer<'p> {
-    program: &'p Program,
-    mapping: &'p MappingDecision,
+/// The code generator's state while it lowers one program: the scalar
+/// half (expressions, addresses, lets, effects, buffers) and the nest
+/// half (levels under the mapping, reductions, temporaries, prefetch).
+/// The consolidated launch-site kernels use the scalar half under no
+/// nest levels.
+pub(crate) struct Lowerer<'p> {
+    pub(crate) program: &'p Program,
+    /// The mapping of each nest level, outermost first.
+    levels: &'p [LevelMapping],
     opts: &'p CodegenOptions,
-    buffers: Vec<BufferDecl>,
+    pub(crate) buffers: Vec<BufferDecl>,
     combiners: Vec<Kernel>,
-    notes: Vec<String>,
-    next_local: u32,
+    pub(crate) notes: Vec<String>,
+    pub(crate) next_local: u32,
     smem: Vec<SmemDecl>,
-    vars: HashMap<VarId, KExpr>,
+    pub(crate) vars: HashMap<VarId, KExpr>,
     temps: HashMap<VarId, TempInfo>,
-    /// Enclosing pattern levels at the current lowering point.
+    /// Enclosing pattern levels at the current lowering point. Where the
+    /// root maps' outputs are stored, it holds exactly those maps.
     chain: Vec<ChainLink>,
-    /// Root-map chain for output indexing: (index expr, extent).
-    out_chain: Vec<(KExpr, Size)>,
     /// Arrays already staged through shared memory: array -> smem id.
     prefetched: HashMap<ArrayId, u32>,
     /// Kernel-top statements (prefetch loads + sync).
@@ -361,17 +321,52 @@ struct LevelFrame {
     extent: KExpr,
 }
 
-fn has_sync(stmts: &[Stmt]) -> bool {
-    stmts.iter().any(|s| match s {
-        Stmt::Sync => true,
-        Stmt::For { body, .. } => has_sync(body),
-        Stmt::If { then, els, .. } => has_sync(then) || has_sync(els),
-        _ => false,
-    })
-}
-
 impl<'p> Lowerer<'p> {
-    fn fresh_local(&mut self) -> LocalId {
+    /// A lowerer of `program` under the per-level mapping `levels`, with a
+    /// device buffer declared for each of the program's arrays.
+    pub(crate) fn new(
+        program: &'p Program,
+        levels: &'p [LevelMapping],
+        opts: &'p CodegenOptions,
+    ) -> Self {
+        let buffers = program
+            .arrays
+            .iter()
+            .map(|decl| BufferDecl {
+                name: decl.name.clone(),
+                elem_bytes: decl.elem.bytes(),
+                len: decl
+                    .shape
+                    .iter()
+                    .fold(Size::from(1), |len, d| len * d.clone()),
+                init: match decl.role {
+                    ArrayRole::Input => BufferInit::FromArray(decl.id),
+                    // Outputs/temps may be seeded by the host (in-place updates).
+                    _ => BufferInit::FromArrayOrZero(decl.id),
+                },
+                array: Some(decl.id),
+            })
+            .collect();
+        Lowerer {
+            program,
+            levels,
+            opts,
+            buffers,
+            combiners: Vec::new(),
+            notes: Vec::new(),
+            next_local: 0,
+            smem: Vec::new(),
+            vars: HashMap::new(),
+            temps: HashMap::new(),
+            chain: Vec::new(),
+            prefetched: HashMap::new(),
+            preamble: Vec::new(),
+            clamp_mode: needs_clamp(program, levels),
+            valid_conds: Vec::new(),
+        }
+    }
+
+    pub(crate) fn fresh_local(&mut self) -> LocalId {
         let l = self.next_local;
         self.next_local += 1;
         l
@@ -386,7 +381,7 @@ impl<'p> Lowerer<'p> {
         id
     }
 
-    fn add_buffer(&mut self, name: String, len: Size, init: BufferInit) -> BufId {
+    pub(crate) fn add_buffer(&mut self, name: String, len: Size, init: BufferInit) -> BufId {
         let id = BufId(self.buffers.len() as u32);
         self.buffers.push(BufferDecl {
             name,
@@ -399,7 +394,7 @@ impl<'p> Lowerer<'p> {
     }
 
     fn level_axis(&self, level: usize) -> Axis {
-        Axis::from_index(self.mapping.level(level).dim.0)
+        Axis::from_index(self.levels[level].dim.0)
     }
 
     fn lower_root(&mut self, sink: &mut Vec<Stmt>) -> Result<(), LowerError> {
@@ -407,9 +402,8 @@ impl<'p> Lowerer<'p> {
         match &root.kind {
             PatternKind::Map => self.lower_map(root, 0, sink),
             PatternKind::Reduce { op } => {
-                let op = *op;
                 let out = self.out_buf()?;
-                self.lower_reduce_into(root, 0, op, out, KExpr::imm(0), sink)
+                self.lower_reduce_into(root, 0, *op, out, sink)
             }
             PatternKind::Foreach => self.lower_foreach(root, 0, sink),
             PatternKind::Filter { .. } => self.lower_filter_root(root, sink),
@@ -417,7 +411,7 @@ impl<'p> Lowerer<'p> {
         }
     }
 
-    fn out_buf(&self) -> Result<BufId, LowerError> {
+    pub(crate) fn out_buf(&self) -> Result<BufId, LowerError> {
         let out = self
             .program
             .output
@@ -434,12 +428,41 @@ impl<'p> Lowerer<'p> {
         }
     }
 
+    /// Lower `p`'s loop at nest level `level` over `extent` into `sink`:
+    /// open the level, bind `p`'s index variable and push it on the chain,
+    /// lower the body with `body` (given the index local), then close the
+    /// level around that body and unbind.
+    fn in_level(
+        &mut self,
+        p: &'p Pattern,
+        level: usize,
+        extent: KExpr,
+        sink: &mut Vec<Stmt>,
+        body: impl FnOnce(&mut Self, LocalId, &mut Vec<Stmt>) -> Result<(), LowerError>,
+    ) -> Result<(), LowerError> {
+        let frame = self.begin_level(level, extent);
+        let idx = frame.idx;
+        self.vars.insert(p.var, KExpr::Local(idx));
+        self.chain.push(ChainLink {
+            var: p.var,
+            idx,
+            extent: p.size.clone(),
+        });
+        let mut stmts = Vec::new();
+        body(self, idx, &mut stmts)?;
+        let wrapped = self.end_level(frame, stmts)?;
+        sink.extend(wrapped);
+        self.chain.pop();
+        self.vars.remove(&p.var);
+        Ok(())
+    }
+
     /// Open nest level `level`: allocate its index local (and, in clamp
     /// mode, the raw-position local whose validity predicate guards every
     /// store generated while the level is open).
-    fn begin_level(&mut self, level: usize, extent: &KExpr) -> LevelFrame {
+    fn begin_level(&mut self, level: usize, extent: KExpr) -> LevelFrame {
         let idx = self.fresh_local();
-        let lm = self.mapping.level(level);
+        let lm = &self.levels[level];
         let raw = if self.clamp_mode && matches!(lm.span, Span::Span(_)) {
             let r = self.fresh_local();
             self.valid_conds
@@ -452,7 +475,7 @@ impl<'p> Lowerer<'p> {
             level,
             idx,
             raw,
-            extent: extent.clone(),
+            extent,
         }
     }
 
@@ -462,7 +485,7 @@ impl<'p> Lowerer<'p> {
         if frame.raw.is_some() {
             self.valid_conds.pop();
         }
-        let lm = self.mapping.level(frame.level).clone();
+        let lm = self.levels[frame.level].clone();
         let axis = Axis::from_index(lm.dim.0);
         // A span(all)/split loop with block_size > 1 starts at threadIdx —
         // lane-dependent bounds, so a __syncthreads inside would deadlock.
@@ -479,14 +502,9 @@ impl<'p> Lowerer<'p> {
         // duplicate valid index so they can participate in block syncs;
         // their stores are predicated off by the validity condition.
         let clamp = |raw: LocalId| {
-            KExpr::Bin(
-                BinOp::Min,
-                Box::new(KExpr::Local(raw)),
-                Box::new(KExpr::Bin(
-                    BinOp::Max,
-                    Box::new(KExpr::sub(extent.clone(), KExpr::imm(1))),
-                    Box::new(KExpr::imm(0)),
-                )),
+            KExpr::min(
+                KExpr::Local(raw),
+                KExpr::max(KExpr::sub(extent.clone(), KExpr::imm(1)), KExpr::imm(0)),
             )
         };
         Ok(match lm.span {
@@ -604,13 +622,9 @@ impl<'p> Lowerer<'p> {
                     KExpr::Tid(axis)
                 };
                 let start = KExpr::add(KExpr::mul(KExpr::Bid(axis), section.clone()), lane);
-                let end = KExpr::Bin(
-                    BinOp::Min,
-                    Box::new(KExpr::mul(
-                        KExpr::add(KExpr::Bid(axis), KExpr::imm(1)),
-                        section,
-                    )),
-                    Box::new(extent),
+                let end = KExpr::min(
+                    KExpr::mul(KExpr::add(KExpr::Bid(axis), KExpr::imm(1)), section),
+                    extent,
                 );
                 vec![Stmt::For {
                     var: idx,
@@ -627,8 +641,7 @@ impl<'p> Lowerer<'p> {
     /// than `level` (Figure 9 line 15).
     fn inner_guard(&self, level: usize) -> Option<KExpr> {
         let mut cond: Option<KExpr> = None;
-        for l in (level + 1)..self.mapping.depth() {
-            let lm = self.mapping.level(l);
+        for lm in self.levels.iter().skip(level + 1) {
             if lm.block_size > 1 {
                 let axis = Axis::from_index(lm.dim.0);
                 let c = KExpr::eq(KExpr::Tid(axis), KExpr::imm(0));
@@ -673,51 +686,27 @@ impl<'p> Lowerer<'p> {
         sink: &mut Vec<Stmt>,
     ) -> Result<(), LowerError> {
         let extent = self.extent_expr(p, sink)?;
-        let frame = self.begin_level(level, &extent);
-        let idx = frame.idx;
-        self.vars.insert(p.var, KExpr::Local(idx));
-        self.chain.push(ChainLink {
-            var: p.var,
-            idx,
-            extent: p.size.clone(),
-        });
-        self.out_chain.push((KExpr::Local(idx), p.size.clone()));
-
-        let mut body = Vec::new();
-        let value = match &p.body {
-            Body::Value(e) => e,
-            Body::Effects(_) => return Err(LowerError("map with effect body".into())),
-        };
-        match value {
-            // Directly nested map: extend the output chain.
-            Expr::Pat(inner) if matches!(inner.kind, PatternKind::Map) => {
-                self.lower_map(inner, level + 1, &mut body)?;
-            }
-            // Direct reduce body: store via the split-capable path so
-            // `ControlDOP`'s `Split(k)` choice is honored (sumRows/sumCols).
-            Expr::Pat(inner) => {
-                if let PatternKind::Reduce { op } = &inner.kind {
-                    let op = *op;
-                    let out = self.out_buf()?;
-                    self.lower_reduce_into(inner, level + 1, op, out, KExpr::imm(0), &mut body)?;
-                } else {
-                    let v = self.lower_expr(value, &mut body)?;
-                    self.store_root(level, v, &mut body)?;
+        self.in_level(p, level, extent, sink, |this, _, body| {
+            let Body::Value(value) = &p.body else {
+                return Err(LowerError("map with effect body".into()));
+            };
+            if let Expr::Pat(inner) = value {
+                match &inner.kind {
+                    // Directly nested map: extend the output chain.
+                    PatternKind::Map => return this.lower_map(inner, level + 1, body),
+                    // Direct reduce body: store via the split-capable path
+                    // so `ControlDOP`'s `Split(k)` choice is honored
+                    // (sumRows/sumCols).
+                    PatternKind::Reduce { op } => {
+                        let out = this.out_buf()?;
+                        return this.lower_reduce_into(inner, level + 1, *op, out, body);
+                    }
+                    _ => {}
                 }
             }
-            _ => {
-                let v = self.lower_expr(value, &mut body)?;
-                self.store_root(level, v, &mut body)?;
-            }
-        }
-
-        let wrapped = self.end_level(frame, body)?;
-        sink.extend(wrapped);
-
-        self.out_chain.pop();
-        self.chain.pop();
-        self.vars.remove(&p.var);
-        Ok(())
+            let v = this.lower_expr(value, body)?;
+            this.store_root(level, v, body)
+        })
     }
 
     /// Store a scalar at the current root-map position.
@@ -728,7 +717,7 @@ impl<'p> Lowerer<'p> {
         sink: &mut Vec<Stmt>,
     ) -> Result<(), LowerError> {
         let out = self.out_buf()?;
-        let idx = linearize_chain(&self.out_chain);
+        let idx = linearize(&self.chain);
         let st = vec![Stmt::Store {
             buf: out,
             idx,
@@ -751,95 +740,84 @@ impl<'p> Lowerer<'p> {
         op: ReduceOp,
         sink: &mut Vec<Stmt>,
     ) -> Result<KExpr, LowerError> {
-        let lm = self.mapping.level(level).clone();
         // `demote_consumed_splits` guarantees consumed reduces never split.
         debug_assert!(
-            !matches!(lm.span, Span::Split(_)),
+            !matches!(self.levels[level].span, Span::Split(_)),
             "consumed reduce at level {level} still has Split"
         );
-        let acc = self.accumulate_local(p, level, op, sink)?;
-        if lm.block_size > 1 {
-            let res = self.block_tree_reduce(level, op, acc, sink);
-            Ok(KExpr::Local(res))
-        } else {
-            Ok(KExpr::Local(acc))
-        }
+        Ok(KExpr::Local(self.reduce_local(p, level, op, sink)?))
     }
 
-    /// Lower a reduce stored directly to `out[out_base]` (root reduce or
-    /// root-map body); supports `Split(k)` via a combiner kernel.
+    /// Lower a reduce stored directly to `out` at the root-map position
+    /// (root reduce or root-map body); supports `Split(k)` via a combiner
+    /// kernel.
     fn lower_reduce_into(
         &mut self,
         p: &'p Pattern,
         level: usize,
         op: ReduceOp,
         out: BufId,
-        _out_base: KExpr,
         sink: &mut Vec<Stmt>,
     ) -> Result<(), LowerError> {
-        let lm = self.mapping.level(level).clone();
-        let acc = self.accumulate_local(p, level, op, sink)?;
-        let reduced = if lm.block_size > 1 {
-            self.block_tree_reduce(level, op, acc, sink)
-        } else {
-            acc
-        };
+        let reduced = self.reduce_local(p, level, op, sink)?;
+        let lm = self.levels[level].clone();
         let axis = self.level_axis(level);
-
-        match lm.span {
+        let (buf, idx) = match lm.span {
             Span::Split(k) => {
                 // Per-section partials, then a combiner kernel.
                 let k = k.max(1);
-                let uid_count = chain_count(&self.out_chain);
-                let partial_len = uid_count.clone() * Size::from(k);
+                let uid_count = chain_count(&self.chain);
                 let partial = self.add_buffer(
                     format!("{}_partials", self.program.name),
-                    partial_len,
+                    uid_count.clone() * Size::from(k),
                     BufferInit::Fill(op.identity()),
                 );
-                let uid = linearize_chain(&self.out_chain);
-                let pidx = KExpr::add(KExpr::mul(uid, KExpr::imm(k)), KExpr::Bid(axis));
-                let store = vec![Stmt::Store {
-                    buf: partial,
-                    idx: pidx,
-                    value: KExpr::Local(reduced),
-                }];
-                // One lane of the reduce dimension stores; deeper parallel
-                // dims and enclosing validity handled by guarded().
-                let stmts = if lm.block_size > 1 {
-                    vec![Stmt::If {
-                        cond: KExpr::eq(KExpr::Tid(axis), KExpr::imm(0)),
-                        then: store,
-                        els: vec![],
-                    }]
-                } else {
-                    store
-                };
-                let guarded = self.guarded(level, stmts);
-                sink.extend(guarded);
-                self.emit_combiner(op, partial, out, uid_count, k);
+                self.emit_combiner(op, partial, out, uid_count.clone(), k);
+                let uid = linearize(&self.chain);
+                (
+                    partial,
+                    KExpr::add(KExpr::mul(uid, KExpr::imm(k)), KExpr::Bid(axis)),
+                )
             }
-            _ => {
-                let uid = linearize_chain(&self.out_chain);
-                let store = vec![Stmt::Store {
-                    buf: out,
-                    idx: uid,
-                    value: KExpr::Local(reduced),
-                }];
-                let stmts = if lm.block_size > 1 {
-                    vec![Stmt::If {
-                        cond: KExpr::eq(KExpr::Tid(axis), KExpr::imm(0)),
-                        then: store,
-                        els: vec![],
-                    }]
-                } else {
-                    store
-                };
-                let guarded = self.guarded(level, stmts);
-                sink.extend(guarded);
-            }
-        }
+            _ => (out, linearize(&self.chain)),
+        };
+        let store = vec![Stmt::Store {
+            buf,
+            idx,
+            value: KExpr::Local(reduced),
+        }];
+        // One lane of the reduce dimension stores; deeper parallel dims
+        // and enclosing validity are handled by guarded().
+        let stmts = if lm.block_size > 1 {
+            vec![Stmt::If {
+                cond: KExpr::eq(KExpr::Tid(axis), KExpr::imm(0)),
+                then: store,
+                els: vec![],
+            }]
+        } else {
+            store
+        };
+        let guarded = self.guarded(level, stmts);
+        sink.extend(guarded);
         Ok(())
+    }
+
+    /// A reduce's per-thread accumulation and, when its level is
+    /// block-parallel, the block's tree combine: the local holding the
+    /// result.
+    fn reduce_local(
+        &mut self,
+        p: &'p Pattern,
+        level: usize,
+        op: ReduceOp,
+        sink: &mut Vec<Stmt>,
+    ) -> Result<LocalId, LowerError> {
+        let acc = self.accumulate_local(p, level, op, sink)?;
+        Ok(if self.levels[level].block_size > 1 {
+            self.block_tree_reduce(level, op, acc, sink)
+        } else {
+            acc
+        })
     }
 
     /// The per-thread accumulation loop of a reduce.
@@ -856,32 +834,17 @@ impl<'p> Lowerer<'p> {
             dst: acc,
             value: KExpr::Imm(op.identity()),
         });
-
-        let frame = self.begin_level(level, &extent);
-        let idx = frame.idx;
-        self.vars.insert(p.var, KExpr::Local(idx));
-        self.chain.push(ChainLink {
-            var: p.var,
-            idx,
-            extent: p.size.clone(),
-        });
-
-        let mut body = Vec::new();
-        let value = match &p.body {
-            Body::Value(e) => e,
-            Body::Effects(_) => return Err(LowerError("reduce with effect body".into())),
-        };
-        let v = self.lower_expr(value, &mut body)?;
-        body.push(Stmt::Assign {
-            dst: acc,
-            value: combine(op, KExpr::Local(acc), v),
-        });
-
-        let wrapped = self.end_level(frame, body)?;
-        sink.extend(wrapped);
-
-        self.chain.pop();
-        self.vars.remove(&p.var);
+        self.in_level(p, level, extent, sink, |this, _, body| {
+            let Body::Value(value) = &p.body else {
+                return Err(LowerError("reduce with effect body".into()));
+            };
+            let v = this.lower_expr(value, body)?;
+            body.push(Stmt::Assign {
+                dst: acc,
+                value: combine(op, KExpr::Local(acc), v),
+            });
+            Ok(())
+        })?;
         Ok(acc)
     }
 
@@ -894,11 +857,9 @@ impl<'p> Lowerer<'p> {
         acc: LocalId,
         sink: &mut Vec<Stmt>,
     ) -> LocalId {
-        let lm = self.mapping.level(level).clone();
+        let lm = self.levels[level].clone();
         let axis = Axis::from_index(lm.dim.0);
-        let block_threads: u32 = (0..self.mapping.depth())
-            .map(|l| self.mapping.level(l).block_size)
-            .product();
+        let block_threads: u32 = self.levels.iter().map(|l| l.block_size).product();
         let smem = self.fresh_smem(format!("red_l{level}"), block_threads.max(1));
 
         // Warp-synchronous shortcut (the paper's "well known warp
@@ -968,8 +929,7 @@ impl<'p> Lowerer<'p> {
     /// `axis` (x fastest).
     fn flat_slot_and_stride(&self, axis: Axis) -> (KExpr, u32) {
         let mut dims = [1u32; 3];
-        for l in 0..self.mapping.depth() {
-            let lm = self.mapping.level(l);
+        for lm in self.levels {
             dims[Axis::from_index(lm.dim.0).index()] = lm.block_size.max(1);
         }
         let (bx, by) = (dims[0], dims[1]);
@@ -1055,104 +1015,88 @@ impl<'p> Lowerer<'p> {
         sink: &mut Vec<Stmt>,
     ) -> Result<(), LowerError> {
         let extent = self.extent_expr(p, sink)?;
-        let frame = self.begin_level(level, &extent);
-        let idx = frame.idx;
-        self.vars.insert(p.var, KExpr::Local(idx));
-        self.chain.push(ChainLink {
-            var: p.var,
-            idx,
-            extent: p.size.clone(),
-        });
+        self.in_level(p, level, extent, sink, |this, _, body| {
+            let Body::Effects(effs) = &p.body else {
+                return Err(LowerError("foreach requires effects".into()));
+            };
+            this.lower_effects(effs, level, body)
+        })
+    }
 
-        let mut body = Vec::new();
-        let effs = match &p.body {
-            Body::Effects(effs) => effs,
-            Body::Value(_) => return Err(LowerError("foreach requires effects".into())),
-        };
+    /// Lower a foreach body's effects at nest level `level`: each store or
+    /// atomic after its value and address, guarded like every store at
+    /// that level and under the effect's condition, if any. Scalar lets
+    /// stay bound until the last effect is lowered.
+    pub(crate) fn lower_effects(
+        &mut self,
+        effs: &'p [Effect],
+        level: usize,
+        sink: &mut Vec<Stmt>,
+    ) -> Result<(), LowerError> {
         let mut bound = Vec::new();
         for eff in effs {
-            match eff {
+            let (cond, array, idx, value, op) = match eff {
                 Effect::Write {
                     cond,
                     array,
-                    idx: ai,
+                    idx,
                     value,
-                } => {
-                    let v = self.lower_expr(value, &mut body)?;
-                    let addr = self.array_address(*array, ai, &mut body)?;
-                    let store = vec![Stmt::Store {
-                        buf: BufId(array.0),
-                        idx: addr,
-                        value: v,
-                    }];
-                    let store = self.guarded(level, store);
-                    match cond {
-                        Some(c) => {
-                            let cv = self.lower_expr(c, &mut body)?;
-                            body.push(Stmt::If {
-                                cond: cv,
-                                then: store,
-                                els: vec![],
-                            });
-                        }
-                        None => body.extend(store),
-                    }
-                }
+                } => (cond, array, idx, value, None),
                 Effect::AtomicRmw {
                     cond,
                     array,
-                    idx: ai,
+                    idx,
                     op,
                     value,
-                } => {
-                    let v = self.lower_expr(value, &mut body)?;
-                    let addr = self.array_address(*array, ai, &mut body)?;
-                    let st = vec![Stmt::AtomicRmw {
-                        buf: BufId(array.0),
-                        idx: addr,
-                        op: *op,
-                        value: v,
-                        capture: None,
-                    }];
-                    let st = self.guarded(level, st);
-                    match cond {
-                        Some(c) => {
-                            let cv = self.lower_expr(c, &mut body)?;
-                            body.push(Stmt::If {
-                                cond: cv,
-                                then: st,
-                                els: vec![],
-                            });
+                } => (cond, array, idx, value, Some(*op)),
+                Effect::Nested(inner) => {
+                    match &inner.kind {
+                        PatternKind::Foreach => self.lower_foreach(inner, level + 1, sink)?,
+                        other => {
+                            return Err(LowerError(format!(
+                                "nested {} in foreach effects unsupported",
+                                other.name()
+                            )))
                         }
-                        None => body.extend(st),
                     }
+                    continue;
                 }
-                Effect::Nested(inner) => match &inner.kind {
-                    PatternKind::Foreach => self.lower_foreach(inner, level + 1, &mut body)?,
-                    other => {
-                        return Err(LowerError(format!(
-                            "nested {} in foreach effects unsupported",
-                            other.name()
-                        )))
-                    }
-                },
                 Effect::LetScalar(v, e) => {
-                    let val = self.lower_expr(e, &mut body)?;
-                    let l = self.fresh_local();
-                    body.push(Stmt::Assign { dst: l, value: val });
-                    self.vars.insert(*v, KExpr::Local(l));
+                    let value = self.lower_expr(e, sink)?;
+                    self.bind_local(*v, value, sink);
                     bound.push(*v);
+                    continue;
                 }
+            };
+            let value = self.lower_expr(value, sink)?;
+            let idx = self.array_address(*array, idx, sink)?;
+            let buf = BufId(array.0);
+            let store = vec![match op {
+                None => Stmt::Store { buf, idx, value },
+                Some(op) => Stmt::AtomicRmw {
+                    buf,
+                    idx,
+                    op,
+                    value,
+                    capture: None,
+                },
+            }];
+            let store = self.guarded(level, store);
+            match cond {
+                Some(c) => {
+                    let cond = self.lower_expr(c, sink)?;
+                    sink.push(Stmt::If {
+                        cond,
+                        then: store,
+                        els: vec![],
+                    });
+                }
+                None => sink.extend(store),
             }
         }
         for v in bound {
             self.vars.remove(&v);
         }
-
-        let wrapped = self.end_level(frame, body)?;
-        sink.extend(wrapped);
-        self.chain.pop();
-        self.vars.remove(&p.var);
         Ok(())
     }
 
@@ -1172,47 +1116,34 @@ impl<'p> Lowerer<'p> {
             .ok_or_else(|| LowerError("filter root requires a count array".into()))?;
 
         let extent = self.extent_expr(p, sink)?;
-        let frame = self.begin_level(0, &extent);
-        let idx = frame.idx;
-        self.vars.insert(p.var, KExpr::Local(idx));
-        self.chain.push(ChainLink {
-            var: p.var,
-            idx,
-            extent: p.size.clone(),
-        });
-
-        let mut body = Vec::new();
-        let pv = self.lower_expr(pred, &mut body)?;
-        let value = match &p.body {
-            Body::Value(e) => e,
-            Body::Effects(_) => return Err(LowerError("filter requires a value body".into())),
-        };
-        let mut then = Vec::new();
-        let v = self.lower_expr(value, &mut then)?;
-        let pos = self.fresh_local();
-        then.push(Stmt::AtomicRmw {
-            buf: counter,
-            idx: KExpr::imm(0),
-            op: ReduceOp::Add,
-            value: KExpr::Imm(1.0),
-            capture: Some(pos),
-        });
-        then.push(Stmt::Store {
-            buf: out,
-            idx: KExpr::Local(pos),
-            value: v,
-        });
-        let then = self.guarded(0, then);
-        body.push(Stmt::If {
-            cond: pv,
-            then,
-            els: vec![],
-        });
-
-        let wrapped = self.end_level(frame, body)?;
-        sink.extend(wrapped);
-        self.chain.pop();
-        self.vars.remove(&p.var);
+        self.in_level(p, 0, extent, sink, |this, _, body| {
+            let pv = this.lower_expr(pred, body)?;
+            let Body::Value(value) = &p.body else {
+                return Err(LowerError("filter requires a value body".into()));
+            };
+            let mut then = Vec::new();
+            let v = this.lower_expr(value, &mut then)?;
+            let pos = this.fresh_local();
+            then.push(Stmt::AtomicRmw {
+                buf: counter,
+                idx: KExpr::imm(0),
+                op: ReduceOp::Add,
+                value: KExpr::Imm(1.0),
+                capture: Some(pos),
+            });
+            then.push(Stmt::Store {
+                buf: out,
+                idx: KExpr::Local(pos),
+                value: v,
+            });
+            let then = this.guarded(0, then);
+            body.push(Stmt::If {
+                cond: pv,
+                then,
+                els: vec![],
+            });
+            Ok(())
+        })?;
         self.notes
             .push("filter output order is nondeterministic (atomic compaction)".into());
         Ok(())
@@ -1228,41 +1159,30 @@ impl<'p> Lowerer<'p> {
         };
         let op = *op;
         let out = self.out_buf()?;
+        // The groups accumulate into the output: start from the combine
+        // identity.
+        self.buffers[out.0 as usize].init = BufferInit::Fill(op.identity());
 
         let extent = self.extent_expr(p, sink)?;
-        let frame = self.begin_level(0, &extent);
-        let idx = frame.idx;
-        self.vars.insert(p.var, KExpr::Local(idx));
-        self.chain.push(ChainLink {
-            var: p.var,
-            idx,
-            extent: p.size.clone(),
-        });
-
-        let mut body = Vec::new();
-        let kv = self.lower_expr(key, &mut body)?;
-        let value = match &p.body {
-            Body::Value(e) => e,
-            Body::Effects(_) => return Err(LowerError("groupBy requires a value body".into())),
-        };
-        let v = self.lower_expr(value, &mut body)?;
-        let atomic = self.guarded(
-            0,
-            vec![Stmt::AtomicRmw {
-                buf: out,
-                idx: kv,
-                op,
-                value: v,
-                capture: None,
-            }],
-        );
-        body.extend(atomic);
-
-        let wrapped = self.end_level(frame, body)?;
-        sink.extend(wrapped);
-        self.chain.pop();
-        self.vars.remove(&p.var);
-        Ok(())
+        self.in_level(p, 0, extent, sink, |this, _, body| {
+            let kv = this.lower_expr(key, body)?;
+            let Body::Value(value) = &p.body else {
+                return Err(LowerError("groupBy requires a value body".into()));
+            };
+            let v = this.lower_expr(value, body)?;
+            let atomic = this.guarded(
+                0,
+                vec![Stmt::AtomicRmw {
+                    buf: out,
+                    idx: kv,
+                    op,
+                    value: v,
+                    capture: None,
+                }],
+            );
+            body.extend(atomic);
+            Ok(())
+        })
     }
 
     // ------------------------------------------------------------------
@@ -1290,13 +1210,22 @@ impl<'p> Lowerer<'p> {
             };
             addr = if k == 0 { term } else { KExpr::add(addr, term) };
         }
-        if idxs.is_empty() {
-            addr = KExpr::imm(0);
-        }
         Ok(addr)
     }
 
-    fn lower_expr(&mut self, e: &'p Expr, sink: &mut Vec<Stmt>) -> Result<KExpr, LowerError> {
+    /// Assign `value` to a fresh local and bind `v` to it.
+    pub(crate) fn bind_local(&mut self, v: VarId, value: KExpr, sink: &mut Vec<Stmt>) -> LocalId {
+        let l = self.fresh_local();
+        sink.push(Stmt::Assign { dst: l, value });
+        self.vars.insert(v, KExpr::Local(l));
+        l
+    }
+
+    pub(crate) fn lower_expr(
+        &mut self,
+        e: &'p Expr,
+        sink: &mut Vec<Stmt>,
+    ) -> Result<KExpr, LowerError> {
         match e {
             Expr::Lit(v) => Ok(KExpr::Imm(*v)),
             Expr::Var(v) => self
@@ -1359,39 +1288,31 @@ impl<'p> Lowerer<'p> {
                 let fv = self.lower_expr(f, sink)?;
                 Ok(KExpr::Select(Box::new(cv), Box::new(tv), Box::new(fv)))
             }
-            Expr::Let(v, val, bodye) => match &**val {
-                Expr::Pat(p) => match &p.kind {
-                    PatternKind::Map => {
-                        self.materialize_temp(*v, p, sink)?;
-                        let r = self.lower_expr(bodye, sink);
-                        self.temps.remove(v);
-                        r
+            Expr::Let(v, val, bodye) => {
+                if let Expr::Pat(p) = &**val {
+                    match &p.kind {
+                        PatternKind::Map => {
+                            self.materialize_temp(*v, p, sink)?;
+                            let r = self.lower_expr(bodye, sink);
+                            self.temps.remove(v);
+                            return r;
+                        }
+                        // A reduce is a scalar: lowered below.
+                        PatternKind::Reduce { .. } => {}
+                        other => {
+                            return Err(LowerError(format!(
+                                "let-bound {} not supported below the root",
+                                other.name()
+                            )))
+                        }
                     }
-                    PatternKind::Reduce { op } => {
-                        let level = self.chain.len();
-                        let rv = self.lower_reduce_value(p, level, *op, sink)?;
-                        let l = self.fresh_local();
-                        sink.push(Stmt::Assign { dst: l, value: rv });
-                        self.vars.insert(*v, KExpr::Local(l));
-                        let r = self.lower_expr(bodye, sink);
-                        self.vars.remove(v);
-                        r
-                    }
-                    other => Err(LowerError(format!(
-                        "let-bound {} not supported below the root",
-                        other.name()
-                    ))),
-                },
-                scalar => {
-                    let sv = self.lower_expr(scalar, sink)?;
-                    let l = self.fresh_local();
-                    sink.push(Stmt::Assign { dst: l, value: sv });
-                    self.vars.insert(*v, KExpr::Local(l));
-                    let r = self.lower_expr(bodye, sink);
-                    self.vars.remove(v);
-                    r
                 }
-            },
+                let value = self.lower_expr(val, sink)?;
+                self.bind_local(*v, value, sink);
+                let r = self.lower_expr(bodye, sink);
+                self.vars.remove(v);
+                r
+            }
             Expr::Iterate {
                 max,
                 inits,
@@ -1403,10 +1324,7 @@ impl<'p> Lowerer<'p> {
                 let mut state = Vec::with_capacity(inits.len());
                 for (v, init) in inits {
                     let iv = self.lower_expr(init, sink)?;
-                    let l = self.fresh_local();
-                    sink.push(Stmt::Assign { dst: l, value: iv });
-                    self.vars.insert(*v, KExpr::Local(l));
-                    state.push(l);
+                    state.push(self.bind_local(*v, iv, sink));
                 }
                 let counter = self.fresh_local();
                 let mut body = Vec::new();
@@ -1481,8 +1399,8 @@ impl<'p> Lowerer<'p> {
         }
         let level = self.chain.len();
         let inner = p.size.clone();
-        let uid_count = chain_count_links(&self.chain);
-        let uid = linearize_links(&self.chain);
+        let uid_count = chain_count(&self.chain);
+        let uid = linearize(&self.chain);
 
         let layout = match self.opts.layout {
             LayoutPolicy::ForceRowMajor => TempLayout::RowMajor,
@@ -1492,7 +1410,7 @@ impl<'p> Lowerer<'p> {
                 // stride 1 in the inner index coalesces: row-major.
                 // Otherwise interleave so the enclosing x-index gets
                 // stride 1 (Figure 11).
-                if level < self.mapping.depth() && self.mapping.level(level).dim.is_x() {
+                if self.levels.get(level).is_some_and(|lm| lm.dim.is_x()) {
                     TempLayout::RowMajor
                 } else {
                     TempLayout::ColMajor
@@ -1531,37 +1449,26 @@ impl<'p> Lowerer<'p> {
 
         // Producer loop: map into the temp at the chosen layout.
         let extent = self.extent_expr(p, sink)?;
-        let frame = self.begin_level(level, &extent);
-        let idx = frame.idx;
-        self.vars.insert(p.var, KExpr::Local(idx));
-        self.chain.push(ChainLink {
-            var: p.var,
-            idx,
-            extent: p.size.clone(),
-        });
-        let mut body = Vec::new();
-        let value = match &p.body {
-            Body::Value(e) => e,
-            Body::Effects(_) => return Err(LowerError("temp map with effects".into())),
-        };
-        let val = self.lower_expr(value, &mut body)?;
-        let store = self.guarded(
-            level,
-            vec![Stmt::Store {
-                buf: info.buf,
-                idx: temp_addr(&info, KExpr::Local(idx)),
-                value: val,
-            }],
-        );
-        body.extend(store);
-        let wrapped = self.end_level(frame, body)?;
-        sink.extend(wrapped);
-        self.chain.pop();
-        self.vars.remove(&p.var);
+        self.in_level(p, level, extent, sink, |this, idx, body| {
+            let Body::Value(value) = &p.body else {
+                return Err(LowerError("temp map with effects".into()));
+            };
+            let val = this.lower_expr(value, body)?;
+            let store = this.guarded(
+                level,
+                vec![Stmt::Store {
+                    buf: info.buf,
+                    idx: temp_addr(&info, KExpr::Local(idx)),
+                    value: val,
+                }],
+            );
+            body.extend(store);
+            Ok(())
+        })?;
 
         // Consumers at the same block-parallel level read other threads'
         // elements: synchronize.
-        if level < self.mapping.depth() && self.mapping.level(level).block_size > 1 {
+        if self.levels.get(level).is_some_and(|lm| lm.block_size > 1) {
             sink.push(Stmt::Sync);
         }
 
@@ -1593,7 +1500,7 @@ impl<'p> Lowerer<'p> {
         if !self.opts.smem_prefetch {
             return None; // disabled by options: not a per-read decision
         }
-        if self.mapping.depth() < 2 {
+        if self.levels.len() < 2 {
             return skip(self, "nest has a single level");
         }
         // At outer level only (chain = [outer]).
@@ -1602,7 +1509,7 @@ impl<'p> Lowerer<'p> {
         }
         let outer_var = self.chain[0].var;
         let outer_extent = self.chain[0].extent.clone();
-        let lm = self.mapping.level(0);
+        let lm = &self.levels[0];
         if lm.dim.is_x() {
             return skip(self, "outer level already on dimension x (coalesced)");
         }
@@ -1671,7 +1578,7 @@ impl<'p> Lowerer<'p> {
 }
 
 /// `op(a, b)` as a kernel expression.
-fn combine(op: ReduceOp, a: KExpr, b: KExpr) -> KExpr {
+pub(crate) fn combine(op: ReduceOp, a: KExpr, b: KExpr) -> KExpr {
     let bo = match op {
         ReduceOp::Add => BinOp::Add,
         ReduceOp::Mul => BinOp::Mul,
@@ -1695,41 +1602,22 @@ fn temp_addr(t: &TempInfo, j: KExpr) -> KExpr {
     }
 }
 
-/// Linearized index over the (index, extent) chain: `((i0)·E1 + i1)·E2 + …`.
-fn linearize_chain(chain: &[(KExpr, Size)]) -> KExpr {
-    if chain.is_empty() {
+/// Linearized index over the chain: `((i0)·E1 + i1)·E2 + …`.
+fn linearize(chain: &[ChainLink]) -> KExpr {
+    let Some((first, rest)) = chain.split_first() else {
         return KExpr::imm(0);
-    }
-    let mut acc = chain[0].0.clone();
-    for (idx, extent) in &chain[1..] {
-        acc = KExpr::add(KExpr::mul(acc, KExpr::SizeVal(extent.clone())), idx.clone());
-    }
-    acc
-}
-
-/// Product of chain extents.
-fn chain_count(chain: &[(KExpr, Size)]) -> Size {
-    chain
-        .iter()
-        .fold(Size::from(1), |acc, (_, e)| acc * e.clone())
-}
-
-fn chain_count_links(chain: &[ChainLink]) -> Size {
-    chain
-        .iter()
-        .fold(Size::from(1), |acc, l| acc * l.extent.clone())
-}
-
-fn linearize_links(chain: &[ChainLink]) -> KExpr {
-    if chain.is_empty() {
-        return KExpr::imm(0);
-    }
-    let mut acc = KExpr::Local(chain[0].idx);
-    for link in &chain[1..] {
-        acc = KExpr::add(
+    };
+    rest.iter().fold(KExpr::Local(first.idx), |acc, link| {
+        KExpr::add(
             KExpr::mul(acc, KExpr::SizeVal(link.extent.clone())),
             KExpr::Local(link.idx),
-        );
-    }
-    acc
+        )
+    })
+}
+
+/// Product of the chain's extents.
+fn chain_count(chain: &[ChainLink]) -> Size {
+    chain
+        .iter()
+        .fold(Size::from(1), |acc, link| acc * link.extent.clone())
 }

@@ -7,7 +7,7 @@
 //! this after every lowering in debug builds, and the test-suites run it
 //! on every workload.
 
-use crate::kernel::{KExpr, Kernel, KernelProgram, Stmt};
+use crate::kernel::{has_sync, KExpr, Kernel, KernelProgram, Stmt};
 use std::fmt;
 
 /// A structural defect in a generated kernel.
@@ -71,19 +71,19 @@ fn validate_with(
             smem_limit
         )));
     }
-    let ctx = Ctx { kp, k, in_child };
-    ctx.stmts(&k.body, 0, false)?;
+    let checker = Checker { kp, k, in_child };
+    checker.stmts(&k.body, 0, false)?;
     Ok(())
 }
 
-struct Ctx<'a> {
+struct Checker<'a> {
     kp: &'a KernelProgram,
     k: &'a Kernel,
     /// Validating a device-launchable child (nested launches forbidden).
     in_child: bool,
 }
 
-impl<'a> Ctx<'a> {
+impl<'a> Checker<'a> {
     /// `loop_depth` counts enclosing `For`s; `divergent` is true under any
     /// enclosing lane-dependent condition or loop.
     fn stmts(&self, stmts: &[Stmt], loop_depth: u32, divergent: bool) -> Result<(), KernelError> {
@@ -138,7 +138,7 @@ impl<'a> Ctx<'a> {
                 // A loop whose bounds depend on the lane is divergent; a
                 // sync inside it would deadlock real hardware.
                 let lane_dep = lane_dependent(start) || lane_dependent(end) || lane_dependent(step);
-                if lane_dep && has_sync_stmts(body) {
+                if lane_dep && has_sync(body) {
                     return Err(KernelError(
                         "__syncthreads inside a lane-dependent loop".into(),
                     ));
@@ -154,7 +154,7 @@ impl<'a> Ctx<'a> {
             Stmt::If { cond, then, els } => {
                 self.expr(cond)?;
                 let lane_dep = lane_dependent(cond);
-                if lane_dep && (has_sync_stmts(then) || has_sync_stmts(els)) {
+                if lane_dep && (has_sync(then) || has_sync(els)) {
                     return Err(KernelError(
                         "__syncthreads inside a lane-divergent branch".into(),
                     ));
@@ -276,15 +276,6 @@ fn lane_dependent(e: &KExpr) -> bool {
         KExpr::Un(_, a) => lane_dependent(a),
         KExpr::Select(c, t, f) => lane_dependent(c) || lane_dependent(t) || lane_dependent(f),
     }
-}
-
-fn has_sync_stmts(stmts: &[Stmt]) -> bool {
-    stmts.iter().any(|s| match s {
-        Stmt::Sync => true,
-        Stmt::For { body, .. } => has_sync_stmts(body),
-        Stmt::If { then, els, .. } => has_sync_stmts(then) || has_sync_stmts(els),
-        _ => false,
-    })
 }
 
 #[cfg(test)]
