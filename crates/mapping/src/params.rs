@@ -155,21 +155,18 @@ impl MappingDecision {
     /// Degree of parallelism under `extents` (one per level, outermost
     /// first): `Span(n)` contributes `ceil(extent/n)`, `Span(all)`
     /// contributes the *block size* (Section IV-D), `Split(k)` contributes
-    /// `block_size * k`.
+    /// `block_size * k`. Saturates at `u64::MAX`.
     pub fn dop(&self, extents: &[i64]) -> u64 {
         assert_eq!(extents.len(), self.levels.len());
         self.levels
             .iter()
             .zip(extents)
             .map(|(l, &ext)| match l.span {
-                Span::Span(n) => {
-                    let n = n.max(1);
-                    (((ext + n - 1) / n).max(1)) as u64
-                }
+                Span::Span(n) => ceil_div(ext, n.max(1) as u64),
                 Span::All => l.block_size as u64,
-                Span::Split(k) => l.block_size as u64 * k.max(1) as u64,
+                Span::Split(k) => (l.block_size as u64).saturating_mul(k.max(1) as u64),
             })
-            .product()
+            .fold(1, u64::saturating_mul)
     }
 
     /// Number of thread blocks launched along each level under `extents`
@@ -180,8 +177,7 @@ impl MappingDecision {
             .zip(extents)
             .map(|(l, &ext)| match l.span {
                 Span::Span(n) => {
-                    let per_block = l.block_size as i64 * n.max(1);
-                    ((ext + per_block - 1) / per_block).max(1) as u64
+                    ceil_div(ext, (l.block_size as u64).saturating_mul(n.max(1) as u64))
                 }
                 Span::All => 1,
                 Span::Split(k) => k.max(1) as u64,
@@ -193,6 +189,11 @@ impl MappingDecision {
     pub fn eval_extents(sizes: &[Size], bindings: &Bindings) -> Vec<i64> {
         sizes.iter().map(|s| s.eval_or_default(bindings)).collect()
     }
+}
+
+/// `ceil(extent / per)`, at least 1; a negative extent counts as 0.
+fn ceil_div(extent: i64, per: u64) -> u64 {
+    (extent.max(0) as u64).div_ceil(per).max(1)
 }
 
 impl fmt::Display for MappingDecision {

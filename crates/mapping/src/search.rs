@@ -411,7 +411,7 @@ pub fn control_dop(
     // Split pays for an extra (combiner) kernel launch; apply it only when
     // the parallelism deficit is at least 2x — below that the added
     // overhead outweighs the occupancy gain.
-    if dop * 2 <= min_dop {
+    if dop.saturating_mul(2) <= min_dop {
         let k = (min_dop as f64 / dop.max(1) as f64).ceil() as i64;
         // Prefer splitting the level with the largest extent headroom.
         let candidate = (0..mapping.depth())
@@ -546,6 +546,50 @@ mod tests {
         let analysis = analyze(&p, &bind, &k20c());
         assert!(analysis.dop <= k20c().max_dop());
         assert!(matches!(analysis.decision.level(0).span, Span::Span(n) if n > 1));
+    }
+
+    #[test]
+    fn dop_saturates_on_extents_near_the_i64_limit() {
+        // One level bound to i64::MAX: `ceil(extent / n)` must not
+        // overflow, and ControlDOP still coarsens.
+        let mut b = ProgramBuilder::new("huge");
+        let n = b.sym("N");
+        let a = b.input("a", ScalarKind::F32, &[Size::sym(n)]);
+        let root = b.map(Size::sym(n), |b, i| b.read(a, &[i.into()]));
+        let p = b.finish_map(root, "out", ScalarKind::F32).unwrap();
+        let mut bind = Bindings::new();
+        bind.bind(n, i64::MAX);
+        let analysis = analyze(&p, &bind, &k20c());
+        assert!(matches!(analysis.decision.level(0).span, Span::Span(n) if n > 1));
+
+        // A map of maps at 2^40 × 2^40: the per-level DOPs' product
+        // exceeds u64 and saturates.
+        let mut b = ProgramBuilder::new("huge2d");
+        let (rs, cs) = (b.sym("R"), b.sym("C"));
+        let m = b.input("m", ScalarKind::F32, &[Size::sym(rs), Size::sym(cs)]);
+        let root = b.map(Size::sym(rs), |b, row| {
+            b.map(Size::sym(cs), |b, col| b.read(m, &[row.into(), col.into()]))
+        });
+        let p = b.finish_map(root, "out", ScalarKind::F32).unwrap();
+        let mut bind = Bindings::new();
+        bind.bind(rs, 1 << 40);
+        bind.bind(cs, 1 << 40);
+        let analysis = analyze(&p, &bind, &k20c());
+        assert_eq!(analysis.decision.depth(), 2);
+        let one = MappingDecision::new(vec![
+            LevelMapping {
+                dim: Dim::X,
+                block_size: 1,
+                span: Span::ONE,
+            },
+            LevelMapping {
+                dim: Dim::Y,
+                block_size: 1,
+                span: Span::ONE,
+            },
+        ]);
+        assert_eq!(one.dop(&[1 << 40, 1 << 40]), u64::MAX);
+        assert_eq!(one.grid_blocks(&[i64::MAX, -5]), vec![i64::MAX as u64, 1]);
     }
 
     #[test]
