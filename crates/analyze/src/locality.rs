@@ -579,23 +579,33 @@ impl Layout {
     }
 }
 
-/// Max lanes of one warp whose byte offsets fit a 127-byte window, over
-/// every warp of a block with the given dims. Lanes are grouped into warps
-/// by flat thread id, exactly like the hardware (and the simulator).
-fn warp_capacity(dims: [u64; 3], coeff_bytes: [i128; 3]) -> u64 {
+/// Call `per_warp` with the offsets `coeff · (tx, ty, tz)` of each warp's
+/// lanes, warp by warp, for a block with the given dims. Lanes are grouped
+/// into warps by flat thread id, exactly like the hardware (and the
+/// simulator). One buffer holds every warp's offsets in turn.
+fn for_each_warp(dims: [u64; 3], coeff: [i128; 3], mut per_warp: impl FnMut(&mut [i128])) {
     let total = (dims[0] * dims[1] * dims[2]).max(1);
+    let mut lanes = Vec::with_capacity(WARP_SIZE as usize);
+    let mut first = 0u64;
+    while first < total {
+        let end = (first + u64::from(WARP_SIZE)).min(total);
+        lanes.clear();
+        lanes.extend((first..end).map(|i| {
+            let tx = (i % dims[0]) as i128;
+            let ty = ((i / dims[0]) % dims[1]) as i128;
+            let tz = (i / (dims[0] * dims[1])) as i128;
+            coeff[0] * tx + coeff[1] * ty + coeff[2] * tz
+        }));
+        per_warp(&mut lanes);
+        first = end;
+    }
+}
+
+/// Max lanes of one warp whose byte offsets fit a 127-byte window, over
+/// every warp of a block with the given dims.
+fn warp_capacity(dims: [u64; 3], coeff_bytes: [i128; 3]) -> u64 {
     let mut best: u64 = 1;
-    let mut f = 0u64;
-    while f < total {
-        let end = (f + u64::from(WARP_SIZE)).min(total);
-        let mut deltas: Vec<i128> = (f..end)
-            .map(|i| {
-                let tx = (i % dims[0]) as i128;
-                let ty = ((i / dims[0]) % dims[1]) as i128;
-                let tz = (i / (dims[0] * dims[1])) as i128;
-                coeff_bytes[0] * tx + coeff_bytes[1] * ty + coeff_bytes[2] * tz
-            })
-            .collect();
+    for_each_warp(dims, coeff_bytes, |deltas| {
         deltas.sort_unstable();
         let mut lo = 0usize;
         for hi in 0..deltas.len() {
@@ -604,8 +614,7 @@ fn warp_capacity(dims: [u64; 3], coeff_bytes: [i128; 3]) -> u64 {
             }
             best = best.max((hi - lo + 1) as u64);
         }
-        f = end;
-    }
+    });
     best
 }
 
@@ -922,6 +931,7 @@ fn bank_proofs(kernel: &Kernel, bindings: &Bindings, gpu: &GpuSpec) -> Vec<BankP
         u64::from(kernel.block[1].max(1)),
         u64::from(kernel.block[2].max(1)),
     ];
+    let mut words = Vec::with_capacity(WARP_SIZE as usize);
     sites
         .into_iter()
         .map(|site| {
@@ -934,26 +944,14 @@ fn bank_proofs(kernel: &Kernel, bindings: &Bindings, gpu: &GpuSpec) -> Vec<BankP
                 // The uniform base only shifts every lane's bank by the
                 // same amount — conflict structure is invariant — so
                 // evaluate with base 0 and offset words to non-negative.
-                let total = dims[0] * dims[1] * dims[2];
                 let mut worst: u64 = 0;
-                let mut f = 0u64;
-                while f < total {
-                    let end = (f + u64::from(WARP_SIZE)).min(total);
-                    let raw: Vec<i128> = (f..end)
-                        .map(|i| {
-                            let tx = (i % dims[0]) as i128;
-                            let ty = ((i / dims[0]) % dims[1]) as i128;
-                            let tz = (i / (dims[0] * dims[1])) as i128;
-                            i128::from(lane.c[0]) * tx
-                                + i128::from(lane.c[1]) * ty
-                                + i128::from(lane.c[2]) * tz
-                        })
-                        .collect();
+                let coeff = lane.c.map(i128::from);
+                for_each_warp(dims, coeff, |raw| {
                     let min = raw.iter().copied().min().unwrap_or(0);
-                    let words: Vec<u64> = raw.iter().map(|w| (w - min) as u64).collect();
+                    words.clear();
+                    words.extend(raw.iter().map(|w| (w - min) as u64));
                     worst = worst.max(multidim_sim::bank_conflicts(gpu.smem_banks, &words));
-                    f = end;
-                }
+                });
                 worst + 1
             });
             let conflict_free = match degree {
