@@ -24,7 +24,11 @@
 //! occupancy arithmetic; every modeled time is recorded in the returned
 //! [`SiteDecision`] so reports can show *why* a strategy was picked. The
 //! kernel-level lowerings themselves live in `multidim_codegen::dynpar`
-//! and are executed/timed by the simulator's child-launch support.
+//! ([`lower_planned`]): each strategy lays out its own launches, loops,
+//! scan and search, and lowers the site's bodies with the code
+//! generator's one expression-and-effect lowering, so a consolidated body
+//! is the statements the inline lowering would emit. The simulator's
+//! child-launch support executes and times them.
 
 #![warn(missing_docs)]
 
