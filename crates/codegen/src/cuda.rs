@@ -68,7 +68,7 @@ pub fn emit_kernel(s: &mut String, kp: &KernelProgram, k: &Kernel) {
         let names: Vec<String> = (0..k.locals).map(|i| format!("r{i}")).collect();
         let _ = writeln!(s, "  double {};", names.join(", "));
     }
-    emit_stmts(s, kp, &k.body, 1);
+    emit_stmts(s, kp, k, &k.body, 1);
     let _ = writeln!(s, "}}");
 }
 
@@ -86,17 +86,17 @@ fn indent(s: &mut String, depth: usize) {
     }
 }
 
-fn emit_stmts(s: &mut String, kp: &KernelProgram, stmts: &[Stmt], depth: usize) {
+fn emit_stmts(s: &mut String, kp: &KernelProgram, k: &Kernel, stmts: &[Stmt], depth: usize) {
     for st in stmts {
-        emit_stmt(s, kp, st, depth);
+        emit_stmt(s, kp, k, st, depth);
     }
 }
 
-fn emit_stmt(s: &mut String, kp: &KernelProgram, st: &Stmt, depth: usize) {
+fn emit_stmt(s: &mut String, kp: &KernelProgram, k: &Kernel, st: &Stmt, depth: usize) {
     indent(s, depth);
     match st {
         Stmt::Assign { dst, value } => {
-            let _ = writeln!(s, "r{dst} = {};", expr(kp, value));
+            let _ = writeln!(s, "r{dst} = {};", expr(kp, k, value));
         }
         Stmt::Store { buf, idx, value } => {
             let b = kp.buffer(*buf);
@@ -105,8 +105,8 @@ fn emit_stmt(s: &mut String, kp: &KernelProgram, st: &Stmt, depth: usize) {
                 "b{}_{}[(int)({})] = {};",
                 buf.0,
                 b.name,
-                expr(kp, idx),
-                expr(kp, value)
+                expr(kp, k, idx),
+                expr(kp, k, value)
             );
         }
         Stmt::AtomicRmw {
@@ -127,8 +127,8 @@ fn emit_stmt(s: &mut String, kp: &KernelProgram, st: &Stmt, depth: usize) {
                 "{f}(&b{}_{}[(int)({})], {})",
                 buf.0,
                 b.name,
-                expr(kp, idx),
-                expr(kp, value)
+                expr(kp, k, idx),
+                expr(kp, k, value)
             );
             match capture {
                 Some(c) => {
@@ -142,9 +142,10 @@ fn emit_stmt(s: &mut String, kp: &KernelProgram, st: &Stmt, depth: usize) {
         Stmt::SmemStore { arr, idx, value } => {
             let _ = writeln!(
                 s,
-                "smem{arr}[(int)({})] = {};",
-                expr(kp, idx),
-                expr(kp, value)
+                "{}[(int)({})] = {};",
+                k.smem[*arr as usize].name,
+                expr(kp, k, idx),
+                expr(kp, k, value)
             );
         }
         Stmt::For {
@@ -157,11 +158,11 @@ fn emit_stmt(s: &mut String, kp: &KernelProgram, st: &Stmt, depth: usize) {
             let _ = writeln!(
                 s,
                 "for (int r{var} = {}; r{var} < {}; r{var} += {}) {{",
-                expr(kp, start),
-                expr(kp, end),
-                expr(kp, step)
+                expr(kp, k, start),
+                expr(kp, k, end),
+                expr(kp, k, step)
             );
-            emit_stmts(s, kp, body, depth + 1);
+            emit_stmts(s, kp, k, body, depth + 1);
             indent(s, depth);
             let _ = writeln!(s, "}}");
         }
@@ -169,12 +170,12 @@ fn emit_stmt(s: &mut String, kp: &KernelProgram, st: &Stmt, depth: usize) {
             let _ = writeln!(s, "break;");
         }
         Stmt::If { cond, then, els } => {
-            let _ = writeln!(s, "if ({}) {{", expr(kp, cond));
-            emit_stmts(s, kp, then, depth + 1);
+            let _ = writeln!(s, "if ({}) {{", expr(kp, k, cond));
+            emit_stmts(s, kp, k, then, depth + 1);
             if !els.is_empty() {
                 indent(s, depth);
                 let _ = writeln!(s, "}} else {{");
-                emit_stmts(s, kp, els, depth + 1);
+                emit_stmts(s, kp, k, els, depth + 1);
             }
             indent(s, depth);
             let _ = writeln!(s, "}}");
@@ -186,7 +187,7 @@ fn emit_stmt(s: &mut String, kp: &KernelProgram, st: &Stmt, depth: usize) {
             let _ = writeln!(
                 s,
                 "malloc((size_t)({})); // per-thread temporary",
-                expr(kp, bytes)
+                expr(kp, k, bytes)
             );
         }
         Stmt::ChildLaunch {
@@ -196,19 +197,19 @@ fn emit_stmt(s: &mut String, kp: &KernelProgram, st: &Stmt, depth: usize) {
         } => {
             let child = &kp.children[*kernel as usize];
             let block = child.block_threads();
-            let child_args: Vec<String> = args.iter().map(|a| expr(kp, a)).collect();
+            let child_args: Vec<String> = args.iter().map(|a| expr(kp, k, a)).collect();
             let _ = writeln!(
                 s,
                 "{}<<<(int)ceil(({}) / {block}.0), {block}>>>({}); // device-side launch",
                 child.name,
-                expr(kp, extent),
+                expr(kp, k, extent),
                 child_args.join(", ")
             );
         }
     }
 }
 
-fn expr(kp: &KernelProgram, e: &KExpr) -> String {
+fn expr(kp: &KernelProgram, k: &Kernel, e: &KExpr) -> String {
     match e {
         KExpr::Imm(v) => {
             if v.fract() == 0.0 && v.abs() < 1e15 {
@@ -225,11 +226,17 @@ fn expr(kp: &KernelProgram, e: &KExpr) -> String {
         KExpr::SizeVal(sz) => size_expr(sz),
         KExpr::Load { buf, idx } => {
             let b = kp.buffer(*buf);
-            format!("b{}_{}[(int)({})]", buf.0, b.name, expr(kp, idx))
+            format!("b{}_{}[(int)({})]", buf.0, b.name, expr(kp, k, idx))
         }
-        KExpr::SmemLoad { arr, idx } => format!("smem{arr}[(int)({})]", expr(kp, idx)),
+        KExpr::SmemLoad { arr, idx } => {
+            format!(
+                "{}[(int)({})]",
+                k.smem[*arr as usize].name,
+                expr(kp, k, idx)
+            )
+        }
         KExpr::Bin(op, a, b) => {
-            let (x, y) = (expr(kp, a), expr(kp, b));
+            let (x, y) = (expr(kp, k, a), expr(kp, k, b));
             match op {
                 BinOp::Add => format!("({x} + {y})"),
                 BinOp::Sub => format!("({x} - {y})"),
@@ -249,7 +256,7 @@ fn expr(kp: &KernelProgram, e: &KExpr) -> String {
             }
         }
         KExpr::Un(op, a) => {
-            let x = expr(kp, a);
+            let x = expr(kp, k, a);
             match op {
                 UnOp::Neg => format!("(-{x})"),
                 UnOp::Not => format!("(!{x})"),
@@ -261,7 +268,12 @@ fn expr(kp: &KernelProgram, e: &KExpr) -> String {
             }
         }
         KExpr::Select(c, t, f) => {
-            format!("({} ? {} : {})", expr(kp, c), expr(kp, t), expr(kp, f))
+            format!(
+                "({} ? {} : {})",
+                expr(kp, k, c),
+                expr(kp, k, t),
+                expr(kp, k, f)
+            )
         }
     }
 }
@@ -369,6 +381,16 @@ mod tests {
         );
         assert!(text.contains("__shared__ double tile[64];"));
         assert!(text.contains("double r0, r1;"));
+    }
+
+    #[test]
+    fn shared_accesses_use_the_declared_name() {
+        let text = emit_cuda(&sample_program());
+        assert!(
+            text.contains("tile[(int)(threadIdx.x)] = b0_in[(int)(r0)];"),
+            "{text}"
+        );
+        assert!(!text.contains("smem0"), "{text}");
     }
 
     #[test]
