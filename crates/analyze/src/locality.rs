@@ -1106,22 +1106,21 @@ pub fn locality_cross_check(summary: &LocalitySummary, sim: &SimResult) -> Vec<S
         ));
     }
     for (i, proof) in summary.smem.iter().enumerate() {
-        let Some(cost) = sim.costs.get(i) else {
+        let Some(run) = sim.kernels.get(i) else {
             out.push(format!(
                 "{}: kernel `{}` has no measured counters",
                 summary.program, proof.kernel
             ));
             continue;
         };
-        if sim.names.get(i).map(String::as_str) != Some(proof.kernel.as_str()) {
+        if run.name != proof.kernel {
             out.push(format!(
-                "{}: kernel order mismatch at index {i} (static `{}`, measured `{:?}`)",
-                summary.program,
-                proof.kernel,
-                sim.names.get(i)
+                "{}: kernel order mismatch at index {i} (static `{}`, measured `{}`)",
+                summary.program, proof.kernel, run.name
             ));
             continue;
         }
+        let cost = &run.cost;
         let all_proven = proof
             .banks
             .iter()

@@ -1017,20 +1017,19 @@ fn process_request(
                     .record(resp.compile_time.as_secs_f64());
             }
             // Fold the simulator's roofline counters into the registry.
-            let run_metrics = resp.executable.metrics(&resp.run);
-            run_metrics.record(&shared.registry);
-            let (child_launches, child_blocks) = run_metrics.child_totals();
-            if child_launches > 0 {
+            let cost =
+                multidim::record_run(&shared.registry, &resp.run.kernels, resp.run.gpu_seconds);
+            if cost.child_launches > 0 {
                 shared
                     .metrics
                     .child_launches_by_workload
                     .with(&workload)
-                    .add(child_launches);
+                    .add(cost.child_launches);
                 shared
                     .metrics
                     .child_blocks_by_workload
                     .with(&workload)
-                    .add(child_blocks);
+                    .add(cost.child_blocks);
             }
             shared.observe_service_time(resp.service_time.as_secs_f64());
         }

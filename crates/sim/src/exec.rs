@@ -56,19 +56,27 @@ pub struct DeviceBuffer {
     pub base: u64,
 }
 
+/// One parent kernel launch as the simulator ran it: the record every
+/// report, export and counter of a run is built from.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KernelRun {
+    /// Kernel name from the lowered [`KernelProgram`].
+    pub name: String,
+    /// Launch configuration.
+    pub shape: LaunchShape,
+    /// Accumulated cost counters, the launch's child grids folded in.
+    pub cost: KernelCost,
+    /// Roofline timing breakdown.
+    pub time: KernelTime,
+}
+
 /// Result of simulating a [`KernelProgram`].
 #[derive(Debug, Clone)]
 pub struct SimResult {
     /// Final contents of buffers that materialize program arrays.
     pub arrays: HashMap<ArrayId, Vec<f64>>,
-    /// Kernel names (same order as `kp.kernels`).
-    pub names: Vec<String>,
-    /// Per-kernel launch shapes.
-    pub shapes: Vec<LaunchShape>,
-    /// Per-kernel cost records (same order as `kp.kernels`).
-    pub costs: Vec<KernelCost>,
-    /// Per-kernel timing breakdowns.
-    pub times: Vec<KernelTime>,
+    /// One record per parent kernel, in launch order (as `kp.kernels`).
+    pub kernels: Vec<KernelRun>,
     /// Sum of kernel times in seconds.
     pub total_seconds: f64,
 }
@@ -85,12 +93,17 @@ impl SimResult {
 
     /// Sum of the per-kernel cost counters across the whole run.
     pub fn total_cost(&self) -> KernelCost {
-        let mut sum = KernelCost::default();
-        for c in &self.costs {
-            sum.add(c);
-        }
-        sum
+        total_cost(&self.kernels)
     }
+}
+
+/// Sum of the cost counters of `kernels`.
+pub(crate) fn total_cost(kernels: &[KernelRun]) -> KernelCost {
+    let mut sum = KernelCost::default();
+    for k in kernels {
+        sum.add(&k.cost);
+    }
+    sum
 }
 
 /// One element stored by two different threads within one kernel launch,
@@ -214,10 +227,7 @@ fn run_program_inner(
     let mut span = trace::span("sim", "execute");
     let mut m = Machine::new(gpu, &flat, device_buffers(kp, &flat, inputs)?, sanitize);
 
-    let mut names = Vec::with_capacity(kp.kernels.len());
-    let mut shapes = Vec::with_capacity(kp.kernels.len());
-    let mut costs = Vec::with_capacity(kp.kernels.len());
-    let mut times = Vec::with_capacity(kp.kernels.len());
+    let mut runs = Vec::with_capacity(kp.kernels.len());
     let mut total = 0.0f64;
     let mut san_report = sanitize.then(SanitizerReport::default);
     for (kernel, fk) in kp.kernels.iter().zip(&flat.kernels) {
@@ -266,12 +276,14 @@ fn run_program_inner(
             block_threads: kernel.block_threads(),
             smem_bytes: kernel.smem_bytes(),
         };
-        let t = kernel_time(gpu, &shape, &cost);
-        total += t.total;
-        names.push(kernel.name.clone());
-        shapes.push(shape);
-        costs.push(cost);
-        times.push(t);
+        let time = kernel_time(gpu, &shape, &cost);
+        total += time.total;
+        runs.push(KernelRun {
+            name: kernel.name.clone(),
+            shape,
+            cost,
+            time,
+        });
         if let (Some(report), Some(tr)) = (san_report.as_mut(), m.san.as_mut()) {
             report.tracked_stores += tr.tracked;
             for (buf, index, first, second) in tr.conflicts.drain(..) {
@@ -289,10 +301,9 @@ fn run_program_inner(
     }
 
     if let Some(span) = span.as_mut() {
-        let kernels: Vec<String> = names
+        let kernels: Vec<String> = runs
             .iter()
-            .zip(&times)
-            .map(|(name, t)| format!("{name}: {}", BoundBy::classify(t).label()))
+            .map(|k| format!("{}: {}", k.name, BoundBy::classify(&k.time).label()))
             .collect();
         span.arg("kernels", kernels.join("; "));
     }
@@ -308,10 +319,7 @@ fn run_program_inner(
     Ok((
         SimResult {
             arrays,
-            names,
-            shapes,
-            costs,
-            times,
+            kernels: runs,
             total_seconds: total,
         },
         san_report,
@@ -1035,7 +1043,7 @@ mod tests {
         let kp = one_buffer_prog(1024, double_kernel(1024));
         let inputs: HashMap<_, _> = [(ArrayId(0), vec![1.0; 1024])].into_iter().collect();
         let r = run_program(&kp, &gpu(), &Bindings::new(), &inputs).unwrap();
-        let c = &r.costs[0];
+        let c = &r.kernels[0].cost;
         // 32 warps, each 1 load + 1 store request, each 1 transaction
         // (32 lanes x 4B = 128B).
         assert_eq!(c.mem_requests, 64);
@@ -1120,8 +1128,8 @@ mod tests {
             .collect();
         let r = run_program(&kp, &gpu(), &Bindings::new(), &inputs).unwrap();
         assert_eq!(r.array(ArrayId(1))[0], (0..64).sum::<i64>() as f64);
-        assert!(r.costs[0].syncs > 0);
-        assert!(r.costs[0].smem_accesses > 0);
+        assert!(r.kernels[0].cost.syncs > 0);
+        assert!(r.kernels[0].cost.smem_accesses > 0);
     }
 
     #[test]
@@ -1175,7 +1183,7 @@ mod tests {
             &inputs,
         )
         .unwrap();
-        assert!(r_div.costs[0].warp_instr > r_uniform.costs[0].warp_instr);
+        assert!(r_div.kernels[0].cost.warp_instr > r_uniform.kernels[0].cost.warp_instr);
     }
 
     #[test]
@@ -1241,7 +1249,7 @@ mod tests {
         let inputs: HashMap<_, _> = [(ArrayId(0), vec![0.0; 4])].into_iter().collect();
         let r = run_program(&kp, &gpu(), &Bindings::new(), &inputs).unwrap();
         assert_eq!(r.array(ArrayId(1))[0], 64.0);
-        assert!(r.costs[0].atomic_serial > 0);
+        assert!(r.kernels[0].cost.atomic_serial > 0);
     }
 
     #[test]
@@ -1367,7 +1375,7 @@ mod more_tests {
         };
         let inputs: HashMap<_, _> = [(ArrayId(0), vec![0.0])].into_iter().collect();
         let r = run_program(&kp, &gpu(), &Bindings::new(), &inputs).unwrap();
-        assert_eq!(r.costs[0].smem_conflicts, 31);
+        assert_eq!(r.kernels[0].cost.smem_conflicts, 31);
     }
 
     /// Atomic capture returns pre-update values — all distinct for a

@@ -54,12 +54,12 @@ mod report;
 pub use cost::{kernel_time, memory_floor_seconds, occupancy, KernelCost, KernelTime, LaunchShape};
 pub use cpu::{estimate_cpu, random_access_fraction, run_cpu, CpuEstimate};
 pub use exec::{
-    run_program, run_program_sanitized, DeviceBuffer, SanitizerReport, SimError, SimResult,
-    WriteConflict,
+    run_program, run_program_sanitized, DeviceBuffer, KernelRun, SanitizerReport, SimError,
+    SimResult, WriteConflict,
 };
 pub use floor::{seconds_floor, KernelFloor};
 pub use memory::{bank_conflicts, coalesce};
-pub use metrics::{KernelMetrics, RunMetrics};
+pub use metrics::{record_run, KernelMetrics, RunMetrics};
 pub use report::{kernel_report, BoundBy, Efficiency};
 
 /// Host→device transfer time for `bytes` over the default PCIe link.

@@ -6,6 +6,7 @@
 //! the examples and by the figure benches' verbose modes.
 
 use crate::cost::{occupancy, KernelCost, KernelTime, LaunchShape};
+use crate::exec::KernelRun;
 use multidim_device::GpuSpec;
 use std::fmt::Write as _;
 
@@ -87,7 +88,7 @@ impl Efficiency {
 /// # Examples
 ///
 /// ```
-/// use multidim_sim::{kernel_report, KernelCost, KernelTime, LaunchShape};
+/// use multidim_sim::{kernel_report, KernelCost, KernelRun, LaunchShape};
 /// use multidim_device::GpuSpec;
 ///
 /// let gpu = GpuSpec::tesla_k20c();
@@ -95,17 +96,18 @@ impl Efficiency {
 /// let cost = KernelCost { mem_requests: 1000, transactions: 1000,
 ///                         dram_bytes: 128_000, ..Default::default() };
 /// let time = multidim_sim::kernel_time(&gpu, &shape, &cost);
-/// let text = kernel_report(&gpu, "my_kernel", &shape, &cost, &time);
+/// let run = KernelRun { name: "my_kernel".into(), shape, cost, time };
+/// let text = kernel_report(&gpu, &run);
 /// assert!(text.contains("my_kernel"));
 /// assert!(text.contains("coalescing"));
 /// ```
-pub fn kernel_report(
-    gpu: &GpuSpec,
-    name: &str,
-    shape: &LaunchShape,
-    cost: &KernelCost,
-    time: &KernelTime,
-) -> String {
+pub fn kernel_report(gpu: &GpuSpec, run: &KernelRun) -> String {
+    let KernelRun {
+        name,
+        shape,
+        cost,
+        time,
+    } = run;
     let eff = Efficiency::of(gpu, shape, cost);
     let bound = BoundBy::classify(time);
     let mut s = String::new();
@@ -318,8 +320,14 @@ mod tests {
             mallocs: 3,
             ..Default::default()
         };
-        let t = kernel_time(&gpu(), &shape, &cost);
-        let r = kernel_report(&gpu(), "k", &shape, &cost, &t);
+        let time = kernel_time(&gpu(), &shape, &cost);
+        let run = KernelRun {
+            name: "k".into(),
+            shape,
+            cost,
+            time,
+        };
+        let r = kernel_report(&gpu(), &run);
         assert!(r.contains("kernel `k`"));
         assert!(r.contains("smem"));
         assert!(r.contains("mallocs: 3"));

@@ -105,9 +105,9 @@ fn floor_and_run(kp: &KernelProgram, input: Vec<f64>) -> (Vec<KernelFloor>, SimR
     let inputs: HashMap<_, _> = [(ArrayId(0), input)].into_iter().collect();
     let sim = run_program(kp, &gpu, &bindings, &inputs).expect("fixture runs");
     let floor = seconds_floor(kp, &gpu, &bindings).expect("every size is bound");
-    assert_eq!(floor.len(), sim.costs.len());
-    for (f, shape) in floor.iter().zip(&sim.shapes) {
-        assert_eq!(&f.shape, shape, "the floor's launch is the executor's");
+    assert_eq!(floor.len(), sim.kernels.len());
+    for (f, k) in floor.iter().zip(&sim.kernels) {
+        assert_eq!(f.shape, k.shape, "the floor's launch is the executor's");
     }
     (floor, sim)
 }
@@ -119,14 +119,15 @@ fn counts(c: &multidim_sim::KernelCost) -> [u64; 4] {
 
 fn assert_exact(name: &str, kp: &KernelProgram, input: Vec<f64>) {
     let (floor, sim) = floor_and_run(kp, input);
-    for (f, cost) in floor.iter().zip(&sim.costs) {
-        assert_eq!(counts(&f.cost), counts(cost), "{name}: floor counters");
+    for (f, k) in floor.iter().zip(&sim.kernels) {
+        assert_eq!(counts(&f.cost), counts(&k.cost), "{name}: floor counters");
     }
     assert_below(name, &floor, &sim);
 }
 
 fn assert_below(name: &str, floor: &[KernelFloor], sim: &SimResult) {
-    for ((f, cost), t) in floor.iter().zip(&sim.costs).zip(&sim.times) {
+    for (f, k) in floor.iter().zip(&sim.kernels) {
+        let (cost, t) = (&k.cost, &k.time);
         for (lo, hi) in counts(&f.cost).into_iter().zip(counts(cost)) {
             assert!(lo <= hi, "{name}: floor {:?} above {cost:?}", f.cost);
         }

@@ -187,7 +187,7 @@ fn strided_fixture(
 /// Total measured global-memory transactions of one simulated run.
 fn measured_tx(exe: &Executable, bind: &Bindings, inputs: &HashMap<ArrayId, Vec<f64>>) -> u64 {
     let sim = multidim_sim::run_program(&exe.kernels, exe.device(), bind, inputs).unwrap();
-    sim.costs.iter().map(|c| c.transactions).sum()
+    sim.total_cost().transactions
 }
 
 /// `a[2i]` under an all-x mapping: provably strided(2), and the proven
@@ -326,7 +326,7 @@ fn scattered_fixture_sound() {
         (a, vec![1.0; 1024]),
     ]);
     let sim = multidim_sim::run_program(&exe.kernels, exe.device(), &bind, &inputs).unwrap();
-    let measured: u64 = sim.costs.iter().map(|c| c.transactions).sum();
+    let measured = sim.total_cost().transactions;
     assert!(measured >= summary.tx_lower_bound);
     assert!(locality_cross_check(summary, &sim).is_empty());
 }

@@ -402,7 +402,7 @@ fn kept_cold_traces_explain_every_catalog_decision() {
         let kernels: Vec<String> = metrics
             .kernels
             .iter()
-            .map(|k| format!("{}: {}", k.name, k.bound_by))
+            .map(|k| format!("{}: {}", k.run.name, k.bound_by))
             .collect();
         assert_eq!(
             text(stage("sim", "execute"), "kernels"),

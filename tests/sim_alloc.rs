@@ -82,9 +82,9 @@ fn a_run_allocates_per_buffer_and_kernel_not_per_block_or_access() {
         );
         total_allocs += allocs;
         requests += run
-            .kernel_costs
+            .kernels
             .iter()
-            .map(|c| c.mem_requests + c.smem_accesses)
+            .map(|k| k.cost.mem_requests + k.cost.smem_accesses)
             .sum::<u64>();
     }
     // The tree walker made two allocations per shared-memory access; the

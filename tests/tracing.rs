@@ -88,7 +88,7 @@ fn traced_counters_sum_to_sim_totals() {
             .collect();
         assert_eq!(
             slices.len(),
-            run.kernel_costs.len(),
+            run.kernels.len(),
             "[{r},{c}] one slice per kernel"
         );
 
@@ -105,15 +105,15 @@ fn traced_counters_sum_to_sim_totals() {
         ] {
             let traced: u64 = slices.iter().map(|e| e.get_u64(key).unwrap()).sum();
             let live: u64 = match key {
-                "warp_instr" => run.kernel_costs.iter().map(|k| k.warp_instr).sum(),
-                "mem_requests" => run.kernel_costs.iter().map(|k| k.mem_requests).sum(),
-                "transactions" => run.kernel_costs.iter().map(|k| k.transactions).sum(),
-                "dram_bytes" => run.kernel_costs.iter().map(|k| k.dram_bytes).sum(),
-                "smem_accesses" => run.kernel_costs.iter().map(|k| k.smem_accesses).sum(),
-                "smem_conflicts" => run.kernel_costs.iter().map(|k| k.smem_conflicts).sum(),
-                "syncs" => run.kernel_costs.iter().map(|k| k.syncs).sum(),
-                "mallocs" => run.kernel_costs.iter().map(|k| k.mallocs).sum(),
-                "atomic_serial" => run.kernel_costs.iter().map(|k| k.atomic_serial).sum(),
+                "warp_instr" => run.kernels.iter().map(|k| k.cost.warp_instr).sum(),
+                "mem_requests" => run.kernels.iter().map(|k| k.cost.mem_requests).sum(),
+                "transactions" => run.kernels.iter().map(|k| k.cost.transactions).sum(),
+                "dram_bytes" => run.kernels.iter().map(|k| k.cost.dram_bytes).sum(),
+                "smem_accesses" => run.kernels.iter().map(|k| k.cost.smem_accesses).sum(),
+                "smem_conflicts" => run.kernels.iter().map(|k| k.cost.smem_conflicts).sum(),
+                "syncs" => run.kernels.iter().map(|k| k.cost.syncs).sum(),
+                "mallocs" => run.kernels.iter().map(|k| k.cost.mallocs).sum(),
+                "atomic_serial" => run.kernels.iter().map(|k| k.cost.atomic_serial).sum(),
                 _ => unreachable!(),
             };
             assert_eq!(traced, live, "[{r},{c}] counter {key}");
@@ -137,12 +137,9 @@ fn metrics_round_trip_matches_live_run() {
 
     // Values mirror the live RunReport exactly.
     assert_eq!(metrics.total_seconds, run.gpu_seconds);
-    assert_eq!(metrics.kernels.len(), run.kernel_costs.len());
-    for (i, k) in metrics.kernels.iter().enumerate() {
-        assert_eq!(k.name, run.kernel_names[i]);
-        assert_eq!(k.shape, run.kernel_shapes[i]);
-        assert_eq!(k.cost, run.kernel_costs[i]);
-        assert_eq!(k.time, run.kernel_times[i]);
+    assert_eq!(metrics.kernels.len(), run.kernels.len());
+    for (k, live) in metrics.kernels.iter().zip(&run.kernels) {
+        assert_eq!(&k.run, live);
     }
 
     // JSON round-trip is lossless, including every f64.
@@ -209,5 +206,5 @@ fn untraced_run_matches_traced_run() {
     let (_exe, traced, events) = traced_run(128, 64);
     assert!(!events.is_empty());
     assert_eq!(quiet.gpu_seconds, traced.gpu_seconds);
-    assert_eq!(quiet.kernel_costs, traced.kernel_costs);
+    assert_eq!(quiet.kernels, traced.kernels);
 }
