@@ -72,16 +72,12 @@ impl LaunchStrategy {
 pub struct SiteDecision {
     /// `PatternId` of the inner (dynamic-extent) pattern.
     pub pattern: u32,
-    /// Nest level of the inner pattern (currently always 1).
-    pub level: usize,
     /// The chosen strategy.
     pub strategy: LaunchStrategy,
     /// Outer extent `P` evaluated under the launch bindings.
     pub outer: i64,
     /// Estimated mean inner extent (from the workload's size hint).
     pub estimate: i64,
-    /// Child/worker block width.
-    pub child_block: u32,
     /// Modeled seconds per strategy, `(name, seconds)`, for reports.
     pub modeled: Vec<(String, f64)>,
     /// One-line human rationale.
@@ -311,9 +307,8 @@ fn consolidate(
     };
     let mut lo = Lowerer::new(program, &[], &opts);
     lo.notes.push(format!(
-        "dynpar: {} consolidation at level {} (P={}, ~{} inner)",
+        "dynpar: {} consolidation at level 1 (P={}, ~{} inner)",
         site_decision.strategy.name(),
-        site_decision.level,
         site_decision.outer,
         site_decision.estimate
     ));
@@ -323,11 +318,7 @@ fn consolidate(
         let out = lo.out_buf()?;
         lo.buffers[out.0 as usize].init = BufferInit::Fill(op.identity());
     }
-    let mut b = SiteBuilder {
-        site: &site,
-        cb: site_decision.child_block.max(32),
-        lo,
-    };
+    let mut b = SiteBuilder { site: &site, lo };
     let (kernels, children) = match site_decision.strategy {
         LaunchStrategy::Naive => b.naive()?,
         LaunchStrategy::Coarsen(k) => b.coarsen(k.max(1))?,
@@ -346,13 +337,14 @@ fn consolidate(
 /// Builds the consolidated kernels for one site.
 struct SiteBuilder<'p> {
     site: &'p LaunchSite<'p>,
-    /// Child/worker block width.
-    cb: u32,
     /// The code generator, for the bodies' expressions, lets and effects,
     /// the program's buffers and the notes.
     lo: Lowerer<'p>,
 }
 
+/// Block width of the naive child and the aggregated worker launches
+/// (and of the naive launcher).
+pub const CHILD_BLOCK: u32 = 128;
 /// Width of the per-site scan blocks (also the chunk count of the serial
 /// block-sum scan, so one block always suffices for the second phase).
 const SCAN_B: u32 = 128;
@@ -439,7 +431,6 @@ impl<'p> SiteBuilder<'p> {
 
     fn naive(&mut self) -> Result<(Vec<Kernel>, Vec<Kernel>), LowerError> {
         let p = self.outer_size();
-        let cb = self.cb;
         let name = &self.lo.program.name;
 
         // Parent: i = gtid; if i < P { d = extent(i); launch(child, d, [d, i]) }
@@ -455,11 +446,11 @@ impl<'p> SiteBuilder<'p> {
         let parent = Kernel {
             name: format!("{name}_launcher"),
             grid: [
-                p.clone() / Size::from(i64::from(cb)),
+                p.clone() / Size::from(i64::from(CHILD_BLOCK)),
                 Size::from(1),
                 Size::from(1),
             ],
-            block: [cb, 1, 1],
+            block: [CHILD_BLOCK, 1, 1],
             smem: vec![],
             locals: self.lo.next_local,
             body: vec![
@@ -483,7 +474,7 @@ impl<'p> SiteBuilder<'p> {
         let child = Kernel {
             name: format!("{name}_child"),
             grid: [Size::from(1), Size::from(1), Size::from(1)],
-            block: [cb, 1, 1],
+            block: [CHILD_BLOCK, 1, 1],
             smem: vec![],
             locals: self.lo.next_local,
             body: vec![
@@ -974,7 +965,7 @@ impl<'p> SiteBuilder<'p> {
         Ok(Kernel {
             name: format!("{}_worker", self.lo.program.name),
             grid: [Size::from(1), Size::from(1), Size::from(1)],
-            block: [self.cb, 1, 1],
+            block: [CHILD_BLOCK, 1, 1],
             smem: vec![],
             locals: self.lo.next_local,
             body: vec![

@@ -51,6 +51,7 @@ mod validate;
 pub use cuda::{emit_cuda, emit_kernel};
 pub use dynpar::{
     find_site, lower_planned, DynParPlan, LaunchSite, LaunchStrategy, SiteDecision, SiteShape,
+    CHILD_BLOCK,
 };
 pub use fusion::{fuse_map_reduce, substitute_var};
 pub use kernel::{

@@ -8,7 +8,8 @@
 //! per launch site, between
 //!
 //! * **thresholding** ([`LaunchStrategy::Inline`]) — sites whose total
-//!   estimated work is below a cutoff stay inlined; the overheads of any
+//!   estimated work is below 12 000 inner elements (48 000 when the mean
+//!   inner extent is below 16) stay inlined; the overheads of any
 //!   consolidated form could never be repaid;
 //! * **coarsening** ([`LaunchStrategy::Coarsen`]) — each block of a single
 //!   kernel serially owns `k` outer elements, one warp striding each inner
@@ -23,16 +24,21 @@
 //! ([`GpuSpec::child_launch_overhead_s`], block dispatch cost) plus simple
 //! occupancy arithmetic; every modeled time is recorded in the returned
 //! [`SiteDecision`] so reports can show *why* a strategy was picked. The
-//! kernel-level lowerings themselves live in `multidim_codegen::dynpar`
-//! ([`lower_planned`]): each strategy lays out its own launches, loops,
-//! scan and search, and lowers the site's bodies with the code
-//! generator's one expression-and-effect lowering, so a consolidated body
-//! is the statements the inline lowering would emit. The simulator's
-//! child-launch support executes and times them.
+//! one setting is the [`DynParPolicy`]: `Auto` models and picks, `Force`
+//! holds one strategy (`Force(Inline)` keeps the baseline lowering). The
+//! thresholds are constants, the coarsening factor comes from
+//! [`auto_coarsen`], and child launches use
+//! [`multidim_codegen::CHILD_BLOCK`]-thread blocks. The kernel-level
+//! lowerings themselves live in `multidim_codegen::dynpar`
+//! ([`multidim_codegen::lower_planned`]): each strategy lays out its own
+//! launches, loops, scan and search, and lowers the site's bodies with
+//! the code generator's one expression-and-effect lowering, so a
+//! consolidated body is the statements the inline lowering would emit.
+//! The simulator's child-launch support executes and times them.
 
 #![warn(missing_docs)]
 
-use multidim_codegen::{find_site, DynParPlan, LaunchStrategy, SiteDecision};
+use multidim_codegen::{find_site, DynParPlan, LaunchStrategy, SiteDecision, CHILD_BLOCK};
 use multidim_device::GpuSpec;
 use multidim_ir::{Bindings, Program};
 use multidim_trace as trace;
@@ -49,39 +55,12 @@ pub enum DynParPolicy {
     Force(LaunchStrategy),
 }
 
-/// Configuration of the consolidation stage.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DynParConfig {
-    /// Master switch; `false` leaves every program on the baseline
-    /// (`Inline`) lowering.
-    pub enabled: bool,
-    /// Strategy policy.
-    pub policy: DynParPolicy,
-    /// Inner-extent cutoff for thresholding: an estimated mean inner
-    /// extent below this keeps moderate-work sites inlined.
-    pub threshold: i64,
-    /// Total-work floor (outer × mean inner elements) under which no
-    /// consolidated form can repay its fixed overheads.
-    pub min_total_work: i64,
-    /// Child/worker block width for naive and aggregated launches.
-    pub child_block: u32,
-    /// Coarsening factor; `None` derives one from the device's SM count.
-    pub coarsen: Option<u32>,
-}
-
-impl Default for DynParConfig {
-    fn default() -> Self {
-        DynParConfig {
-            enabled: true,
-            policy: DynParPolicy::Auto,
-            threshold: 16,
-            min_total_work: 12_000,
-            child_block: 128,
-            coarsen: None,
-        }
-    }
-}
-
+/// Inner-extent cutoff for thresholding: an estimated mean inner extent
+/// below this keeps moderate-work sites inlined.
+const THRESHOLD: i64 = 16;
+/// Total-work floor (outer × mean inner elements) under which no
+/// consolidated form can repay its fixed overheads.
+const WORK_FLOOR: i64 = 12_000;
 /// Instructions modeled per inner element (loads + multiply-add + index
 /// math of a typical gather body).
 const BODY_INSTR: f64 = 8.0;
@@ -96,8 +75,8 @@ const WARP: f64 = 32.0;
 /// with modest occupancy; adequate at small scale, never great.
 const INLINE_FACTOR: f64 = 2.0;
 
-/// The coarsening factor used when [`DynParConfig::coarsen`] is `None`:
-/// aim for ~16 resident blocks per SM, clamped to `[2, 64]`.
+/// The coarsening factor: aim for ~16 resident blocks per SM, clamped to
+/// `[2, 64]`.
 pub fn auto_coarsen(p: i64, gpu: &GpuSpec) -> u32 {
     let target_blocks = (i64::from(gpu.sm_count) * 16).max(1);
     let k = (p + target_blocks - 1) / target_blocks;
@@ -121,19 +100,13 @@ fn dispatch_s(gpu: &GpuSpec, blocks: f64) -> f64 {
 }
 
 /// Model every strategy's seconds for a site with outer extent `p` and
-/// mean inner extent `m`. Returned as `(name, seconds)` pairs in a fixed
-/// order: inline, naive, coarsen, aggregate.
-pub fn model_strategies(
-    p: i64,
-    m: i64,
-    k: u32,
-    child_block: u32,
-    gpu: &GpuSpec,
-) -> Vec<(String, f64)> {
+/// mean inner extent `m`, coarsened by `k`. Returned as `(name, seconds)`
+/// pairs in a fixed order: inline, naive, coarsen, aggregate.
+pub fn model_strategies(p: i64, m: i64, k: u32, gpu: &GpuSpec) -> Vec<(String, f64)> {
     let pf = p.max(1) as f64;
     let mf = m.max(1) as f64;
     let total = pf * mf;
-    let cb = f64::from(child_block.max(32));
+    let cb = f64::from(CHILD_BLOCK);
     let work = work_s(gpu, total, BODY_INSTR);
 
     let inline_s = work * INLINE_FACTOR + gpu.kernel_launch_overhead_s;
@@ -170,21 +143,18 @@ pub fn model_strategies(
 
 /// Build the consolidation plan for `program` under `bindings`.
 ///
-/// Returns a plan with `site: None` when the stage is disabled or the
-/// program has no supported launch site; otherwise the single site's
-/// [`SiteDecision`] with the chosen strategy and the full set of modeled
-/// times. The `dynpar/choose` span carries a site's strategy, reason,
-/// outer extent and inner-extent estimate.
+/// Returns a plan with `site: None` when the program has no supported
+/// launch site; otherwise the single site's [`SiteDecision`] with the
+/// strategy `policy` picks and the full set of modeled times. The
+/// `dynpar/choose` span carries a site's strategy, reason, outer extent
+/// and inner-extent estimate.
 pub fn choose(
     program: &Program,
     bindings: &Bindings,
     gpu: &GpuSpec,
-    config: &DynParConfig,
+    policy: DynParPolicy,
 ) -> DynParPlan {
     let mut sp = trace::span("dynpar", "choose");
-    if !config.enabled {
-        return DynParPlan::default();
-    }
     let Some(site) = find_site(program) else {
         return DynParPlan::default();
     };
@@ -192,11 +162,11 @@ pub fn choose(
     // `Size::Dynamic` evaluates to its estimate (the workload's mean
     // inner-extent hint).
     let m = site.inner.size.eval_or_default(bindings).max(1);
-    let k = config.coarsen.unwrap_or_else(|| auto_coarsen(p, gpu));
-    let modeled = model_strategies(p, m, k, config.child_block, gpu);
+    let k = auto_coarsen(p, gpu);
+    let modeled = model_strategies(p, m, k, gpu);
 
     let total = p.saturating_mul(m);
-    let (strategy, reason) = match config.policy {
+    let (strategy, reason) = match policy {
         DynParPolicy::Force(s) => {
             let s = match s {
                 LaunchStrategy::Coarsen(0) => LaunchStrategy::Coarsen(k),
@@ -205,9 +175,7 @@ pub fn choose(
             (s, format!("forced by policy ({})", s.name()))
         }
         DynParPolicy::Auto => {
-            if total < config.min_total_work
-                || (m < config.threshold && total < 4 * config.min_total_work)
-            {
+            if total < WORK_FLOOR || (m < THRESHOLD && total < 4 * WORK_FLOOR) {
                 (
                     LaunchStrategy::Inline,
                     format!(
@@ -252,21 +220,14 @@ pub fn choose(
     DynParPlan {
         site: Some(SiteDecision {
             pattern: site.inner.id.0,
-            level: 1,
             strategy,
             outer: p,
             estimate: m,
-            child_block: config.child_block.max(32),
             modeled,
             reason,
         }),
     }
 }
-
-/// Re-exported so downstream callers need only this crate for planning.
-pub use multidim_codegen::{lower_planned, LaunchSite};
-// The plan/strategy types are re-exported for the same reason.
-pub use multidim_codegen::{DynParPlan as Plan, LaunchStrategy as Strategy};
 
 #[cfg(test)]
 mod tests {
@@ -292,27 +253,26 @@ mod tests {
         (p, n, e)
     }
 
-    fn plan_for(rows: i64, mean: i64, config: &DynParConfig) -> DynParPlan {
+    fn plan_for(rows: i64, mean: i64, policy: DynParPolicy) -> DynParPlan {
         let (p, n, e) = site_program(mean);
         let mut bind = Bindings::new();
         bind.bind(n, rows);
         bind.bind(e, rows * mean);
-        choose(&p, &bind, &GpuSpec::tesla_k20c(), config)
+        choose(&p, &bind, &GpuSpec::tesla_k20c(), policy)
     }
 
     #[test]
     fn threshold_boundary_is_exact() {
-        let config = DynParConfig::default();
-        // min_total_work = 12_000; mean 25 >= threshold 16, so the floor
+        // The work floor is 12_000; mean 25 >= threshold 16, so the floor
         // alone decides. 479 * 25 = 11_975 < 12_000 -> inline.
-        let below = plan_for(479, 25, &config);
+        let below = plan_for(479, 25, DynParPolicy::Auto);
         assert_eq!(
             below.site.unwrap().strategy,
             LaunchStrategy::Inline,
             "work just below the floor must stay inlined"
         );
         // 480 * 25 = 12_000 meets the floor -> consolidated.
-        let at = plan_for(480, 25, &config);
+        let at = plan_for(480, 25, DynParPolicy::Auto);
         let s = at.site.unwrap().strategy;
         assert_ne!(s, LaunchStrategy::Inline, "at the floor: consolidate");
         assert_ne!(s, LaunchStrategy::Naive, "auto never picks naive");
@@ -320,11 +280,10 @@ mod tests {
 
     #[test]
     fn small_mean_extent_extends_the_threshold() {
-        let config = DynParConfig::default();
         // mean 8 < threshold 16: inline until 4x the floor.
-        let mid = plan_for(5_999, 8, &config); // 47_992 < 48_000
+        let mid = plan_for(5_999, 8, DynParPolicy::Auto); // 47_992 < 48_000
         assert_eq!(mid.site.unwrap().strategy, LaunchStrategy::Inline);
-        let big = plan_for(6_000, 8, &config); // 48_000 >= 48_000
+        let big = plan_for(6_000, 8, DynParPolicy::Auto); // 48_000 >= 48_000
         assert_ne!(big.site.unwrap().strategy, LaunchStrategy::Inline);
     }
 
@@ -338,9 +297,8 @@ mod tests {
 
     #[test]
     fn wide_rows_coarsen_and_narrow_rows_aggregate() {
-        let config = DynParConfig::default();
         // Warp-filling rows: coarsening has no lane idle, wins.
-        let wide = plan_for(4096, 64, &config).site.unwrap();
+        let wide = plan_for(4096, 64, DynParPolicy::Auto).site.unwrap();
         assert!(
             matches!(wide.strategy, LaunchStrategy::Coarsen(_)),
             "wide rows should coarsen, got {:?} ({})",
@@ -349,7 +307,7 @@ mod tests {
         );
         // Tiny rows at large scale: 30/32 lanes would idle under
         // coarsening; the balanced work queue wins.
-        let narrow = plan_for(262_144, 2, &config).site.unwrap();
+        let narrow = plan_for(262_144, 2, DynParPolicy::Auto).site.unwrap();
         assert_eq!(
             narrow.strategy,
             LaunchStrategy::Aggregate,
@@ -360,34 +318,27 @@ mod tests {
 
     #[test]
     fn disabled_or_forced_policies_are_respected() {
-        let off = DynParConfig {
-            enabled: false,
-            ..DynParConfig::default()
-        };
-        assert!(plan_for(4096, 64, &off).site.is_none());
+        // Forcing inline keeps the baseline lowering.
+        let off = plan_for(4096, 64, DynParPolicy::Force(LaunchStrategy::Inline));
+        assert_eq!(off.site.as_ref().unwrap().strategy, LaunchStrategy::Inline);
+        assert!(!off.consolidates());
 
-        let forced = DynParConfig {
-            policy: DynParPolicy::Force(LaunchStrategy::Naive),
-            ..DynParConfig::default()
-        };
+        let forced = DynParPolicy::Force(LaunchStrategy::Naive);
         assert_eq!(
-            plan_for(64, 4, &forced).site.unwrap().strategy,
+            plan_for(64, 4, forced).site.unwrap().strategy,
             LaunchStrategy::Naive
         );
         // Force(Coarsen(0)) resolves the auto factor.
-        let forced_k = DynParConfig {
-            policy: DynParPolicy::Force(LaunchStrategy::Coarsen(0)),
-            ..DynParConfig::default()
-        };
+        let forced_k = DynParPolicy::Force(LaunchStrategy::Coarsen(0));
         assert_eq!(
-            plan_for(4096, 4, &forced_k).site.unwrap().strategy,
+            plan_for(4096, 4, forced_k).site.unwrap().strategy,
             LaunchStrategy::Coarsen(20)
         );
     }
 
     #[test]
     fn plans_record_the_model_for_reports() {
-        let d = plan_for(4096, 64, &DynParConfig::default()).site.unwrap();
+        let d = plan_for(4096, 64, DynParPolicy::Auto).site.unwrap();
         assert_eq!(d.modeled.len(), 4);
         assert!(d.modeled.iter().all(|(_, s)| *s > 0.0));
         // Naive's per-element launch overhead dominates everything else.

@@ -52,16 +52,16 @@ fn ragged_case(
     (p, bind, inputs)
 }
 
-/// Compile under `config`, run sanitized, and check outputs against the
+/// Compile under `policy`, run sanitized, and check outputs against the
 /// interpreter plus the zero-disagreement invariant. Returns the
 /// executable for decision-metadata assertions.
 fn check(
     p: &Program,
     bind: &Bindings,
     inputs: &HashMap<multidim_ir::ArrayId, Vec<f64>>,
-    config: DynParConfig,
+    policy: DynParPolicy,
 ) -> Executable {
-    let exe = Compiler::new().dynpar(config).compile(p, bind).unwrap();
+    let exe = Compiler::new().dynpar(policy).compile(p, bind).unwrap();
     let (run, san) = exe.run_sanitized(inputs).unwrap();
     let disagreements = cross_check(&exe.diagnostics, &san);
     assert!(
@@ -85,13 +85,6 @@ fn check(
     exe
 }
 
-fn forced(strategy: LaunchStrategy) -> DynParConfig {
-    DynParConfig {
-        policy: DynParPolicy::Force(strategy),
-        ..DynParConfig::default()
-    }
-}
-
 #[test]
 fn spmv_matches_interpreter_under_every_strategy() {
     let (p, bind, inputs) = spmv_case(384, 8, 1.0);
@@ -100,13 +93,13 @@ fn spmv_matches_interpreter_under_every_strategy() {
         LaunchStrategy::Coarsen(8),
         LaunchStrategy::Aggregate,
     ] {
-        let exe = check(&p, &bind, &inputs, forced(strategy));
+        let exe = check(&p, &bind, &inputs, DynParPolicy::Force(strategy));
         let site = exe.dynpar.site.as_ref().expect("site expected");
         assert_eq!(site.strategy, strategy, "decision metadata mismatch");
         assert!(!site.modeled.is_empty());
     }
     // Auto on this small instance thresholds back to Inline.
-    let exe = check(&p, &bind, &inputs, DynParConfig::default());
+    let exe = check(&p, &bind, &inputs, DynParPolicy::Auto);
     let site = exe.dynpar.site.as_ref().expect("site expected");
     assert_eq!(site.strategy, LaunchStrategy::Inline);
 }
@@ -119,7 +112,7 @@ fn ragged_matches_interpreter_under_every_strategy() {
         LaunchStrategy::Coarsen(6),
         LaunchStrategy::Aggregate,
     ] {
-        let exe = check(&p, &bind, &inputs, forced(strategy));
+        let exe = check(&p, &bind, &inputs, DynParPolicy::Force(strategy));
         assert_eq!(exe.dynpar.site.as_ref().map(|s| s.strategy), Some(strategy));
     }
 }
@@ -134,7 +127,7 @@ fn auto_consolidation_beats_naive_at_scale() {
     let site = auto.dynpar.site.as_ref().expect("site expected");
     assert_ne!(site.strategy, LaunchStrategy::Inline, "{}", site.reason);
     let naive = Compiler::new()
-        .dynpar(forced(LaunchStrategy::Naive))
+        .dynpar(DynParPolicy::Force(LaunchStrategy::Naive))
         .compile(&p, &bind)
         .unwrap();
     let fast = auto.run(&inputs).unwrap();
@@ -167,7 +160,7 @@ fn consolidated_strategies_match_on_random_structures() {
             LaunchStrategy::Coarsen(5),
             LaunchStrategy::Aggregate,
         ] {
-            let _ = check(&p, &bind, &inputs, forced(strategy));
+            let _ = check(&p, &bind, &inputs, DynParPolicy::Force(strategy));
         }
         let _ = case;
     }

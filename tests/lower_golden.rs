@@ -34,12 +34,7 @@ fn configs() -> Vec<(&'static str, Compiler)> {
         edit(&mut o);
         Compiler::new().options(o)
     };
-    let force = |strategy| {
-        Compiler::new().dynpar(DynParConfig {
-            policy: DynParPolicy::Force(strategy),
-            ..DynParConfig::default()
-        })
-    };
+    let force = |strategy| Compiler::new().dynpar(DynParPolicy::Force(strategy));
     vec![
         ("analysis", Compiler::new()),
         ("1D", Compiler::new().strategy(Strategy::OneD)),
