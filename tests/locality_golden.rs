@@ -1,0 +1,98 @@
+//! Locality golden: for every catalog program and every candidate of its
+//! tuning plan, the locality proofs must reproduce the committed digest.
+//!
+//! Each candidate is lowered and validated exactly as `Compiler::autotune`
+//! lowers it. The record then takes, per candidate, every access's
+//! segment capacity and transaction bound, every bank-conflict proof's
+//! degree, verdict and guard, and the f64 bits of the transaction and
+//! seconds bounds — both the summary's and [`seconds_lower_bound`]'s. One
+//! line per program holds the counts and an FNV-1a digest of those
+//! records. A change to how the proofs are computed must leave every
+//! line as it is; a change to what they prove re-records
+//! `tests/golden/locality_golden.txt` from the actual record the test
+//! writes next to the build's temporary files, and says why.
+
+#[path = "support/golden.rs"]
+mod golden;
+
+use multidim::prelude::*;
+use multidim::{locality_of, seconds_lower_bound, LocalityFacts};
+use multidim_codegen::{lower_planned, validate_kernels};
+use multidim_mapping::TuneOptions;
+use multidim_workloads::catalog::catalog;
+use std::fmt::Write as _;
+
+const GOLDEN: &str = include_str!("golden/locality_golden.txt");
+
+/// One line per catalog program.
+fn record() -> String {
+    let compiler = Compiler::new();
+    let gpu = GpuSpec::tesla_k20c();
+    // The options `Compiler::autotune` lowers its candidates with.
+    let lowering = CodegenOptions {
+        smem_budget: Some(gpu.smem_per_sm),
+        ..CodegenOptions::default()
+    };
+    let prefetch = lowering.smem_prefetch;
+    let mut out = String::new();
+    for e in catalog() {
+        let prepared = compiler
+            .prepare_tune(&e.program, &e.bindings, &TuneOptions::default())
+            .unwrap_or_else(|err| panic!("{}: prepare failed: {err}", e.name()));
+        let facts = LocalityFacts::of(&prepared.program, &e.bindings);
+        let (mut lowered, mut accesses, mut banks) = (0usize, 0usize, 0usize);
+        let mut proofs = String::new();
+        for (i, cand) in prepared.plan.candidates.iter().enumerate() {
+            let kernels = lower_planned(
+                &prepared.program,
+                &cand.mapping,
+                &lowering,
+                &prepared.dynpar,
+            )
+            .ok()
+            .filter(|k| validate_kernels(k, gpu.smem_per_sm).is_ok());
+            let Some(kernels) = kernels else {
+                let _ = writeln!(proofs, "{i}: not lowered");
+                continue;
+            };
+            lowered += 1;
+            let b = &e.bindings;
+            let summary = locality_of(&facts, &cand.mapping, &kernels, b, &gpu, prefetch);
+            let floor = seconds_lower_bound(&facts, &cand.mapping, &kernels, b, &gpu, prefetch);
+            let _ = write!(proofs, "{i}: accesses");
+            for a in &summary.accesses {
+                let _ = write!(proofs, " {}/{}", a.segment_capacity, a.transactions_lb);
+            }
+            accesses += summary.accesses.len();
+            let _ = write!(proofs, "; banks");
+            for bank in summary.smem.iter().flat_map(|k| &k.banks) {
+                let _ = write!(
+                    proofs,
+                    " {:?}/{:?}/{}",
+                    bank.degree, bank.conflict_free, bank.guarded
+                );
+                banks += 1;
+            }
+            let _ = writeln!(
+                proofs,
+                "; tx {} seconds {:016x} floor {:016x}",
+                summary.tx_lower_bound,
+                summary.seconds_lower_bound.to_bits(),
+                floor.to_bits()
+            );
+        }
+        let _ = writeln!(
+            out,
+            "{}: {} candidates, {lowered} lowered, {accesses} accesses, {banks} bank proofs, {:016x}",
+            e.name(),
+            prepared.plan.candidates.len(),
+            golden::fnv1a(proofs.into_bytes())
+        );
+    }
+    out
+}
+
+#[test]
+fn locality_proofs_reproduce_the_golden_record_over_every_candidate() {
+    golden::check("locality_golden", GOLDEN, &record());
+}
