@@ -175,12 +175,21 @@ pub fn choose(
             (s, format!("forced by policy ({})", s.name()))
         }
         DynParPolicy::Auto => {
-            if total < WORK_FLOOR || (m < THRESHOLD && total < 4 * WORK_FLOOR) {
+            if total < WORK_FLOOR {
                 (
                     LaunchStrategy::Inline,
                     format!(
                         "thresholded: total work {total} (mean inner {m}) below the \
                          consolidation floor"
+                    ),
+                )
+            } else if m < THRESHOLD && total < 4 * WORK_FLOOR {
+                (
+                    LaunchStrategy::Inline,
+                    format!(
+                        "thresholded: mean inner {m} below the inner-extent cutoff \
+                         {THRESHOLD} at total work {total} (under {})",
+                        4 * WORK_FLOOR
                     ),
                 )
             } else {
@@ -285,6 +294,22 @@ mod tests {
         assert_eq!(mid.site.unwrap().strategy, LaunchStrategy::Inline);
         let big = plan_for(6_000, 8, DynParPolicy::Auto); // 48_000 >= 48_000
         assert_ne!(big.site.unwrap().strategy, LaunchStrategy::Inline);
+    }
+
+    #[test]
+    fn each_threshold_rule_names_itself() {
+        let floor = plan_for(192, 14, DynParPolicy::Auto).site.unwrap(); // 2_688
+        assert_eq!(
+            floor.reason,
+            "thresholded: total work 2688 (mean inner 14) below the consolidation floor"
+        );
+        let cutoff = plan_for(1024, 14, DynParPolicy::Auto).site.unwrap(); // 14_336
+        assert_eq!(cutoff.strategy, LaunchStrategy::Inline);
+        assert_eq!(
+            cutoff.reason,
+            "thresholded: mean inner 14 below the inner-extent cutoff 16 at total work \
+             14336 (under 48000)"
+        );
     }
 
     #[test]

@@ -217,10 +217,11 @@ pub fn catalog() -> Vec<CatalogEntry> {
     ));
 
     // --- irregular / dynamic-parallelism workloads ---
-    // Zipf-degree SpMV, sized so the Auto consolidation policy actually
-    // consolidates (1024 rows × mean 16 ≈ 16k inner elements clears the
-    // 12k work floor and the warp-filling rows pick coarsening) while
-    // staying cheap enough for the catalog-sweeping tests and benches.
+    // Zipf-degree SpMV: 1024 rows × mean 14 = 14,336 inner elements. That
+    // clears the 12k work floor, but a mean inner extent below 16 keeps
+    // work under 48k inline, so the Auto consolidation policy plans
+    // Inline here; the size stays cheap enough for the catalog-sweeping
+    // tests and benches. `tests/dynpar.rs` pins that decision's reason.
     let g = CsrGraph::zipf(1024, 16, 1.0, 91);
     let (p, n, e, row_ptr, col_idx, vals, x) = apps::spmv::zipf_program(g.mean_degree());
     let mut b = Bindings::new();

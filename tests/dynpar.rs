@@ -8,6 +8,7 @@ use multidim::prelude::*;
 use multidim::{cross_check, LaunchStrategy};
 use multidim_ir::interpret;
 use multidim_workloads::apps::{ragged, spmv};
+use multidim_workloads::catalog::catalog;
 use multidim_workloads::data::{CsrGraph, Rng};
 use std::collections::HashMap;
 
@@ -118,10 +119,28 @@ fn ragged_matches_interpreter_under_every_strategy() {
 }
 
 #[test]
+fn catalog_spmv_zipf_names_the_rule_that_keeps_it_inline() {
+    // 1024 rows × mean 14 = 14,336 clears the 12,000 work floor, so the
+    // rule that fires is the inner-extent cutoff, and the reason says so.
+    let e = catalog()
+        .into_iter()
+        .find(|e| e.name() == "spmv_zipf")
+        .expect("spmv_zipf is in the catalog");
+    let exe = Compiler::new().compile(&e.program, &e.bindings).unwrap();
+    let site = exe.dynpar.site.as_ref().expect("site expected");
+    assert_eq!(site.strategy, LaunchStrategy::Inline);
+    assert_eq!(
+        site.reason,
+        "thresholded: mean inner 14 below the inner-extent cutoff 16 at total work 14336 \
+         (under 48000)"
+    );
+}
+
+#[test]
 fn auto_consolidation_beats_naive_at_scale() {
-    // The catalog's spmv_zipf size: Auto must consolidate and the
-    // consolidated schedule must be materially faster than per-row child
-    // launches.
+    // Four times the catalog's spmv_zipf rows: Auto must consolidate and
+    // the consolidated schedule must be materially faster than per-row
+    // child launches.
     let (p, bind, inputs) = spmv_case(4096, 16, 1.0);
     let auto = Compiler::new().compile(&p, &bind).unwrap();
     let site = auto.dynpar.site.as_ref().expect("site expected");
