@@ -73,7 +73,7 @@ pub use multidim_analyze::{
 pub use multidim_codegen::{LaunchStrategy, LayoutPolicy, SiteDecision};
 pub use multidim_dynpar::DynParPolicy;
 pub use multidim_mapping::{Dim, Span};
-pub use multidim_sim::{record_run, SanitizerReport};
+pub use multidim_sim::{RunCounters, SanitizerReport};
 
 /// Commonly used items, re-exported for applications.
 pub mod prelude {

@@ -343,6 +343,8 @@ struct EngineMetrics {
     // child kernels; these families can.
     child_launches_by_workload: Arc<CounterFamily>,
     child_blocks_by_workload: Arc<CounterFamily>,
+    /// The simulator's `sim_*` counters, folded per served run.
+    sim: multidim::RunCounters,
 }
 
 impl EngineMetrics {
@@ -424,6 +426,7 @@ impl EngineMetrics {
                 "dynamic-parallelism child blocks launched, by program",
                 "workload",
             ),
+            sim: multidim::RunCounters::new(registry),
         }
     }
 }
@@ -1017,8 +1020,10 @@ fn process_request(
                     .record(resp.compile_time.as_secs_f64());
             }
             // Fold the simulator's roofline counters into the registry.
-            let cost =
-                multidim::record_run(&shared.registry, &resp.run.kernels, resp.run.gpu_seconds);
+            let cost = shared
+                .metrics
+                .sim
+                .record(&resp.run.kernels, resp.run.gpu_seconds);
             if cost.child_launches > 0 {
                 shared
                     .metrics

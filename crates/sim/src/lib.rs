@@ -59,7 +59,7 @@ pub use exec::{
 };
 pub use floor::{seconds_floor, KernelFloor};
 pub use memory::{bank_conflicts, coalesce};
-pub use metrics::{record_run, KernelMetrics, RunMetrics};
+pub use metrics::{KernelMetrics, RunCounters, RunMetrics};
 pub use report::{kernel_report, BoundBy, Efficiency};
 
 /// Host→device transfer time for `bytes` over the default PCIe link.

@@ -4,16 +4,17 @@
 //! [`RunMetrics`] is the export format behind `metrics.json` in the profiling
 //! example and the `--report` flag of the figure benches. It is derived from
 //! a finished run's [`KernelRun`] records, so the numbers always match what
-//! the simulator charged; [`record_run`] folds the same records into an
+//! the simulator charged; [`RunCounters`] folds the same records into an
 //! observability registry.
 
 use crate::cost::{KernelCost, KernelTime, LaunchShape};
 use crate::exec::{total_cost, KernelRun};
 use crate::report::{BoundBy, Efficiency};
 use multidim_device::GpuSpec;
-use multidim_obs::Registry;
+use multidim_obs::{Counter, Histogram, Registry};
 use multidim_trace::json::Json;
 use multidim_trace::{self as trace, Event};
+use std::sync::Arc;
 
 /// Everything the simulator knows about one kernel launch.
 #[derive(Debug, Clone, PartialEq)]
@@ -178,32 +179,49 @@ impl RunMetrics {
     }
 }
 
-/// Accumulate one run's kernels into an observability registry: one
+/// An observability registry's simulator metrics, resolved once: one
 /// counter per [`KernelCost`] field (`sim_<field>_total`), a kernel-launch
 /// counter, and a histogram of simulated run times. The cost counters
 /// reuse [`cost_fields`], so a new counter added there is exported
-/// automatically. Returns the run's summed counters, from which the
-/// engine reads its per-workload child-launch families.
-pub fn record_run(registry: &Registry, kernels: &[KernelRun], total_seconds: f64) -> KernelCost {
-    registry
-        .counter("sim_kernels_total", "kernel launches simulated")
-        .add(kernels.len() as u64);
-    registry
-        .histogram(
-            "sim_run_seconds",
-            "simulated end-to-end run time per request",
-        )
-        .record(total_seconds);
-    let total = total_cost(kernels);
-    for (name, v) in cost_fields(&total) {
-        registry
-            .counter(
-                &format!("sim_{name}_total"),
-                "simulator cost counter, summed over runs",
-            )
-            .add(v);
+/// automatically. Resolving registers every one of them, so they read
+/// zero before the first run; folding a run then takes no name lookup.
+#[derive(Debug)]
+pub struct RunCounters {
+    kernels: Arc<Counter>,
+    run_seconds: Arc<Histogram>,
+    cost: [Arc<Counter>; 11],
+}
+
+impl RunCounters {
+    /// Register (or find) the simulator metrics in `registry`.
+    pub fn new(registry: &Registry) -> RunCounters {
+        RunCounters {
+            kernels: registry.counter("sim_kernels_total", "kernel launches simulated"),
+            run_seconds: registry.histogram(
+                "sim_run_seconds",
+                "simulated end-to-end run time per request",
+            ),
+            cost: cost_fields(&KernelCost::default()).map(|(name, _)| {
+                registry.counter(
+                    &format!("sim_{name}_total"),
+                    "simulator cost counter, summed over runs",
+                )
+            }),
+        }
     }
-    total
+
+    /// Accumulate one run's kernels. Returns the run's summed counters,
+    /// from which the engine reads its per-workload child-launch
+    /// families.
+    pub fn record(&self, kernels: &[KernelRun], total_seconds: f64) -> KernelCost {
+        self.kernels.add(kernels.len() as u64);
+        self.run_seconds.record(total_seconds);
+        let total = total_cost(kernels);
+        for (counter, (_, v)) in self.cost.iter().zip(cost_fields(&total)) {
+            counter.add(v);
+        }
+        total
+    }
 }
 
 fn kernel_json(k: &KernelMetrics) -> Json {
@@ -428,9 +446,13 @@ mod tests {
     #[test]
     fn record_accumulates_into_registry() {
         let registry = multidim_obs::Registry::new();
+        let counters = RunCounters::new(&registry);
+        let text = registry.render_text();
+        assert!(text.contains("sim_kernels_total 0"), "{text}");
+        assert!(text.contains("sim_transactions_total 0"), "{text}");
         let kernels = [sample_run()];
-        record_run(&registry, &kernels, 3.5e-6);
-        record_run(&registry, &kernels, 3.5e-6);
+        counters.record(&kernels, 3.5e-6);
+        RunCounters::new(&registry).record(&kernels, 3.5e-6);
         let text = registry.render_text();
         assert!(text.contains("sim_kernels_total 2"), "{text}");
         assert!(text.contains("sim_transactions_total 1280"), "{text}");
@@ -461,8 +483,9 @@ mod tests {
     #[test]
     fn child_totals_sum_across_kernels() {
         let registry = multidim_obs::Registry::new();
+        let counters = RunCounters::new(&registry);
         let mut kernels = vec![sample_run()];
-        let total = record_run(&registry, &kernels, 0.0);
+        let total = counters.record(&kernels, 0.0);
         assert_eq!((total.child_launches, total.child_blocks), (0, 0));
         kernels[0].cost.child_launches = 3;
         kernels[0].cost.child_blocks = 48;
@@ -470,7 +493,7 @@ mod tests {
         second.cost.child_launches = 2;
         second.cost.child_blocks = 16;
         kernels.push(second);
-        let total = record_run(&registry, &kernels, 0.0);
+        let total = counters.record(&kernels, 0.0);
         assert_eq!((total.child_launches, total.child_blocks), (5, 64));
         let text = registry.render_text();
         assert!(text.contains("sim_child_launches_total 5"), "{text}");
