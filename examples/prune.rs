@@ -10,7 +10,9 @@
 //! final line totals the sweep with the pruned share of all candidates;
 //! CI runs this as a smoke check that the floor stays tight, and it exits
 //! non-zero when the share falls below 0.3 (a change that loosens the
-//! floor, or silently stops pruning, shows up here).
+//! floor, or silently stops pruning, shows up here). The output is
+//! deterministic, and CI compares it byte for byte with
+//! `tests/golden/prune.txt`.
 
 use multidim::prelude::*;
 use multidim_mapping::TuneOptions;
