@@ -645,16 +645,17 @@ impl Engine {
     /// Every candidate is measured (no locality pruning), then the costs
     /// are replayed in score order through
     /// [`multidim_mapping::tune_pruned`], which applies
-    /// `max_measurements` and tie-breaks on candidate index, so the result
-    /// is identical to the serial [`Compiler::autotune`]. Candidates that
+    /// `max_measurements` and tie-breaks on candidate index, so it selects
+    /// the mapping [`Compiler::autotune`] selects. Candidates that
     /// cannot be enqueued (full queue) are measured inline on the calling
     /// thread — tuning degrades to partial parallelism under load rather
     /// than failing or deadlocking.
     ///
     /// # Errors
     ///
-    /// [`EngineError::Compile`] when validation fails or no candidate is
-    /// executable.
+    /// [`EngineError::Compile`] when `max_measurements` is 0 (refused
+    /// before any candidate is measured), when validation fails, or when
+    /// no candidate is executable.
     pub fn autotune(
         &self,
         program: &Program,

@@ -65,4 +65,6 @@ pub use search::{
     size_set, Analysis, ScoredMapping,
 };
 pub use strategy::{figure7_dop, fixed_mapping, Strategy};
-pub use tune::{plan, select, tune_pruned, Measured, TuneOptions, TunePlan, TuneResult};
+pub use tune::{
+    plan, select, tune_parallel, tune_pruned, Measured, TuneOptions, TunePlan, TuneResult,
+};

@@ -287,6 +287,23 @@ fn score_pruned_autotune_is_cheaper_and_close() {
     assert!(pruned.best_cost <= full.best_cost * 1.5);
 }
 
+/// A zero measurement cap could measure nothing, so it is refused before
+/// any candidate is lowered, with an error that names the cap.
+#[test]
+fn zero_measurement_cap_is_refused() {
+    use multidim_mapping::TuneOptions;
+    let e = &multidim_workloads::catalog::catalog()[0];
+    let zero = TuneOptions {
+        max_measurements: 0,
+        ..Default::default()
+    };
+    let err = Compiler::new()
+        .autotune(&e.program, &e.bindings, &e.inputs, &zero)
+        .map(|_| ())
+        .expect_err("a zero cap tunes nothing");
+    assert!(err.to_string().contains("max_measurements is 0"), "{err}");
+}
+
 /// ControlDOP never writes `Split(1)`: it has the DOP of `Span(all)` and
 /// adds a combiner launch, so a level that cannot take two sections keeps
 /// `Span(all)`.

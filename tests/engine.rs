@@ -262,6 +262,28 @@ fn run_batch_preserves_order_under_backpressure() {
     assert_eq!(engine.stats().failed, 0);
 }
 
+/// A zero measurement cap is refused before any candidate reaches the
+/// pool. spmv_zipf is the catalog's costliest program to measure.
+#[test]
+fn zero_measurement_cap_is_refused_before_any_pool_job() {
+    let e = catalog()
+        .into_iter()
+        .find(|e| e.name() == "spmv_zipf")
+        .expect("spmv_zipf is in the catalog");
+    let engine = Engine::new(Compiler::new(), small_config());
+    let zero = multidim_mapping::TuneOptions {
+        max_measurements: 0,
+        ..Default::default()
+    };
+    match engine.autotune(&e.program, &e.bindings, &e.inputs, &zero) {
+        Err(EngineError::Compile(err)) => {
+            assert!(err.to_string().contains("max_measurements is 0"), "{err}");
+        }
+        Err(other) => panic!("expected a compile error naming the cap, got {other}"),
+        Ok(_) => panic!("a zero cap tunes nothing"),
+    }
+}
+
 #[test]
 fn parallel_autotune_matches_serial_selection() {
     let entries = catalog();

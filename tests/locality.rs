@@ -9,8 +9,11 @@ use multidim::{
 };
 use multidim_codegen::{lower_planned, validate_kernels, CodegenOptions};
 use multidim_ir::ArrayId;
-use multidim_mapping::{select, Dim, LevelMapping, MappingDecision, Span, TuneOptions};
+use multidim_mapping::{
+    select, tune_pruned, Dim, LevelMapping, MappingDecision, Span, TuneOptions,
+};
 use multidim_workloads::catalog::catalog;
+use std::cell::Cell;
 use std::collections::HashMap;
 
 /// Property over the whole catalog: every Proven coalescing verdict and
@@ -40,11 +43,14 @@ fn catalog_locality_agrees_with_simulator() {
 
 /// The pruned search must select a bit-identical mapping (and cost) to the
 /// exhaustive one on every catalog workload, while actually pruning a
-/// meaningful share of the candidates. The exhaustive reference reuses the
-/// pruned run's measurements and measures only what it left out, so every
-/// candidate's simulated time is known: none may fall below its seconds
-/// floor, and the tuner's floor-only bound must equal the full locality
-/// summary's bit for bit.
+/// meaningful share of the candidates. `Compiler::autotune`, which tunes
+/// on several threads, must return exactly what the serial loop returns
+/// when rebuilt from public calls, as the benchmark's traced replica
+/// rebuilds it: uncapped, and capped at 5. The exhaustive reference reuses
+/// the pruned run's measurements and measures only what it left out, so
+/// every candidate's simulated time is known: none may fall below its
+/// seconds floor, and the tuner's floor-only bound must equal the full
+/// locality summary's bit for bit.
 #[test]
 fn pruned_search_is_bit_identical_and_prunes() {
     let compiler = Compiler::new().checks(false);
@@ -64,6 +70,56 @@ fn pruned_search_is_bit_identical_and_prunes() {
         let prepared = compiler
             .prepare_tune(&e.program, &e.bindings, &opts)
             .unwrap_or_else(|err| panic!("{}: prepare failed: {err}", e.name()));
+        let facts = LocalityFacts::of(&prepared.program, &e.bindings);
+        // The serial loop with the benchmark's closures: lower, validate
+        // and floor each candidate, and simulate the kernels it lowered.
+        let serial = |cap: usize| {
+            let lowered = Cell::new(None);
+            tune_pruned(
+                &prepared.plan,
+                cap,
+                |cand| {
+                    let kernels = lower_planned(
+                        &prepared.program,
+                        &cand.mapping,
+                        &lowering,
+                        &prepared.dynpar,
+                    )
+                    .ok()
+                    .filter(|k| validate_kernels(k, gpu.smem_per_sm).is_ok());
+                    let (b, prefetch) = (&e.bindings, lowering.smem_prefetch);
+                    let bound = kernels
+                        .as_ref()
+                        .map(|k| seconds_lower_bound(&facts, &cand.mapping, k, b, &gpu, prefetch));
+                    lowered.set(kernels);
+                    bound
+                },
+                |_| {
+                    let kernels = lowered.take()?;
+                    let sim = multidim_sim::run_program(&kernels, &gpu, &e.bindings, &e.inputs);
+                    Some(sim.ok()?.total_seconds)
+                },
+            )
+        };
+        assert_eq!(
+            Some(&fast),
+            serial(usize::MAX).as_ref(),
+            "{}: Compiler::autotune differs from the serial loop",
+            e.name()
+        );
+        let capped = TuneOptions {
+            max_measurements: 5,
+            ..opts
+        };
+        let (_, fast_capped) = compiler
+            .autotune(&e.program, &e.bindings, &e.inputs, &capped)
+            .unwrap_or_else(|err| panic!("{}: capped autotune failed: {err}", e.name()));
+        assert_eq!(
+            Some(fast_capped),
+            serial(5),
+            "{}: Compiler::autotune capped at 5 differs from the serial loop",
+            e.name()
+        );
         let measured: HashMap<usize, f64> =
             fast.measured.iter().map(|m| (m.index, m.cost)).collect();
         let costs: Vec<Option<f64>> = prepared
@@ -110,7 +166,6 @@ fn pruned_search_is_bit_identical_and_prunes() {
         candidates += prepared.plan.candidates.len();
         pruned += fast.pruned;
 
-        let facts = LocalityFacts::of(&prepared.program, &e.bindings);
         for (cand, cost) in prepared.plan.candidates.iter().zip(&costs) {
             let Ok(kernels) = lower_planned(
                 &prepared.program,

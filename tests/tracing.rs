@@ -31,13 +31,15 @@ fn sum_rows(r: i64, c: i64) -> (Program, Bindings, multidim_ir::ArrayId) {
     (p, bind, m)
 }
 
+/// Serializes the tests that install the process-wide store.
+static STORE_LOCK: Mutex<()> = Mutex::new(());
+
 fn traced_run(r: i64, c: i64) -> (multidim::Executable, multidim::RunReport, Vec<trace::Event>) {
     let (p, bind, m) = sum_rows(r, c);
     let inputs: HashMap<_, _> = [(m, (0..r * c).map(|x| (x % 5) as f64).collect::<Vec<_>>())]
         .into_iter()
         .collect();
-    static LOCK: Mutex<()> = Mutex::new(());
-    let _lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _lock = STORE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let store = Arc::new(trace::TraceStore::new(trace::TailSamplerConfig {
         latency_threshold: 0.0,
         ..Default::default()
@@ -207,4 +209,92 @@ fn untraced_run_matches_traced_run() {
     assert!(!events.is_empty());
     assert_eq!(quiet.gpu_seconds, traced.gpu_seconds);
     assert_eq!(quiet.kernels, traced.kernels);
+}
+
+/// A traced `Compiler::autotune` records one `core/autotune` span whose
+/// counts are the `TuneResult`'s, and every simulation of the pass, on the
+/// caller's thread or a helper's, nests inside the kept trace.
+#[test]
+fn autotune_span_counts_the_pass_and_nests_the_helpers() {
+    let (p, bind, m) = sum_rows(64, 128);
+    let inputs: HashMap<_, _> = [(m, vec![1.0; 64 * 128])].into_iter().collect();
+    let _lock = STORE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // Keeps every trace, and every span of it.
+    let store = Arc::new(trace::TraceStore::new(trace::TailSamplerConfig {
+        latency_threshold: 0.0,
+        max_spans_per_trace: usize::MAX,
+        ..Default::default()
+    }));
+    let installed = trace::install_store(store.clone());
+    let ctx = trace::TraceContext::mint();
+    let start = Instant::now();
+    let (_, result) = {
+        let _current = trace::set_current(ctx);
+        Compiler::new()
+            .autotune(
+                &p,
+                &bind,
+                &inputs,
+                &multidim_mapping::TuneOptions::default(),
+            )
+            .unwrap()
+    };
+    let root = trace::RequestRoot {
+        cat: "test",
+        start,
+        workload: "sumRows",
+        args: Vec::new(),
+    };
+    let kept = trace::finish_request(
+        &ctx,
+        root,
+        trace::TraceOutcome::Completed,
+        None::<&String>,
+        Some(start.elapsed().as_secs_f64()),
+    );
+    drop(installed);
+    let spans = store.lookup(kept.expect("kept")).expect("stored").spans;
+
+    let tunes: Vec<_> = spans
+        .iter()
+        .filter(|s| (s.cat, s.name) == ("core", "autotune"))
+        .collect();
+    assert_eq!(tunes.len(), 1, "one core/autotune span per pass");
+    let arg = |key: &str| {
+        tunes[0]
+            .args
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.clone())
+            .unwrap_or_else(|| panic!("core/autotune has no `{key}`"))
+    };
+    let count = |n: usize| trace::Value::UInt(n as u64);
+    let candidates = result.measured.len() + result.pruned + result.skipped;
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    assert_eq!(arg("program"), trace::Value::Str("sumRows".into()));
+    assert_eq!(arg("candidates"), count(candidates));
+    assert_eq!(arg("measured"), count(result.measured.len()));
+    assert_eq!(arg("pruned"), count(result.pruned));
+    assert_eq!(arg("skipped"), count(result.skipped));
+    assert_eq!(arg("threads"), count(threads.min(candidates)));
+
+    // Each simulation of the pass that got past specialization records
+    // one `sim/execute` span, whatever thread ran it.
+    let ids: std::collections::HashSet<u64> = spans.iter().map(|s| s.span_id).collect();
+    let executes: Vec<_> = spans
+        .iter()
+        .filter(|s| (s.cat, s.name) == ("sim", "execute"))
+        .collect();
+    let trace::Value::UInt(simulations) = arg("simulations") else {
+        panic!("`simulations` is a count");
+    };
+    assert!(result.measured.len() <= executes.len());
+    assert!(executes.len() as u64 <= simulations);
+    for e in executes {
+        let parent = e.parent.expect("sim/execute has a parent");
+        assert!(
+            ids.contains(&parent),
+            "a sim/execute span's parent is not in the trace"
+        );
+    }
 }
