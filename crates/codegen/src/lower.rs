@@ -1542,15 +1542,24 @@ impl<'p> Lowerer<'p> {
                 let lt = self.fresh_local();
                 let base = KExpr::mul(KExpr::Bid(axis), KExpr::imm(b_outer as i64));
                 let addr = KExpr::add(base, KExpr::Local(lt));
+                let in_chunk = KExpr::lt(KExpr::Local(lt), KExpr::imm(b_outer as i64));
+                let extent = KExpr::SizeVal(outer_extent.clone());
+                // In clamp mode a padding thread runs on with its row
+                // clamped to the last one and reads its slot, so every slot
+                // is loaded, past the end from that last row; otherwise
+                // padding threads never reach the read.
+                let (cond, addr) = if self.clamp_mode {
+                    let last = KExpr::max(KExpr::sub(extent, KExpr::imm(1)), KExpr::imm(0));
+                    (in_chunk, KExpr::min(addr, last))
+                } else {
+                    (KExpr::and(in_chunk, KExpr::lt(addr.clone(), extent)), addr)
+                };
                 self.preamble.push(Stmt::Assign {
                     dst: lt,
                     value: flat,
                 });
                 self.preamble.push(Stmt::If {
-                    cond: KExpr::and(
-                        KExpr::lt(KExpr::Local(lt), KExpr::imm(b_outer as i64)),
-                        KExpr::lt(addr.clone(), KExpr::SizeVal(outer_extent.clone())),
-                    ),
+                    cond,
                     then: vec![Stmt::SmemStore {
                         arr: sm,
                         idx: KExpr::Local(lt),

@@ -179,3 +179,75 @@ fn explicit_mappings_sweep_agrees() {
     }
     assert!(checked >= 10, "only {checked} candidates were executable");
 }
+
+/// Every tuning candidate of the catalog's two 64-row graph kernels,
+/// lowered as `Compiler::autotune` lowers it, runs and computes the
+/// interpreter's outputs bit for bit. Their candidates with 128–512 rows
+/// on y and 2–8 lanes on x put padding threads in blocks that also
+/// prefetch the row pointers through shared memory; a padding thread
+/// clamps its row to the last one and must read that row's start.
+#[test]
+fn graph_kernel_tuning_candidates_match_the_interpreter() {
+    use multidim_codegen::{lower_planned, validate_kernels};
+    use multidim_mapping::TuneOptions;
+    let compiler = Compiler::new();
+    let gpu = GpuSpec::tesla_k20c();
+    let lowering = CodegenOptions {
+        smem_budget: Some(gpu.smem_per_sm),
+        ..CodegenOptions::default()
+    };
+    for e in multidim_workloads::catalog::catalog() {
+        if !matches!(e.name(), "spmv" | "pagerank_step") {
+            continue;
+        }
+        let prepared = compiler
+            .prepare_tune(&e.program, &e.bindings, &TuneOptions::default())
+            .unwrap();
+        // pagerank_step sums `prev_rank / degree` in a different order on
+        // each lane split: whole ranks and power-of-two degrees keep every
+        // partial sum exact, so its outputs compare bit for bit as well.
+        let mut inputs = e.inputs.clone();
+        for decl in &e.program.arrays {
+            let n = inputs.get(&decl.id).map_or(0, Vec::len);
+            let values: Vec<f64> = match decl.name.as_str() {
+                "prev_rank" => (0..n).map(|i| (i % 5) as f64).collect(),
+                "degree" => (0..n).map(|i| f64::from(1 << (i % 3))).collect(),
+                _ => continue,
+            };
+            inputs.insert(decl.id, values);
+        }
+        let want = multidim_ir::interpret(&e.program, &e.bindings, &inputs).unwrap();
+        let mut checked = 0;
+        for cand in &prepared.plan.candidates {
+            let Ok(kernels) = lower_planned(
+                &prepared.program,
+                &cand.mapping,
+                &lowering,
+                &prepared.dynpar,
+            ) else {
+                continue;
+            };
+            if validate_kernels(&kernels, gpu.smem_per_sm).is_err() {
+                continue;
+            }
+            let sim = multidim_sim::run_program(&kernels, &gpu, &e.bindings, &inputs)
+                .unwrap_or_else(|err| panic!("{}: {}: {err}", e.name(), cand.mapping));
+            for decl in &e.program.arrays {
+                if matches!(decl.role, multidim_ir::ArrayRole::Output) {
+                    let (got, expect) = (sim.array(decl.id), &want.array(decl.id).data);
+                    assert!(
+                        got.iter()
+                            .map(|v| v.to_bits())
+                            .eq(expect.iter().map(|v| v.to_bits())),
+                        "{}: {}: output `{}` diverges from the interpreter",
+                        e.name(),
+                        cand.mapping,
+                        decl.name
+                    );
+                }
+            }
+            checked += 1;
+        }
+        assert!(checked > 0, "{}: no candidate lowered", e.name());
+    }
+}
