@@ -56,13 +56,14 @@ use multidim_device::GpuSpec;
 use multidim_dynpar::choose;
 use multidim_ir::{ArrayId, Bindings, NestInfo, Program};
 use multidim_mapping::{
-    analyze_with, collect_constraints, fixed_mapping, Analysis, MappingDecision, Strategy, Weights,
+    analyze_with, collect_constraints, fixed_mapping, Analysis, Cost, MappingDecision, Strategy,
+    Weights,
 };
-use multidim_sim::{run_program, KernelRun, RunMetrics, SimResult};
+use multidim_sim::{run_program, run_program_capped, Capped, KernelRun, RunMetrics, SimResult};
 use multidim_trace as trace;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 pub use fingerprint::Fingerprint;
 pub use multidim_analyze::{
@@ -348,16 +349,22 @@ impl Compiler {
     ///
     /// This recovers the Figure 17 "region C" false negatives the static
     /// score misses, at the cost of one simulation per candidate that its
-    /// proven seconds floor cannot rule out. The candidates are lowered,
-    /// floored and simulated on [`std::thread::available_parallelism`]
-    /// threads, and the result is the serial loop's
-    /// ([`multidim_mapping::tune_parallel`]).
+    /// proven seconds floor cannot rule out. Each simulation runs against
+    /// the best time committed before it and stops once its time provably
+    /// exceeds it ([`multidim_sim::run_program_capped`]); such a candidate
+    /// is measured with the bound it stopped at ([`Measured::cut`]). The
+    /// candidates are lowered, floored and simulated on
+    /// [`std::thread::available_parallelism`] threads, and `best`,
+    /// `best_cost`, the measured candidates and the counts are the serial
+    /// loop's ([`multidim_mapping::tune_parallel`]).
     ///
     /// A traced pass records a `core/autotune` span, with the helpers'
     /// spans nested under it. Its arguments: `program`, `candidates`,
     /// `threads`, `simulations` (the simulator's runs, thrown-away
-    /// speculation included), and `measured`, `pruned` and `skipped` when
-    /// a candidate was measured.
+    /// speculation included), `cut` (the simulations stopped early), and
+    /// `measured`, `pruned` and `skipped` when a candidate was measured.
+    ///
+    /// [`Measured::cut`]: multidim_mapping::Measured::cut
     ///
     /// # Errors
     ///
@@ -388,8 +395,12 @@ impl Compiler {
         // Each candidate is lowered once: the bound lowers it, and its
         // measurement simulates those kernels. A candidate that does not
         // lower or validate has no bound and fails its measurement.
+        //
+        // A simulation runs against the best time committed before it, and
+        // stops once the time of its blocks so far exceeds it: that
+        // candidate cannot win either.
         let facts = LocalityFacts::of(&prepared.program, bindings);
-        let simulations = AtomicUsize::new(0);
+        let (simulations, cuts) = (AtomicUsize::new(0), AtomicUsize::new(0));
         let result = multidim_mapping::tune_parallel(
             &prepared.plan,
             options.max_measurements,
@@ -408,10 +419,14 @@ impl Compiler {
                 });
                 (bound, kernels)
             },
-            |_, kernels| {
+            |_, kernels, ceiling| {
                 let kernels = kernels?;
                 simulations.fetch_add(1, Ordering::Relaxed);
-                self.simulated_seconds(&kernels, bindings, inputs)
+                let cost = self.simulated_cost(&kernels, bindings, inputs, ceiling)?;
+                if cost.cut {
+                    cuts.fetch_add(1, Ordering::Relaxed);
+                }
+                Some(cost)
             },
         );
         if let Some(sp) = sp.as_mut() {
@@ -419,6 +434,7 @@ impl Compiler {
             sp.arg("candidates", candidates);
             sp.arg("threads", threads);
             sp.arg("simulations", simulations.into_inner());
+            sp.arg("cut", cuts.into_inner());
             if let Some(r) = &result {
                 sp.arg("measured", r.measured.len());
                 sp.arg("pruned", r.pruned);
@@ -453,6 +469,21 @@ impl Compiler {
     ) -> Option<f64> {
         let sim = run_program(kernels, &self.gpu, bindings, inputs).ok()?;
         Some(sim.total_seconds)
+    }
+
+    /// Simulated seconds of one lowered candidate against `ceiling`, or the
+    /// bound the simulation stopped at; `None` when it faults first.
+    fn simulated_cost(
+        &self,
+        kernels: &KernelProgram,
+        bindings: &Bindings,
+        inputs: &HashMap<ArrayId, Vec<f64>>,
+        ceiling: &AtomicU64,
+    ) -> Option<Cost> {
+        match run_program_capped(kernels, &self.gpu, bindings, inputs, ceiling).ok()? {
+            Capped::Finished(sim) => Some(Cost::exact(sim.total_seconds)),
+            Capped::Cut(bound) => Some(Cost::cut(bound)),
+        }
     }
 
     /// The serial front half of [`Compiler::autotune`]: fuse + validate the
@@ -509,6 +540,23 @@ impl Compiler {
     ) -> Option<f64> {
         let kernels = self.lower_candidate(prepared, mapping)?;
         self.simulated_seconds(&kernels, bindings, inputs)
+    }
+
+    /// [`Compiler::measure_candidate`] against `ceiling`, an `f64`'s bits
+    /// (a [`multidim_mapping::Ledger::ceiling`]): the simulation stops once
+    /// its time provably exceeds the ceiling, and returns [`Cost::cut`]
+    /// with the bound it stopped at. A simulation that finishes returns
+    /// the exact cost. Thread-safe like `measure_candidate`.
+    pub fn measure_candidate_capped(
+        &self,
+        prepared: &TunePrepared,
+        bindings: &Bindings,
+        inputs: &HashMap<ArrayId, Vec<f64>>,
+        mapping: &MappingDecision,
+        ceiling: &AtomicU64,
+    ) -> Option<Cost> {
+        let kernels = self.lower_candidate(prepared, mapping)?;
+        self.simulated_cost(&kernels, bindings, inputs, ceiling)
     }
 
     /// Compile the winning mapping of a prepared tuning run. The program

@@ -342,6 +342,83 @@ mod tests {
         assert!(t.total >= gpu().kernel_launch_overhead_s);
     }
 
+    /// xorshift64: a fixed, dependency-free sequence.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+
+        /// A counter from 0 to about 2^40, so counters tie, differ by one,
+        /// or dwarf each other.
+        fn count(&mut self) -> u64 {
+            let bits = self.below(41);
+            self.below(1 << bits)
+        }
+
+        /// `v`, `v + 1` or `v` plus a fresh counter.
+        fn grow(&mut self, v: u64) -> u64 {
+            match self.below(3) {
+                0 => v,
+                1 => v + 1,
+                _ => v + self.count(),
+            }
+        }
+    }
+
+    /// The seeded property a capped run's cut rests on: for counters
+    /// `a <= b` field by field and any launch shape, `kernel_time(a).total
+    /// <= kernel_time(b).total`, in floating point.
+    #[test]
+    fn kernel_time_is_monotone_in_every_counter() {
+        let mut rng = Rng(0x6d6f_6e6f_746f_6e65);
+        for gpu in [GpuSpec::tesla_k20c(), GpuSpec::tesla_c2050()] {
+            for _ in 0..2_000 {
+                let a = KernelCost {
+                    warp_instr: rng.count(),
+                    mem_requests: rng.count(),
+                    transactions: rng.count(),
+                    dram_bytes: rng.count(),
+                    smem_accesses: rng.count(),
+                    smem_conflicts: rng.count(),
+                    syncs: rng.count(),
+                    mallocs: rng.count(),
+                    atomic_serial: rng.count(),
+                    child_launches: rng.count(),
+                    child_blocks: rng.count(),
+                };
+                let b = KernelCost {
+                    warp_instr: rng.grow(a.warp_instr),
+                    mem_requests: rng.grow(a.mem_requests),
+                    transactions: rng.grow(a.transactions),
+                    dram_bytes: rng.grow(a.dram_bytes),
+                    smem_accesses: rng.grow(a.smem_accesses),
+                    smem_conflicts: rng.grow(a.smem_conflicts),
+                    syncs: rng.grow(a.syncs),
+                    mallocs: rng.grow(a.mallocs),
+                    atomic_serial: rng.grow(a.atomic_serial),
+                    child_launches: rng.grow(a.child_launches),
+                    child_blocks: rng.grow(a.child_blocks),
+                };
+                let blocks_bits = 1 + rng.below(24);
+                let shape = LaunchShape {
+                    blocks: 1 + rng.below(1 << blocks_bits),
+                    block_threads: 1 + rng.below(1024) as u32,
+                    smem_bytes: rng.below(49_153) as u32,
+                };
+                let (ta, tb) = (
+                    kernel_time(&gpu, &shape, &a).total,
+                    kernel_time(&gpu, &shape, &b).total,
+                );
+                assert!(ta <= tb, "{shape:?}: {a:?} takes {ta:e} s, {b:?} {tb:e} s");
+            }
+        }
+    }
+
     #[test]
     fn cost_merge() {
         let mut a = KernelCost {

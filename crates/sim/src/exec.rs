@@ -32,6 +32,7 @@ use multidim_ir::{apply_bin, apply_un, ArrayId, BinOp, Bindings, ReduceOp, UnOp}
 use multidim_trace as trace;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Simulation failure (out-of-bounds access, missing input, …).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,6 +105,16 @@ pub(crate) fn total_cost(kernels: &[KernelRun]) -> KernelCost {
         sum.add(&k.cost);
     }
     sum
+}
+
+/// How a run against a ceiling ended ([`run_program_capped`]).
+#[derive(Debug, Clone)]
+pub enum Capped {
+    /// The run finished; its time may still exceed the ceiling.
+    Finished(SimResult),
+    /// The run stopped once a lower bound on its time exceeded the
+    /// ceiling: the bound, which lies in (ceiling, simulated time].
+    Cut(f64),
 }
 
 /// One element stored by two different threads within one kernel launch,
@@ -194,7 +205,34 @@ pub fn run_program(
     bindings: &Bindings,
     inputs: &HashMap<ArrayId, Vec<f64>>,
 ) -> Result<SimResult, SimError> {
-    run_program_inner(kp, gpu, bindings, inputs, false).map(|(r, _)| r)
+    run_program_inner(kp, gpu, bindings, inputs, false, None).map(|(r, _)| finished(r))
+}
+
+/// Like [`run_program`], but stops once the run has provably lost against
+/// `ceiling`, an `f64`'s bits.
+///
+/// After every block of a parent or child grid, the counters so far are
+/// priced with [`kernel_time`] under the parent's launch shape and added
+/// to the times of the kernels already finished. Counters only grow and
+/// [`kernel_time`] is monotone in every counter, so that sum bounds the
+/// run's time from below. The ceiling is read after every block, so it
+/// may fall while the run goes on; once the bound exceeds it, the run
+/// stops and returns [`Capped::Cut`] with the bound. A run that would
+/// fault after that point is cut, not failed. A run that finishes
+/// returns [`run_program`]'s result bit for bit.
+///
+/// # Errors
+///
+/// Returns [`SimError`] for missing inputs or kernels that fault before
+/// the cut.
+pub fn run_program_capped(
+    kp: &KernelProgram,
+    gpu: &GpuSpec,
+    bindings: &Bindings,
+    inputs: &HashMap<ArrayId, Vec<f64>>,
+    ceiling: &AtomicU64,
+) -> Result<Capped, SimError> {
+    run_program_inner(kp, gpu, bindings, inputs, false, Some(ceiling)).map(|(r, _)| r)
 }
 
 /// Like [`run_program`], but with the sanitizer on: every non-atomic
@@ -210,7 +248,16 @@ pub fn run_program_sanitized(
     bindings: &Bindings,
     inputs: &HashMap<ArrayId, Vec<f64>>,
 ) -> Result<(SimResult, SanitizerReport), SimError> {
-    run_program_inner(kp, gpu, bindings, inputs, true).map(|(r, san)| (r, san.unwrap_or_default()))
+    run_program_inner(kp, gpu, bindings, inputs, true, None)
+        .map(|(r, san)| (finished(r), san.unwrap_or_default()))
+}
+
+/// The result of a run that had no ceiling, so could not be cut.
+fn finished(run: Capped) -> SimResult {
+    match run {
+        Capped::Finished(r) => r,
+        Capped::Cut(_) => unreachable!("a run without a ceiling is never cut"),
+    }
 }
 
 fn run_program_inner(
@@ -219,7 +266,8 @@ fn run_program_inner(
     bindings: &Bindings,
     inputs: &HashMap<ArrayId, Vec<f64>>,
     sanitize: bool,
-) -> Result<(SimResult, Option<SanitizerReport>), SimError> {
+    ceiling: Option<&AtomicU64>,
+) -> Result<(Capped, Option<SanitizerReport>), SimError> {
     let flat = {
         let _span = trace::span("sim", "specialize");
         Flat::lower(kp, gpu, bindings)?
@@ -239,7 +287,23 @@ fn run_program_inner(
         }
         m.pending.clear();
         m.pending_args.clear();
-        let blocks = m.launch(fk, fk.grid, 0, (0, 0))?;
+        let shape = LaunchShape {
+            blocks: fk.grid.iter().product(),
+            block_threads: kernel.block_threads(),
+            smem_bytes: kernel.smem_bytes(),
+        };
+        if let Some(bits) = ceiling {
+            let blocks = m.ceiling.as_ref().map_or(0, |c| c.blocks);
+            m.ceiling = Some(Ceiling {
+                bits,
+                shape,
+                done: total,
+                blocks,
+            });
+        }
+        if let Some(bound) = m.launch(fk, fk.grid, 0, (0, 0))? {
+            return Ok((m.stop(span, bound), san_report));
+        }
         // Fire the device-side launches the parent queued: every child
         // grid belongs to this kernel's launch epoch — its work folds into
         // the parent's cost record (plus the per-launch counters the
@@ -261,7 +325,9 @@ fn run_program_inner(
             }
             // Disjoint thread ids per launch; far above any real parent tid.
             let tid_base = (ordinal as u64 + 1) << 40;
-            m.launch(child, [cblocks, 1, 1], tid_base, launch.args)?;
+            if let Some(bound) = m.launch(child, [cblocks, 1, 1], tid_base, launch.args)? {
+                return Ok((m.stop(span, bound), san_report));
+            }
             if m.pending.len() > issued {
                 return Err(SimError(format!(
                     "child kernel `{}` issued a nested device-side launch",
@@ -271,11 +337,6 @@ fn run_program_inner(
             m.cost.child_blocks += cblocks;
         }
         let cost = m.cost;
-        let shape = LaunchShape {
-            blocks,
-            block_threads: kernel.block_threads(),
-            smem_bytes: kernel.smem_bytes(),
-        };
         let time = kernel_time(gpu, &shape, &cost);
         total += time.total;
         runs.push(KernelRun {
@@ -317,11 +378,11 @@ fn run_program_inner(
         }
     }
     Ok((
-        SimResult {
+        Capped::Finished(SimResult {
             arrays,
             kernels: runs,
             total_seconds: total,
-        },
+        }),
         san_report,
     ))
 }
@@ -402,6 +463,18 @@ struct Block<'f, 'p> {
     first_tid: u64,
 }
 
+/// The ceiling a capped run stops at, and what its lower bound needs.
+struct Ceiling<'c> {
+    /// The ceiling, an `f64`'s bits, read after every block.
+    bits: &'c AtomicU64,
+    /// The running parent kernel's launch shape.
+    shape: LaunchShape,
+    /// Summed times of the kernels already finished.
+    done: f64,
+    /// Blocks run so far, over every parent and child grid.
+    blocks: u64,
+}
+
 /// Execution state of one run. Every buffer is sized for the largest
 /// kernel up front and reused by every launch and block, so a run
 /// allocates per buffer and per kernel, never per block, warp or access.
@@ -411,6 +484,8 @@ struct Machine<'f, 'p> {
     buffers: Vec<DeviceBuffer>,
     /// The running launch's cost record.
     cost: KernelCost,
+    /// The ceiling of a capped run.
+    ceiling: Option<Ceiling<'f>>,
     /// Sanitizer hook: records every non-atomic global store when set.
     san: Option<WriteTracker>,
     /// Child launches issued by the running parent grid.
@@ -440,6 +515,7 @@ impl<'f, 'p> Machine<'f, 'p> {
             flat,
             buffers,
             cost: KernelCost::default(),
+            ceiling: None,
             san: sanitize.then(WriteTracker::default),
             pending: Vec::new(),
             pending_args: Vec::new(),
@@ -450,16 +526,16 @@ impl<'f, 'p> Machine<'f, 'p> {
         }
     }
 
-    /// Run every block of `kernel` over `grid`; returns the number of
-    /// blocks launched. `args` is the range of `pending_args` a child
-    /// grid receives as its leading locals.
+    /// Run every block of `kernel` over `grid`. `args` is the range of
+    /// `pending_args` a child grid receives as its leading locals. Returns
+    /// the lower bound a capped run stopped at, if it was cut.
     fn launch(
         &mut self,
         kernel: &'f FlatKernel<'p>,
         grid: [u64; 3],
         tid_base: u64,
         args: (usize, usize),
-    ) -> Result<u64, SimError> {
+    ) -> Result<Option<f64>, SimError> {
         let lanes = kernel.warps as usize * W;
         self.locals.clear();
         self.locals.resize(kernel.src.locals as usize * lanes, 0.0);
@@ -510,10 +586,27 @@ impl<'f, 'p> Machine<'f, 'p> {
                             self.exec_warp(&blk, kernel.body, w, mask)?;
                         }
                     }
+                    if let Some(c) = self.ceiling.as_mut() {
+                        c.blocks += 1;
+                        let bound = c.done + kernel_time(self.gpu, &c.shape, &self.cost).total;
+                        if bound > f64::from_bits(c.bits.load(Ordering::Relaxed)) {
+                            return Ok(Some(bound));
+                        }
+                    }
                 }
             }
         }
-        Ok(grid[0] * grid[1] * grid[2])
+        Ok(None)
+    }
+
+    /// End a run cut at `bound`: its `sim/execute` span records the bound
+    /// and the blocks run.
+    fn stop(&self, span: Option<trace::Span>, bound: f64) -> Capped {
+        if let (Some(mut span), Some(c)) = (span, self.ceiling.as_ref()) {
+            span.arg("cut_bound", bound);
+            span.arg("blocks", c.blocks);
+        }
+        Capped::Cut(bound)
     }
 
     /// Block-lockstep execution (statements with internal `Sync`).

@@ -213,7 +213,8 @@ fn untraced_run_matches_traced_run() {
 
 /// A traced `Compiler::autotune` records one `core/autotune` span whose
 /// counts are the `TuneResult`'s, and every simulation of the pass, on the
-/// caller's thread or a helper's, nests inside the kept trace.
+/// caller's thread or a helper's, nests inside the kept trace; each one cut
+/// short is counted and records where it stopped.
 #[test]
 fn autotune_span_counts_the_pass_and_nests_the_helpers() {
     let (p, bind, m) = sum_rows(64, 128);
@@ -290,11 +291,37 @@ fn autotune_span_counts_the_pass_and_nests_the_helpers() {
     };
     assert!(result.measured.len() <= executes.len());
     assert!(executes.len() as u64 <= simulations);
-    for e in executes {
+    for e in &executes {
         let parent = e.parent.expect("sim/execute has a parent");
         assert!(
             ids.contains(&parent),
             "a sim/execute span's parent is not in the trace"
         );
     }
+
+    // Every simulation stopped early is counted, and its span records the
+    // bound it stopped at and the blocks it ran.
+    let trace::Value::UInt(cut) = arg("cut") else {
+        panic!("`cut` is a count");
+    };
+    assert!(cut <= simulations, "{cut} of {simulations} simulations cut");
+    let cut_spans: Vec<_> = executes
+        .iter()
+        .filter(|e| e.args.iter().any(|(k, _)| *k == "cut_bound"))
+        .collect();
+    assert_eq!(cut_spans.len() as u64, cut);
+    for e in cut_spans {
+        let blocks = e.args.iter().find(|(k, _)| *k == "blocks");
+        assert!(
+            matches!(blocks, Some((_, trace::Value::UInt(b))) if *b > 0),
+            "a cut sim/execute span has no block count: {:?}",
+            e.args
+        );
+    }
+    let cut_measured = result.measured.iter().filter(|m| m.cut).count() as u64;
+    assert!(cut_measured <= cut);
+    assert!(result
+        .measured
+        .iter()
+        .all(|m| !m.cut || m.cost > result.best_cost));
 }
