@@ -543,10 +543,11 @@ impl Compiler {
     }
 
     /// [`Compiler::measure_candidate`] against `ceiling`, an `f64`'s bits
-    /// (a [`multidim_mapping::Ledger::ceiling`]): the simulation stops once
-    /// its time provably exceeds the ceiling, and returns [`Cost::cut`]
-    /// with the bound it stopped at. A simulation that finishes returns
-    /// the exact cost. Thread-safe like `measure_candidate`.
+    /// (the ceiling [`multidim_mapping::tune_parallel`] hands a
+    /// measurement): the simulation stops once its time provably exceeds
+    /// the ceiling, and returns [`Cost::cut`] with the bound it stopped
+    /// at. A simulation that finishes returns the exact cost. Thread-safe
+    /// like `measure_candidate`.
     pub fn measure_candidate_capped(
         &self,
         prepared: &TunePrepared,

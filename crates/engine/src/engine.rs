@@ -3,25 +3,25 @@
 
 use crate::cache::{CacheStats, CompileCache};
 use crate::error::EngineError;
-use crate::pool::{Job, WorkerPool};
+use crate::pool::{Refused, WorkerPool};
 use crate::store::{LoadOutcome, TuneRecord, TuningStore};
 use multidim::{Compiler, Executable, Fingerprint, RunReport};
 use multidim_ir::{ArrayId, Bindings, Program};
-use multidim_mapping::{Cost, Ledger};
 use multidim_obs::{Counter, CounterFamily, Histogram, HistogramFamily, Registry};
 use multidim_trace::{RequestRoot, TraceContext, TraceOutcome};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::channel;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Engine sizing and policy.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker threads. Default: available parallelism, capped at 8.
+    /// Worker threads, and the threads an [`Engine::autotune`] pass
+    /// measures on (the caller's among them). Default: available
+    /// parallelism, capped at 8.
     pub workers: usize,
     /// Bounded request-queue capacity; a full queue rejects
     /// ([`EngineError::Rejected`]) instead of blocking. Default 64.
@@ -475,9 +475,10 @@ impl Shared {
 ///   queue) and returns a [`Ticket`];
 /// * [`Engine::run_batch`] drives a whole batch through the queue with
 ///   flow control and collects every result;
-/// * [`Engine::autotune`] measures mapping candidates across the worker
-///   pool and persists the winner in the tuning store, after which
-///   matching requests transparently use the tuned mapping.
+/// * [`Engine::autotune`] measures mapping candidates on as many threads
+///   as the pool has workers and persists the winner in the tuning
+///   store, after which matching requests transparently use the tuned
+///   mapping.
 pub struct Engine {
     shared: Arc<Shared>,
     pool: WorkerPool,
@@ -561,7 +562,7 @@ impl Engine {
                     .inc();
                 Ok(ticket)
             }
-            Err(Some(_full)) => {
+            Err(Refused::Full) => {
                 self.shared.metrics.rejected_total.inc();
                 self.shared.metrics.shed_by_workload.with(&workload).inc();
                 let err = self.rejection();
@@ -576,7 +577,7 @@ impl Engine {
                 );
                 Err(err)
             }
-            Err(None) => Err(EngineError::ShuttingDown),
+            Err(Refused::Closed) => Err(EngineError::ShuttingDown),
         }
     }
 
@@ -639,21 +640,24 @@ impl Engine {
             .collect()
     }
 
-    /// Tune `program`'s mapping by measuring candidates **in parallel
-    /// across the worker pool**, then persist the winner so subsequent
-    /// [`Engine::submit`]s of the same request transparently use it.
+    /// Tune `program`'s mapping by measuring candidates on
+    /// [`EngineConfig::workers`] threads, then persist the winner so
+    /// subsequent [`Engine::submit`]s of the same request transparently
+    /// use it.
     ///
-    /// Every candidate is measured (no locality pruning), and the
-    /// measurements commit in score order through a
-    /// [`multidim_mapping::Ledger`], which applies `max_measurements` and
-    /// tie-breaks on candidate index, so it selects the mapping
-    /// [`Compiler::autotune`] selects. Each measurement runs against the
-    /// ledger's ceiling, the best cost committed before it, and stops once
-    /// its cost provably exceeds it; the analytic mapping's measurement
-    /// runs uncut, so the record's `analytic_cost` is exact. Candidates that cannot be
-    /// enqueued (full queue) are measured inline on the calling thread,
-    /// against the same ceiling — tuning degrades to partial parallelism
-    /// under load rather than failing or deadlocking.
+    /// The pass runs [`multidim_mapping::tune_parallel`], as
+    /// [`Compiler::autotune`] does, with the calling thread counted as one
+    /// of its threads; it takes no slot of the request queue. Every
+    /// candidate is measured (no locality pruning), and the measurements
+    /// commit in score order under `max_measurements`, so the pass selects
+    /// the mapping [`Compiler::autotune`] selects, and stops claiming
+    /// candidates once the cap is reached. Each measurement runs against
+    /// the best cost committed before it and stops once its cost provably
+    /// exceeds it; the analytic mapping's measurement runs uncut, so the
+    /// record's `analytic_cost` is exact. A measurement that panics counts
+    /// as not executable. The helper threads adopt the caller's trace
+    /// context, so a traced pass's `sim/*` spans land in the caller's
+    /// trace.
     ///
     /// # Errors
     ///
@@ -668,65 +672,34 @@ impl Engine {
         options: &multidim_mapping::TuneOptions,
     ) -> Result<(Arc<Executable>, TuneRecord), EngineError> {
         let compiler = &self.shared.compiler;
-        let prepared = Arc::new(compiler.prepare_tune(program, bindings, options)?);
-        let n = prepared.plan.candidates.len();
-        let bindings_shared = Arc::new(bindings.clone());
-        let inputs_shared = Arc::new(inputs.clone());
+        let prepared = compiler.prepare_tune(program, bindings, options)?;
         let analytic = compiler.analytic_mapping(&prepared, bindings);
-        let mut ledger = Ledger::new(&prepared.plan, options.max_measurements);
-        let ceiling = ledger.ceiling();
-
-        let (tx, rx) = channel::<(usize, Option<Cost>)>();
-        let job = |index: usize| -> Job {
-            // The analytic mapping runs under a ceiling nothing lowers.
-            let ceiling = if prepared.plan.candidates[index].mapping == analytic {
-                Arc::new(AtomicU64::new(f64::INFINITY.to_bits()))
-            } else {
-                ceiling.clone()
-            };
-            let (shared, prepared, bindings, inputs, tx) = (
-                self.shared.clone(),
-                prepared.clone(),
-                bindings_shared.clone(),
-                inputs_shared.clone(),
-                tx.clone(),
-            );
-            Box::new(move || {
-                let mapping = &prepared.plan.candidates[index].mapping;
-                let cost = catch_unwind(AssertUnwindSafe(|| {
-                    shared
-                        .compiler
-                        .measure_candidate_capped(&prepared, &bindings, &inputs, mapping, &ceiling)
+        // The analytic mapping runs under a ceiling nothing lowers.
+        let unbounded = AtomicU64::new(f64::INFINITY.to_bits());
+        let result = multidim_mapping::tune_parallel(
+            &prepared.plan,
+            options.max_measurements,
+            self.pool.workers(),
+            |_| (None, ()),
+            |cand, (), ceiling| {
+                let ceiling = if cand.mapping == analytic {
+                    &unbounded
+                } else {
+                    ceiling
+                };
+                catch_unwind(AssertUnwindSafe(|| {
+                    compiler.measure_candidate_capped(
+                        &prepared,
+                        bindings,
+                        inputs,
+                        &cand.mapping,
+                        ceiling,
+                    )
                 }))
-                .unwrap_or(None);
-                let _ = tx.send((index, cost));
-            })
-        };
-        let mut arrived = 0usize;
-        for index in 0..n {
-            // Commit what has arrived, so the ceiling falls while the
-            // rest is still being enqueued.
-            while let Ok((i, cost)) = rx.try_recv() {
-                ledger.deliver(i, None, cost);
-                arrived += 1;
-            }
-            match self.pool.try_submit(job(index)) {
-                Ok(()) => {}
-                // Queue full: measure inline.
-                Err(Some(crate::pool::QueueFull(job))) => job(),
-                // Shutting down: the pool dropped the job; measure inline.
-                Err(None) => job(index)(),
-            }
-        }
-        drop(tx);
-        while arrived < n {
-            let Ok((i, cost)) = rx.recv() else {
-                break;
-            };
-            ledger.deliver(i, None, cost);
-            arrived += 1;
-        }
-        let result = ledger.finish(&prepared.plan).ok_or_else(|| {
+                .unwrap_or(None)
+            },
+        )
+        .ok_or_else(|| {
             EngineError::Compile(multidim::CompileError(
                 "no mapping candidate was executable".into(),
             ))

@@ -15,10 +15,13 @@
 //!   condvar. Bounded LRU eviction; hit/miss/evict/coalesce counters
 //!   exported through the engine's metrics registry.
 //! * **bounded worker pool** ([`pool::WorkerPool`]) — std threads and a
-//!   `sync_channel`. A full queue *rejects* ([`EngineError::Rejected`])
-//!   instead of blocking, requests carry optional deadlines, panics are
-//!   contained per-request with `catch_unwind`, and drop/shutdown drains
-//!   the queue before joining the workers.
+//!   `sync_channel`, serving requests. A full queue *rejects*
+//!   ([`EngineError::Rejected`]) instead of blocking, requests carry
+//!   optional deadlines, panics are contained per-request with
+//!   `catch_unwind`, and drop/shutdown drains the queue before joining
+//!   the workers. `autotune` takes no queue slot: it measures candidates
+//!   with `multidim_mapping::tune_parallel` on as many threads as the
+//!   pool has workers, the caller's among them.
 //! * **persistent tuning store** ([`store::TuningStore`]) — versioned
 //!   JSON on disk keyed by the same fingerprints. `autotune` results
 //!   survive restarts; the engine transparently prefers a stored
@@ -42,7 +45,7 @@
 //! ```
 //!
 //! The capstone demo is `examples/serve.rs`, which replays the whole
-//! 25-entry workload catalog through the engine and reports throughput,
+//! 27-entry workload catalog through the engine and reports throughput,
 //! cache hit rate, queue depth, and latency percentiles.
 
 #![warn(missing_docs)]
@@ -56,7 +59,7 @@ pub mod store;
 pub use cache::{CacheStats, CompileCache};
 pub use engine::{trace_outcome, Engine, EngineConfig, EngineStats, Request, Response, Ticket};
 pub use error::EngineError;
-pub use pool::{Job, QueueFull, WorkerPool};
+pub use pool::{Job, Refused, WorkerPool};
 pub use store::{LoadOutcome, TuneRecord, TuningStore, STORE_VERSION};
 
 use multidim::{Executable, Fingerprint};

@@ -2,8 +2,9 @@
 //!
 //! Design constraints, in order:
 //!
-//! * **backpressure, not blocking** — [`WorkerPool::try_submit`] returns a
-//!   typed rejection when the queue is full; it never parks the caller;
+//! * **backpressure, not blocking** — [`WorkerPool::try_submit`] refuses
+//!   ([`Refused::Full`]) when the queue is full; it never parks the
+//!   caller;
 //! * **panic isolation** — a panicking job is caught with
 //!   [`std::panic::catch_unwind`]; the worker thread survives and keeps
 //!   serving;
@@ -11,13 +12,10 @@
 //!   the submission side; workers finish everything already queued, then
 //!   exit, and the pool joins them.
 //!
-//! Jobs are plain `FnOnce() + Send` closures: the engine uses them for
-//! whole requests, and the parallel auto-tuner for individual candidate
-//! measurements.
-//!
-//! A job that serves a request makes the request's trace context current,
-//! so the spans it opens land in that request's trace when a
-//! `multidim_trace::TraceStore` is installed.
+//! Jobs are plain `FnOnce() + Send` closures; the engine submits one per
+//! request. A job that serves a request makes the request's trace
+//! context current, so the spans it opens land in that request's trace
+//! when a `multidim_trace::TraceStore` is installed.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -37,14 +35,13 @@ pub struct WorkerPool {
     panics: Arc<AtomicU64>,
 }
 
-/// Returned by [`WorkerPool::try_submit`] when the queue is full; gives
-/// the job back so the caller can retry, shed, or run it inline.
-pub struct QueueFull(pub Job);
-
-impl std::fmt::Debug for QueueFull {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("QueueFull(..)")
-    }
+/// Why [`WorkerPool::try_submit`] refused a job; the job is dropped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refused {
+    /// The queue is full (backpressure).
+    Full,
+    /// The pool is shutting down.
+    Closed,
 }
 
 impl WorkerPool {
@@ -75,26 +72,22 @@ impl WorkerPool {
         }
     }
 
-    /// Enqueue a job, or hand it back if the queue is full (backpressure)
-    /// or the pool is shutting down (`None`).
-    pub fn try_submit(&self, job: Job) -> Result<(), Option<QueueFull>> {
+    /// Enqueue a job, or refuse it if the queue is full or the pool is
+    /// shutting down.
+    pub fn try_submit(&self, job: Job) -> Result<(), Refused> {
         let Some(tx) = &self.tx else {
-            return Err(None);
+            return Err(Refused::Closed);
         };
         // Count before sending so a worker that dequeues immediately never
         // observes an underflowed depth.
         self.depth.fetch_add(1, Ordering::SeqCst);
-        match tx.try_send(job) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(job)) => {
-                self.depth.fetch_sub(1, Ordering::SeqCst);
-                Err(Some(QueueFull(job)))
+        tx.try_send(job).map_err(|e| {
+            self.depth.fetch_sub(1, Ordering::SeqCst);
+            match e {
+                TrySendError::Full(_) => Refused::Full,
+                TrySendError::Disconnected(_) => Refused::Closed,
             }
-            Err(TrySendError::Disconnected(_)) => {
-                self.depth.fetch_sub(1, Ordering::SeqCst);
-                Err(None)
-            }
-        }
+        })
     }
 
     /// Jobs currently queued (excluding ones being executed).
@@ -173,19 +166,16 @@ mod tests {
         }))
         .unwrap();
         // ...then fill the single queue slot. One of the next two submits
-        // must be rejected (the worker may have already dequeued the
+        // must be refused (the worker may have already dequeued the
         // blocker, leaving one free slot).
-        let mut rejected = None;
-        for r in [
+        let results = [
             pool.try_submit(Box::new(|| {})),
             pool.try_submit(Box::new(|| {})),
-        ] {
-            if let Err(Some(q)) = r {
-                rejected = Some(q);
-            }
-        }
-        let QueueFull(job) = rejected.expect("bounded queue must reject when full");
-        job(); // the rejected job is returned intact and still runnable
+        ];
+        assert!(
+            results.contains(&Err(Refused::Full)),
+            "bounded queue must reject when full: {results:?}"
+        );
         block_tx.send(()).unwrap();
     }
 

@@ -66,6 +66,5 @@ pub use search::{
 };
 pub use strategy::{figure7_dop, fixed_mapping, Strategy};
 pub use tune::{
-    plan, select, tune_parallel, tune_pruned, Cost, Ledger, Measured, TuneOptions, TunePlan,
-    TuneResult,
+    plan, select, tune_parallel, tune_pruned, Cost, Measured, TuneOptions, TunePlan, TuneResult,
 };

@@ -8,9 +8,9 @@
 //! measure each with a caller-provided cost function ([`tune_pruned`], the
 //! measurement loop, or [`tune_parallel`], the same loop's decisions
 //! reached on several threads), and fold the costs into the empirically
-//! best mapping ([`select`]). A [`Ledger`] commits costs that arrive out
-//! of order as the measurement loop would, and publishes the best cost
-//! committed so far as a ceiling measurements may stop at.
+//! best mapping ([`select`]). [`tune_parallel`] commits costs that arrive
+//! out of order as the measurement loop would, and hands each measurement
+//! the best cost committed so far as a ceiling it may stop at.
 
 use crate::constraint::Weights;
 use crate::params::MappingDecision;
@@ -235,10 +235,10 @@ pub fn tune_pruned(
 /// takes both; the two run on the same thread. Helpers adopt the caller's
 /// trace context, so their spans nest under the caller's open span.
 ///
-/// `measure` also gets the [`Ledger::ceiling`]: the best cost of the
-/// committed prefix, which falls as commits land. A measurement may stop
-/// once its cost provably exceeds it and return [`Cost::cut`] with a lower
-/// bound above it. That candidate cannot win: it commits as measured with
+/// `measure` also gets the ceiling: the best cost of the committed
+/// prefix, as `f64` bits, which falls as commits land. A measurement may
+/// stop once its cost provably exceeds it and return [`Cost::cut`] with a
+/// lower bound above it. That candidate cannot win: it commits as measured with
 /// its bound, which exceeds the best at its commit, so `best`,
 /// `best_cost`, the measured candidates and the pruned and skipped counts
 /// stay the serial loop's; only cut costs, flagged
@@ -249,7 +249,7 @@ pub fn tune_pruned(
 /// Workers claim candidates in score order, bound each, and measure it
 /// unless its bound already exceeds the best cost of the *committed
 /// prefix*, the candidates before the first unfinished one. Results
-/// commit in score order, under one lock, through the [`Ledger`]
+/// commit in score order, under one lock, through the prune-and-cap rule
 /// [`tune_pruned`] runs on. The committed best only falls as the prefix
 /// grows, so a candidate left unmeasured is one the serial loop prunes
 /// too. The converse does not hold: a measurement whose bound exceeds the
@@ -305,8 +305,7 @@ pub fn tune_parallel<T>(
 
 /// The measurement loop's decisions, taken one candidate at a time in
 /// score order: the prune-and-cap rule [`tune_pruned`] and
-/// [`tune_parallel`] share, for callers that measure candidates in any
-/// order or on any thread.
+/// [`tune_parallel`] share.
 ///
 /// Results arrive with [`Ledger::deliver`], in any order, and commit in
 /// score order as far as they run on without a gap. A candidate whose
@@ -315,7 +314,7 @@ pub fn tune_parallel<T>(
 /// once the cap is reached later results are dropped. The best committed
 /// cost is published as the [`Ledger::ceiling`].
 #[derive(Debug)]
-pub struct Ledger {
+struct Ledger {
     cap: usize,
     /// Committed costs, in score order (`None` = pruned or failed).
     costs: Vec<Option<Cost>>,
@@ -332,7 +331,7 @@ pub struct Ledger {
 impl Ledger {
     /// An empty ledger for `plan`'s candidates, closing after `cap`
     /// counted ones.
-    pub fn new(plan: &TunePlan, cap: usize) -> Ledger {
+    fn new(plan: &TunePlan, cap: usize) -> Ledger {
         Ledger {
             cap,
             costs: Vec::new(),
@@ -347,7 +346,7 @@ impl Ledger {
     /// measurement). It only falls, and every committed candidate comes
     /// before any still being measured, so a measurement whose cost
     /// provably exceeds it has lost.
-    pub fn ceiling(&self) -> Arc<AtomicU64> {
+    fn ceiling(&self) -> Arc<AtomicU64> {
         self.best.clone()
     }
 
@@ -370,7 +369,7 @@ impl Ledger {
     /// failed, or was not measured because its bound prunes it), and
     /// commit as far as the results run on without a gap, or until the
     /// cap closes the ledger.
-    pub fn deliver(&mut self, index: usize, bound: Option<f64>, cost: Option<Cost>) {
+    fn deliver(&mut self, index: usize, bound: Option<f64>, cost: Option<Cost>) {
         self.done[index] = Some((bound, cost));
         while self.open() {
             let k = self.costs.len();
@@ -403,7 +402,7 @@ impl Ledger {
 
     /// Fold the committed costs with [`select`]; `None` when no candidate
     /// was measured.
-    pub fn finish(self, plan: &TunePlan) -> Option<TuneResult> {
+    fn finish(self, plan: &TunePlan) -> Option<TuneResult> {
         let values: Vec<Option<f64>> = self.costs.iter().map(|c| c.map(|c| c.value)).collect();
         let mut result = select(plan, &values)?;
         for m in &mut result.measured {

@@ -107,8 +107,9 @@ fn main() -> Result<(), Box<dyn Error>> {
         );
 
         if round == 0 {
-            // Tune one workload across the pool; later rounds will be
-            // served with the stored empirically-best mapping.
+            // Tune one workload on as many threads as the engine has
+            // workers; later rounds will be served with the stored
+            // empirically-best mapping.
             let e = &entries[0];
             let options = multidim_mapping::TuneOptions::default();
             let (_exe, record) = engine.autotune(&e.program, &e.bindings, &e.inputs, &options)?;

@@ -2,7 +2,8 @@
 //! under contention (bit-identical to serial compiles), single-flight
 //! compilation, shared executables, panic isolation, deadline handling,
 //! parallel-vs-serial autotune equivalence (with and without a
-//! measurement cap), the analytic baseline of a tuning record, and
+//! measurement cap), a capped tune stopping at its cap inside the
+//! caller's trace, the analytic baseline of a tuning record, and
 //! tuning-store persistence plus corruption fallback.
 
 use multidim::Compiler;
@@ -10,10 +11,14 @@ use multidim_engine::{Engine, EngineConfig, EngineError, Request};
 use multidim_ir::ArrayId;
 use multidim_workloads::catalog::catalog;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const CLIENTS: usize = 8;
+
+/// Tests that install the process-wide trace store serialize on this lock,
+/// so none sees another's store installed.
+static STORE_LOCK: Mutex<()> = Mutex::new(());
 
 fn small_config() -> EngineConfig {
     EngineConfig {
@@ -262,8 +267,8 @@ fn run_batch_preserves_order_under_backpressure() {
     assert_eq!(engine.stats().failed, 0);
 }
 
-/// A zero measurement cap is refused before any candidate reaches the
-/// pool. spmv_zipf is the catalog's costliest program to measure.
+/// A zero measurement cap is refused before any candidate is measured.
+/// spmv_zipf is the catalog's costliest program to measure.
 #[test]
 fn zero_measurement_cap_is_refused_before_any_pool_job() {
     let e = catalog()
@@ -307,15 +312,101 @@ fn parallel_autotune_matches_serial_selection() {
                 e.name()
             );
             assert_eq!(record.tuned_cost, serial.best_cost);
-            if options.max_measurements == 5 {
-                assert_eq!(
-                    record.measured,
-                    5,
-                    "{}: the cap bounds measurements",
-                    e.name()
-                );
-            }
+            let expected = if options.max_measurements == 5 {
+                5
+            } else {
+                // Unpruned and uncapped, the engine measures every
+                // candidate of the plan.
+                Compiler::new()
+                    .prepare_tune(&e.program, &e.bindings, &options)
+                    .expect("plan")
+                    .plan
+                    .candidates
+                    .len()
+            };
+            assert_eq!(
+                record.measured,
+                expected as u64,
+                "{}: measured candidates",
+                e.name()
+            );
         }
+    }
+}
+
+/// A capped engine tune stops claiming candidates at the cap, and its
+/// simulations run inside the caller's trace: on one worker, exactly the
+/// five measured candidates of spmv_zipf (132 in its plan) record a
+/// `sim/execute` span, each under a parent in the kept trace.
+#[test]
+fn capped_autotune_stops_at_the_cap_inside_the_callers_trace() {
+    use multidim_trace as trace;
+    use std::time::Instant;
+
+    let _lock = STORE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let e = catalog()
+        .into_iter()
+        .find(|e| e.name() == "spmv_zipf")
+        .expect("spmv_zipf is in the catalog");
+    // Keeps every trace, and every span of it.
+    let store = Arc::new(trace::TraceStore::new(trace::TailSamplerConfig {
+        latency_threshold: 0.0,
+        max_spans_per_trace: usize::MAX,
+        ..Default::default()
+    }));
+    let installed = trace::install_store(store.clone());
+    let engine = Engine::new(
+        Compiler::new(),
+        EngineConfig {
+            workers: 1,
+            ..small_config()
+        },
+    );
+    let capped = multidim_mapping::TuneOptions {
+        max_measurements: 5,
+        ..Default::default()
+    };
+    let ctx = trace::TraceContext::mint();
+    let start = Instant::now();
+    let (_exe, record) = {
+        let _current = trace::set_current(ctx);
+        engine
+            .autotune(&e.program, &e.bindings, &e.inputs, &capped)
+            .expect("capped tune")
+    };
+    let root = trace::RequestRoot {
+        cat: "test",
+        start,
+        workload: "spmv_zipf",
+        args: Vec::new(),
+    };
+    let kept = trace::finish_request(
+        &ctx,
+        root,
+        trace::TraceOutcome::Completed,
+        None::<&String>,
+        Some(start.elapsed().as_secs_f64()),
+    );
+    drop(installed);
+    let spans = store.lookup(kept.expect("kept")).expect("stored").spans;
+
+    assert_eq!(record.measured, 5, "the cap bounds measurements");
+    let ids: std::collections::HashSet<u64> = spans.iter().map(|s| s.span_id).collect();
+    let executes: Vec<_> = spans
+        .iter()
+        .filter(|s| (s.cat, s.name) == ("sim", "execute"))
+        .collect();
+    assert_eq!(
+        executes.len(),
+        5,
+        "one simulation per measured candidate, each in the caller's trace"
+    );
+    for s in executes {
+        let parent = s.parent.expect("sim/execute has a parent");
+        assert!(
+            ids.contains(&parent),
+            "a sim/execute span's parent is not in the trace"
+        );
     }
 }
 
@@ -488,6 +579,7 @@ fn trace_stitches_spans_and_backdated_admission_charges_full_wait() {
     use multidim_trace::{install_store, TailSamplerConfig, TraceOutcome, TraceStore};
     use std::time::Instant;
 
+    let _lock = STORE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // `latency_threshold: 0.0` marks every completion slow, so the tail
     // sampler keeps this trace deterministically. Other tests in this
     // binary may stream traces into the same process-wide store while the
