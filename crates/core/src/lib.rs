@@ -351,18 +351,21 @@ impl Compiler {
     /// score misses, at the cost of one simulation per candidate that its
     /// proven seconds floor cannot rule out. Each simulation runs against
     /// the best time committed before it and stops once its time provably
-    /// exceeds it ([`multidim_sim::run_program_capped`]); such a candidate
-    /// is measured with the bound it stopped at ([`Measured::cut`]). The
-    /// candidates are lowered, floored and simulated on
+    /// exceeds it ([`multidim_sim::run_program_capped`]): its blocks so
+    /// far plus the static floor of the blocks and kernels still to run,
+    /// checked before its first block too. Such a candidate is measured
+    /// with the bound it stopped at ([`Measured::cut`]). The candidates
+    /// are lowered, floored and simulated on
     /// [`std::thread::available_parallelism`] threads, and `best`,
     /// `best_cost`, the measured candidates and the counts are the serial
     /// loop's ([`multidim_mapping::tune_parallel`]).
     ///
     /// A traced pass records a `core/autotune` span, with the helpers'
-    /// spans nested under it. Its arguments: `program`, `candidates`,
-    /// `threads`, `simulations` (the simulator's runs, thrown-away
-    /// speculation included), `cut` (the simulations stopped early), and
-    /// `measured`, `pruned` and `skipped` when a candidate was measured.
+    /// spans nested under it and the arguments of [`TuneTally::record`]:
+    /// `program`, `candidates`, `threads`, `simulations` (the simulator's
+    /// runs, thrown-away speculation included), `cut` (the simulations
+    /// stopped early), and `measured`, `pruned` and `skipped` when a
+    /// candidate was measured.
     ///
     /// [`Measured::cut`]: multidim_mapping::Measured::cut
     ///
@@ -397,10 +400,10 @@ impl Compiler {
         // lower or validate has no bound and fails its measurement.
         //
         // A simulation runs against the best time committed before it, and
-        // stops once the time of its blocks so far exceeds it: that
-        // candidate cannot win either.
+        // stops once the time of its blocks so far, plus the floor of
+        // what it has left, exceeds it: that candidate cannot win either.
         let facts = LocalityFacts::of(&prepared.program, bindings);
-        let (simulations, cuts) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let tally = TuneTally::default();
         let result = multidim_mapping::tune_parallel(
             &prepared.plan,
             options.max_measurements,
@@ -421,26 +424,11 @@ impl Compiler {
             },
             |_, kernels, ceiling| {
                 let kernels = kernels?;
-                simulations.fetch_add(1, Ordering::Relaxed);
-                let cost = self.simulated_cost(&kernels, bindings, inputs, ceiling)?;
-                if cost.cut {
-                    cuts.fetch_add(1, Ordering::Relaxed);
-                }
-                Some(cost)
+                tally.simulated(self.simulated_cost(&kernels, bindings, inputs, ceiling))
             },
         );
-        if let Some(sp) = sp.as_mut() {
-            sp.arg("program", prepared.program.name.as_str());
-            sp.arg("candidates", candidates);
-            sp.arg("threads", threads);
-            sp.arg("simulations", simulations.into_inner());
-            sp.arg("cut", cuts.into_inner());
-            if let Some(r) = &result {
-                sp.arg("measured", r.measured.len());
-                sp.arg("pruned", r.pruned);
-                sp.arg("skipped", r.skipped);
-            }
-        }
+        let name = prepared.program.name.as_str();
+        tally.record(sp.as_mut(), name, candidates, threads, result.as_ref());
         let result =
             result.ok_or_else(|| CompileError("no mapping candidate was executable".into()))?;
         let exe = self.compile_tuned(&prepared, bindings, result.best.clone())?;
@@ -718,6 +706,55 @@ pub struct TunePrepared {
     pub plan: multidim_mapping::TunePlan,
     /// The launch-consolidation decision shared by every candidate.
     pub dynpar: DynParPlan,
+}
+
+/// The simulations of one tuning pass, counted for the pass's span. Both
+/// [`Compiler::autotune`] (`core/autotune`) and the engine's tuner record
+/// their spans through [`TuneTally::record`], so the two carry the same
+/// arguments.
+#[derive(Debug, Default)]
+pub struct TuneTally {
+    simulations: AtomicUsize,
+    cut: AtomicUsize,
+}
+
+impl TuneTally {
+    /// Count one simulation that ended with `cost` (`None` when it
+    /// failed), and hand the cost on. Thread-safe.
+    pub fn simulated(&self, cost: Option<Cost>) -> Option<Cost> {
+        self.simulations.fetch_add(1, Ordering::Relaxed);
+        if cost.is_some_and(|c| c.cut) {
+            self.cut.fetch_add(1, Ordering::Relaxed);
+        }
+        cost
+    }
+
+    /// Record a tuning pass's arguments on its span: `program`,
+    /// `candidates` (the plan's), `threads`, `simulations` (thrown-away
+    /// speculation included), `cut` (the simulations stopped early), and
+    /// `measured`, `pruned` and `skipped` when a candidate was measured.
+    pub fn record(
+        self,
+        span: Option<&mut trace::Span>,
+        program: &str,
+        candidates: usize,
+        threads: usize,
+        result: Option<&multidim_mapping::TuneResult>,
+    ) {
+        let Some(sp) = span else {
+            return;
+        };
+        sp.arg("program", program);
+        sp.arg("candidates", candidates);
+        sp.arg("threads", threads);
+        sp.arg("simulations", self.simulations.into_inner());
+        sp.arg("cut", self.cut.into_inner());
+        if let Some(r) = result {
+            sp.arg("measured", r.measured.len());
+            sp.arg("pruned", r.pruned);
+            sp.arg("skipped", r.skipped);
+        }
+    }
 }
 
 /// A compiled program, ready to run on the simulator.

@@ -5,7 +5,7 @@ use crate::cache::{CacheStats, CompileCache};
 use crate::error::EngineError;
 use crate::pool::{Refused, WorkerPool};
 use crate::store::{LoadOutcome, TuneRecord, TuningStore};
-use multidim::{Compiler, Executable, Fingerprint, RunReport};
+use multidim::{Compiler, Executable, Fingerprint, RunReport, TuneTally};
 use multidim_ir::{ArrayId, Bindings, Program};
 use multidim_obs::{Counter, CounterFamily, Histogram, HistogramFamily, Registry};
 use multidim_trace::{RequestRoot, TraceContext, TraceOutcome};
@@ -647,17 +647,25 @@ impl Engine {
     ///
     /// The pass runs [`multidim_mapping::tune_parallel`], as
     /// [`Compiler::autotune`] does, with the calling thread counted as one
-    /// of its threads; it takes no slot of the request queue. Every
-    /// candidate is measured (no locality pruning), and the measurements
-    /// commit in score order under `max_measurements`, so the pass selects
-    /// the mapping [`Compiler::autotune`] selects, and stops claiming
-    /// candidates once the cap is reached. Each measurement runs against
-    /// the best cost committed before it and stops once its cost provably
-    /// exceeds it; the analytic mapping's measurement runs uncut, so the
-    /// record's `analytic_cost` is exact. A measurement that panics counts
-    /// as not executable. The helper threads adopt the caller's trace
-    /// context, so a traced pass's `sim/*` spans land in the caller's
-    /// trace.
+    /// of its threads; it takes no slot of the request queue. No candidate
+    /// is pruned on its locality floor, so every candidate is measured,
+    /// and the measurements commit in score order under
+    /// `max_measurements`: the pass selects the mapping
+    /// [`Compiler::autotune`] selects, and stops claiming candidates once
+    /// the cap is reached. Each measurement runs against the best cost
+    /// committed before it and stops once its cost provably exceeds it,
+    /// before its first block when the static floor of its kernels
+    /// already does (`multidim_sim::run_program_capped`); such a
+    /// candidate still counts as measured, with the bound it stopped at.
+    /// The analytic mapping's measurement runs uncut, so the record's
+    /// `analytic_cost` is exact. A measurement that panics counts as not
+    /// executable.
+    ///
+    /// A traced pass records an `engine/autotune` span with the arguments
+    /// of `core/autotune` ([`TuneTally::record`]); its `simulations` counts
+    /// the measurements started, `pruned` is 0, and the helper threads
+    /// adopt the caller's trace context, so their `sim/*` spans nest under
+    /// it.
     ///
     /// # Errors
     ///
@@ -672,14 +680,18 @@ impl Engine {
         options: &multidim_mapping::TuneOptions,
     ) -> Result<(Arc<Executable>, TuneRecord), EngineError> {
         let compiler = &self.shared.compiler;
+        let mut sp = multidim_trace::span("engine", "autotune");
         let prepared = compiler.prepare_tune(program, bindings, options)?;
         let analytic = compiler.analytic_mapping(&prepared, bindings);
         // The analytic mapping runs under a ceiling nothing lowers.
         let unbounded = AtomicU64::new(f64::INFINITY.to_bits());
+        let candidates = prepared.plan.candidates.len();
+        let threads = self.pool.workers().min(candidates);
+        let tally = TuneTally::default();
         let result = multidim_mapping::tune_parallel(
             &prepared.plan,
             options.max_measurements,
-            self.pool.workers(),
+            threads,
             |_| (None, ()),
             |cand, (), ceiling| {
                 let ceiling = if cand.mapping == analytic {
@@ -687,19 +699,23 @@ impl Engine {
                 } else {
                     ceiling
                 };
-                catch_unwind(AssertUnwindSafe(|| {
-                    compiler.measure_candidate_capped(
-                        &prepared,
-                        bindings,
-                        inputs,
-                        &cand.mapping,
-                        ceiling,
-                    )
-                }))
-                .unwrap_or(None)
+                tally.simulated(
+                    catch_unwind(AssertUnwindSafe(|| {
+                        compiler.measure_candidate_capped(
+                            &prepared,
+                            bindings,
+                            inputs,
+                            &cand.mapping,
+                            ceiling,
+                        )
+                    }))
+                    .unwrap_or(None),
+                )
             },
-        )
-        .ok_or_else(|| {
+        );
+        let name = prepared.program.name.as_str();
+        tally.record(sp.as_mut(), name, candidates, threads, result.as_ref());
+        let result = result.ok_or_else(|| {
             EngineError::Compile(multidim::CompileError(
                 "no mapping candidate was executable".into(),
             ))

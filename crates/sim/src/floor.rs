@@ -29,6 +29,12 @@
 //!
 //! Child grids, mallocs, bank conflicts and atomic contention only add to
 //! the executor's counters, so leaving them out keeps the floor below it.
+//!
+//! The walk's indices range over the whole launch, so what it charges one
+//! block bounds every block of it. A capped run
+//! ([`run_program_capped`](crate::run_program_capped)) walks its own flat
+//! form once and prices the blocks it has not run yet at that per-block
+//! floor.
 
 use crate::cost::{kernel_time, KernelCost, KernelTime, LaunchShape};
 use crate::exec::SimError;
@@ -66,13 +72,41 @@ pub fn seconds_floor(
     bindings: &Bindings,
 ) -> Result<Vec<KernelFloor>, SimError> {
     let flat = Flat::lower(kp, gpu, bindings)?;
+    Ok(launch_floors(&flat, gpu)
+        .into_iter()
+        .map(|f| f.kernel)
+        .collect())
+}
+
+/// The floor of one parent kernel, and of each of its blocks.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LaunchFloor {
+    /// The whole launch's floor.
+    pub kernel: KernelFloor,
+    /// What every block of the launch charges at least: the walk's thread
+    /// and block indices range over the whole launch, and every block
+    /// starts with its locals zeroed, so one walk bounds every block.
+    per_block: Counts,
+}
+
+impl LaunchFloor {
+    /// `cost` plus the floors of `blocks` more blocks. Pricing a launch's
+    /// counters so far with the blocks it has left this way bounds its
+    /// final counters from below.
+    pub(crate) fn with_blocks(&self, gpu: &GpuSpec, cost: &KernelCost, blocks: u64) -> KernelCost {
+        self.per_block.times(blocks).added_to(gpu, cost)
+    }
+}
+
+/// The floor of every parent kernel of `flat`, in launch order: one walk
+/// per kernel, shared by [`seconds_floor`] and the capped run's bound.
+pub(crate) fn launch_floors(flat: &Flat<'_>, gpu: &GpuSpec) -> Vec<LaunchFloor> {
     let mut regs = vec![None; flat.slots];
-    let floors = flat
-        .kernels
+    flat.kernels
         .iter()
         .map(|k| {
             let mut walk = Walk {
-                flat: &flat,
+                flat,
                 kernel: k,
                 regs: &mut regs,
                 // Every block starts with its locals zeroed.
@@ -85,30 +119,24 @@ pub fn seconds_floor(
                 walk.warp(k.body, &mut per_block);
                 per_block = per_block.times(u64::from(k.warps));
             }
-            let blocks = k.grid.iter().product::<u64>();
-            let c = per_block.times(blocks);
-            let cost = KernelCost {
-                warp_instr: c.instr,
-                mem_requests: c.requests,
-                transactions: c.requests,
-                dram_bytes: c.requests.saturating_mul(gpu.transaction_bytes.max(1)),
-                smem_accesses: c.smem,
-                syncs: c.syncs,
-                ..KernelCost::default()
-            };
             let shape = LaunchShape {
-                blocks,
+                blocks: k.grid.iter().product::<u64>(),
                 block_threads: k.src.block_threads(),
                 smem_bytes: k.src.smem_bytes(),
             };
-            KernelFloor {
-                shape,
-                cost,
-                time: kernel_time(gpu, &shape, &cost),
+            let cost = per_block
+                .times(shape.blocks)
+                .added_to(gpu, &KernelCost::default());
+            LaunchFloor {
+                kernel: KernelFloor {
+                    shape,
+                    cost,
+                    time: kernel_time(gpu, &shape, &cost),
+                },
+                per_block,
             }
         })
-        .collect();
-    Ok(floors)
+        .collect()
 }
 
 /// Lower bounds on the counters some execution charges.
@@ -136,6 +164,21 @@ impl Counts {
             requests: self.requests.saturating_mul(n),
             smem: self.smem.saturating_mul(n),
             syncs: self.syncs.saturating_mul(n),
+        }
+    }
+
+    /// `cost` with these counters added, saturating: one transaction
+    /// (and one segment of DRAM bytes) per request.
+    fn added_to(self, gpu: &GpuSpec, cost: &KernelCost) -> KernelCost {
+        let bytes = self.requests.saturating_mul(gpu.transaction_bytes.max(1));
+        KernelCost {
+            warp_instr: cost.warp_instr.saturating_add(self.instr),
+            mem_requests: cost.mem_requests.saturating_add(self.requests),
+            transactions: cost.transactions.saturating_add(self.requests),
+            dram_bytes: cost.dram_bytes.saturating_add(bytes),
+            smem_accesses: cost.smem_accesses.saturating_add(self.smem),
+            syncs: cost.syncs.saturating_add(self.syncs),
+            ..*cost
         }
     }
 

@@ -7,14 +7,21 @@
 //! lanes diverge, every counter and every time term must stay at or below
 //! the simulator's — on the fixtures here, and on seeded random kernels
 //! that mix every operator the interval arithmetic models.
+//!
+//! The random programs also run against a sweep of ceilings through
+//! `run_program_capped`, whose bound adds the floors of the blocks and
+//! kernels a run has not reached yet.
 
 use multidim_codegen::{
     Axis, BufId, BufferDecl, BufferInit, KExpr, Kernel, KernelProgram, SmemDecl, Stmt,
 };
 use multidim_device::GpuSpec;
 use multidim_ir::{ArrayId, BinOp, Bindings, ReduceOp, Size, UnOp};
-use multidim_sim::{run_program, seconds_floor, KernelFloor, SimResult};
+use multidim_sim::{
+    run_program, run_program_capped, seconds_floor, Capped, KernelFloor, SimResult,
+};
 use std::collections::HashMap;
+use std::sync::atomic::AtomicU64;
 
 /// Elements of the input buffer (`in`, array 0) and the output (`out`,
 /// array 1).
@@ -551,33 +558,101 @@ impl Gen {
     }
 }
 
+/// One random parent kernel: 1–3 blocks of one of a few shapes, half of
+/// them with a barrier.
+fn random_kernel(g: &mut Gen) -> Kernel {
+    const BLOCKS: [[u32; 3]; 5] = [[32, 1, 1], [64, 1, 1], [48, 1, 1], [16, 4, 1], [8, 4, 2]];
+    let block = BLOCKS[g.rng.below(BLOCKS.len() as u64) as usize];
+    g.threads = i64::from(block.iter().product::<u32>());
+    g.lockstep = g.rng.below(2) == 0;
+    let mut body = g.body(3, false);
+    if g.lockstep {
+        let at = g.rng.below(body.len() as u64 + 1) as usize;
+        body.insert(at, Stmt::Sync);
+    }
+    let grid = 1 + g.rng.below(3) as u32;
+    kernel(grid, block, g.threads as u32, LOOP_VAR + 2, body)
+}
+
+fn random_inputs() -> HashMap<ArrayId, Vec<f64>> {
+    let input: Vec<f64> = (0..N).map(|i| ((i * 7) % 13) as f64 / 2.0 - 3.0).collect();
+    [(ArrayId(0), input)].into_iter().collect()
+}
+
+/// How the runs of a ceiling sweep ended.
+#[derive(Default)]
+struct Sweep {
+    /// Cut under a ceiling below the summed floor, at exactly that sum.
+    at_floor: usize,
+    /// Cut under a ceiling at or above the summed floor.
+    later: usize,
+    finished: usize,
+}
+
+/// Runs `kp` against ceilings of 0, just below its summed floor, 0.3,
+/// 0.6, 0.9 and 0.999 of its simulated time, and that time itself. Every
+/// cut bound lies in (ceiling, simulated time]; a ceiling below the summed
+/// floor — the kernels' floor times added in launch order, as the run
+/// adds its kernels' times — stops the run with that sum, bit for bit;
+/// and every run that finishes is `sim`, bit for bit.
+fn sweep_ceilings(
+    name: &str,
+    kp: &KernelProgram,
+    inputs: &HashMap<ArrayId, Vec<f64>>,
+    floor: &[KernelFloor],
+    sim: &SimResult,
+    tally: &mut Sweep,
+) {
+    let gpu = GpuSpec::tesla_k20c();
+    let time = sim.total_seconds;
+    let summed = floor.iter().fold(0.0, |sum, f| sum + f.time.total);
+    let ceilings = [0.0, summed.next_down()]
+        .into_iter()
+        .chain([0.3, 0.6, 0.9, 0.999, 1.0].map(|share| time * share));
+    for ceiling in ceilings {
+        let bits = AtomicU64::new(ceiling.to_bits());
+        let run = run_program_capped(kp, &gpu, &Bindings::new(), inputs, &bits)
+            .unwrap_or_else(|err| panic!("{name}: {err} under a ceiling of {ceiling:e}"));
+        let at = format!("{name} under a ceiling of {ceiling:e} (floor {summed:e}, time {time:e})");
+        match run {
+            Capped::Cut(bound) => {
+                assert!(bound > ceiling && bound <= time, "{at}: cut at {bound:e}");
+                if ceiling < summed {
+                    assert_eq!(bound.to_bits(), summed.to_bits(), "{at}: cut at {bound:e}");
+                    tally.at_floor += 1;
+                } else {
+                    tally.later += 1;
+                }
+            }
+            Capped::Finished(run) => {
+                assert!(ceiling >= summed, "{at}: finished under its floor");
+                assert_eq!(run.total_seconds.to_bits(), time.to_bits(), "{at}: time");
+                assert_eq!(run.kernels, sim.kernels, "{at}: kernel records");
+                for (array, data) in &sim.arrays {
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(run.array(*array)), bits(data), "{at}: outputs");
+                }
+                tally.finished += 1;
+            }
+        }
+    }
+}
+
 #[test]
 fn random_kernels_stay_at_or_below_the_executor() {
-    const BLOCKS: [[u32; 3]; 5] = [[32, 1, 1], [64, 1, 1], [48, 1, 1], [16, 4, 1], [8, 4, 2]];
     let mut g = Gen {
         rng: Rng(0x9e37_79b9_7f4a_7c15),
         threads: 0,
         loops: 0,
         lockstep: false,
     };
-    let input: Vec<f64> = (0..N).map(|i| ((i * 7) % 13) as f64 / 2.0 - 3.0).collect();
     let gpu = GpuSpec::tesla_k20c();
-    let inputs: HashMap<_, _> = [(ArrayId(0), input)].into_iter().collect();
+    let inputs = random_inputs();
     let (mut ran, mut lockstep) = (0, 0);
+    let mut sweep = Sweep::default();
     for case in 0..1000 {
         let kernels = (0..1 + g.rng.below(2))
-            .map(|_| {
-                let block = BLOCKS[g.rng.below(BLOCKS.len() as u64) as usize];
-                g.threads = i64::from(block.iter().product::<u32>());
-                g.lockstep = g.rng.below(2) == 0;
-                let mut body = g.body(3, false);
-                if g.lockstep {
-                    let at = g.rng.below(body.len() as u64 + 1) as usize;
-                    body.insert(at, Stmt::Sync);
-                }
-                let grid = 1 + g.rng.below(3) as u32;
-                kernel(grid, block, g.threads as u32, LOOP_VAR + 2, body)
-            })
+            .map(|_| random_kernel(&mut g))
             .collect();
         let kp = program(kernels, vec![]);
         let Ok(sim) = run_program(&kp, &gpu, &Bindings::new(), &inputs) else {
@@ -586,11 +661,59 @@ fn random_kernels_stay_at_or_below_the_executor() {
         ran += 1;
         lockstep += usize::from(kp.kernels.iter().any(Kernel::has_sync));
         let floor = seconds_floor(&kp, &gpu, &Bindings::new()).expect("every size is bound");
-        assert_below(&format!("random kernel {case}"), &floor, &sim);
+        let name = format!("random kernel {case}");
+        assert_below(&name, &floor, &sim);
+        sweep_ceilings(&name, &kp, &inputs, &floor, &sim, &mut sweep);
     }
     assert!(ran >= 900, "only {ran} of 1000 random programs ran");
     assert!(
         lockstep >= 300,
         "only {lockstep} random programs ran in lockstep"
+    );
+    assert!(
+        sweep.at_floor > 0 && sweep.later > 0 && sweep.finished > 0,
+        "{} runs cut at their floor, {} later, {} finished",
+        sweep.at_floor,
+        sweep.later,
+        sweep.finished
+    );
+}
+
+/// The capped sweep on programs of three or four kernels: enough later
+/// kernels that adding their floors in another order than launch order
+/// rounds differently.
+#[test]
+fn random_programs_of_several_kernels_cut_within_their_floor_and_time() {
+    let mut g = Gen {
+        rng: Rng(0x2545_f491_4f6c_dd1d),
+        threads: 0,
+        loops: 0,
+        lockstep: false,
+    };
+    let gpu = GpuSpec::tesla_k20c();
+    let inputs = random_inputs();
+    let mut sweep = Sweep::default();
+    let mut ran = 0;
+    for case in 0..200 {
+        let kernels = (0..3 + g.rng.below(2))
+            .map(|_| random_kernel(&mut g))
+            .collect();
+        let kp = program(kernels, vec![]);
+        let Ok(sim) = run_program(&kp, &gpu, &Bindings::new(), &inputs) else {
+            continue;
+        };
+        ran += 1;
+        let floor = seconds_floor(&kp, &gpu, &Bindings::new()).expect("every size is bound");
+        let name = format!("random program {case}");
+        assert_below(&name, &floor, &sim);
+        sweep_ceilings(&name, &kp, &inputs, &floor, &sim, &mut sweep);
+    }
+    assert!(ran >= 150, "only {ran} of 200 random programs ran");
+    assert!(
+        sweep.at_floor > 0 && sweep.later > 0 && sweep.finished > 0,
+        "{} runs cut at their floor, {} later, {} finished",
+        sweep.at_floor,
+        sweep.later,
+        sweep.finished
     );
 }

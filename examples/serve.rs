@@ -11,16 +11,21 @@
 //! hit the content-addressed cache and share the compiled executables.
 //! One workload is auto-tuned in between, so the final rounds also show
 //! the persistent tuning store being preferred over the analytic mapping.
-//! A trace store keeps every request's trace (`latency_threshold: 0.0`):
-//! the run checks that a cold request's trace nests each compile stage's
-//! span under `core/compile` and the pipeline's spans under the engine's,
-//! and ends with the last response's kept trace and the registry's
-//! Prometheus-style text exposition.
+//! A trace store keeps every request's trace (`latency_threshold: 0.0`)
+//! with all its spans: the run checks that a cold request's trace nests
+//! each compile stage's span under `core/compile` and the pipeline's spans
+//! under the engine's, that the tune's own trace holds one
+//! `engine/autotune` span whose counts match the tuning record and the
+//! simulations it cut, and ends with the last response's kept trace and
+//! the registry's Prometheus-style text exposition.
 
 use multidim::Compiler;
 use multidim_engine::{Engine, EngineConfig, Request};
 use multidim_obs::Histogram;
-use multidim_trace::{install_store, TailSamplerConfig, TraceStore};
+use multidim_trace::{
+    finish_request, install_store, set_current, RequestRoot, SpanRecord, TailSamplerConfig,
+    TraceContext, TraceOutcome, TraceStore, Value,
+};
 use multidim_workloads::catalog::catalog;
 use std::error::Error;
 use std::sync::Arc;
@@ -32,10 +37,55 @@ fn fmt_ms(seconds: f64) -> String {
     format!("{:.2} ms", seconds * 1e3)
 }
 
+/// The count `key` among `span`'s arguments.
+fn count(span: &SpanRecord, key: &str) -> Option<u64> {
+    span.args.iter().find_map(|(k, v)| match v {
+        Value::UInt(n) if *k == key => Some(*n),
+        _ => None,
+    })
+}
+
+/// The kept trace of a tune holds exactly one `engine/autotune` span: its
+/// `measured` is the tuning record's, and its `cut` counts the trace's
+/// `sim/execute` spans that record a `cut_bound`.
+fn check_tune_trace(traces: &TraceStore, trace_id: u128, measured: u64) {
+    let spans = traces.lookup(trace_id).expect("every trace is kept").spans;
+    let tunes: Vec<_> = spans
+        .iter()
+        .filter(|s| (s.cat, s.name) == ("engine", "autotune"))
+        .collect();
+    assert_eq!(tunes.len(), 1, "one engine/autotune span per tune");
+    let arg = |key: &str| {
+        count(tunes[0], key).unwrap_or_else(|| panic!("engine/autotune has no `{key}` count"))
+    };
+    let cut_blocks: Vec<u64> = spans
+        .iter()
+        .filter(|s| (s.cat, s.name) == ("sim", "execute"))
+        .filter(|s| s.args.iter().any(|(k, _)| *k == "cut_bound"))
+        .map(|s| count(s, "blocks").expect("a cut sim/execute span counts its blocks"))
+        .collect();
+    assert_eq!(arg("measured"), measured, "engine/autotune `measured`");
+    assert_eq!(
+        arg("cut"),
+        cut_blocks.len() as u64,
+        "engine/autotune `cut` against the cut sim/execute spans"
+    );
+    println!(
+        "tune trace: one engine/autotune span, {measured} measured, {} of {} simulations cut \
+         ({} before their first block)",
+        cut_blocks.len(),
+        arg("simulations"),
+        cut_blocks.iter().filter(|&&b| b == 0).count()
+    );
+}
+
 fn main() -> Result<(), Box<dyn Error>> {
-    // Every completion counts as slow, so the sampler keeps every trace.
+    // Every completion counts as slow, so the sampler keeps every trace,
+    // and every span of it: the tune's trace holds one simulation per
+    // candidate.
     let traces = Arc::new(TraceStore::new(TailSamplerConfig {
         latency_threshold: 0.0,
+        max_spans_per_trace: usize::MAX,
         ..TailSamplerConfig::default()
     }));
     let _traces_guard = install_store(traces.clone());
@@ -108,11 +158,31 @@ fn main() -> Result<(), Box<dyn Error>> {
 
         if round == 0 {
             // Tune one workload on as many threads as the engine has
-            // workers; later rounds will be served with the stored
-            // empirically-best mapping.
+            // workers, inside a trace of its own; later rounds will be
+            // served with the stored empirically-best mapping.
             let e = &entries[0];
             let options = multidim_mapping::TuneOptions::default();
-            let (_exe, record) = engine.autotune(&e.program, &e.bindings, &e.inputs, &options)?;
+            let ctx = TraceContext::mint();
+            let start = Instant::now();
+            let (_exe, record) = {
+                let _current = set_current(ctx);
+                engine.autotune(&e.program, &e.bindings, &e.inputs, &options)?
+            };
+            let root = RequestRoot {
+                cat: "example",
+                start,
+                workload: e.name(),
+                args: Vec::new(),
+            };
+            let elapsed = Some(start.elapsed().as_secs_f64());
+            let kept = finish_request(
+                &ctx,
+                root,
+                TraceOutcome::Completed,
+                None::<&String>,
+                elapsed,
+            );
+            check_tune_trace(&traces, kept.expect("every trace is kept"), record.measured);
             match record.analytic_delta() {
                 Some(delta) => println!(
                     "tuned {}: cost {:.3e}, {delta:.2}x vs analytic mapping ({} candidates measured)",

@@ -3,8 +3,9 @@
 //! compilation, shared executables, panic isolation, deadline handling,
 //! parallel-vs-serial autotune equivalence (with and without a
 //! measurement cap), a capped tune stopping at its cap inside the
-//! caller's trace, the analytic baseline of a tuning record, and
-//! tuning-store persistence plus corruption fallback.
+//! caller's trace, a one-worker tune stopping candidates on their floor
+//! before their first block, the analytic baseline of a tuning record,
+//! and tuning-store persistence plus corruption fallback.
 
 use multidim::Compiler;
 use multidim_engine::{Engine, EngineConfig, EngineError, Request};
@@ -334,21 +335,14 @@ fn parallel_autotune_matches_serial_selection() {
     }
 }
 
-/// A capped engine tune stops claiming candidates at the cap, and its
-/// simulations run inside the caller's trace: on one worker, exactly the
-/// five measured candidates of spmv_zipf (132 in its plan) record a
-/// `sim/execute` span, each under a parent in the kept trace.
-#[test]
-fn capped_autotune_stops_at_the_cap_inside_the_callers_trace() {
+/// A 1-worker engine, and an installed store that keeps every trace and
+/// every span of it. Callers hold `STORE_LOCK`.
+fn one_worker_keeping_every_span() -> (
+    Engine,
+    Arc<multidim_trace::TraceStore>,
+    multidim_trace::StoreGuard,
+) {
     use multidim_trace as trace;
-    use std::time::Instant;
-
-    let _lock = STORE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let e = catalog()
-        .into_iter()
-        .find(|e| e.name() == "spmv_zipf")
-        .expect("spmv_zipf is in the catalog");
-    // Keeps every trace, and every span of it.
     let store = Arc::new(trace::TraceStore::new(trace::TailSamplerConfig {
         latency_threshold: 0.0,
         max_spans_per_trace: usize::MAX,
@@ -362,22 +356,31 @@ fn capped_autotune_stops_at_the_cap_inside_the_callers_trace() {
             ..small_config()
         },
     );
-    let capped = multidim_mapping::TuneOptions {
-        max_measurements: 5,
-        ..Default::default()
-    };
+    (engine, store, installed)
+}
+
+/// Tune `e` on `engine` inside a fresh trace kept with every span, and
+/// return the tuning record with the trace's spans.
+fn traced_autotune(
+    engine: &Engine,
+    store: &multidim_trace::TraceStore,
+    e: &multidim_workloads::catalog::CatalogEntry,
+    options: &multidim_mapping::TuneOptions,
+) -> (multidim_engine::TuneRecord, Vec<multidim_trace::SpanRecord>) {
+    use multidim_trace as trace;
+    use std::time::Instant;
     let ctx = trace::TraceContext::mint();
     let start = Instant::now();
     let (_exe, record) = {
         let _current = trace::set_current(ctx);
         engine
-            .autotune(&e.program, &e.bindings, &e.inputs, &capped)
-            .expect("capped tune")
+            .autotune(&e.program, &e.bindings, &e.inputs, options)
+            .expect("tune")
     };
     let root = trace::RequestRoot {
         cat: "test",
         start,
-        workload: "spmv_zipf",
+        workload: e.name(),
         args: Vec::new(),
     };
     let kept = trace::finish_request(
@@ -387,8 +390,28 @@ fn capped_autotune_stops_at_the_cap_inside_the_callers_trace() {
         None::<&String>,
         Some(start.elapsed().as_secs_f64()),
     );
-    drop(installed);
     let spans = store.lookup(kept.expect("kept")).expect("stored").spans;
+    (record, spans)
+}
+
+/// A capped engine tune stops claiming candidates at the cap, and its
+/// simulations run inside the caller's trace: on one worker, exactly the
+/// five measured candidates of spmv_zipf (132 in its plan) record a
+/// `sim/execute` span, each under a parent in the kept trace.
+#[test]
+fn capped_autotune_stops_at_the_cap_inside_the_callers_trace() {
+    let _lock = STORE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let e = catalog()
+        .into_iter()
+        .find(|e| e.name() == "spmv_zipf")
+        .expect("spmv_zipf is in the catalog");
+    let (engine, store, installed) = one_worker_keeping_every_span();
+    let capped = multidim_mapping::TuneOptions {
+        max_measurements: 5,
+        ..Default::default()
+    };
+    let (record, spans) = traced_autotune(&engine, &store, &e, &capped);
+    drop(installed);
 
     assert_eq!(record.measured, 5, "the cap bounds measurements");
     let ids: std::collections::HashSet<u64> = spans.iter().map(|s| s.span_id).collect();
@@ -408,6 +431,85 @@ fn capped_autotune_stops_at_the_cap_inside_the_callers_trace() {
             "a sim/execute span's parent is not in the trace"
         );
     }
+}
+
+/// On one worker every ceiling is the best exact cost of the candidates
+/// before it in plan order, so the `sim/execute` spans cut before their
+/// first block are exactly the candidates other than the analytic one
+/// whose floor, their kernels' `seconds_floor` times added in launch
+/// order, exceeds that best.
+#[test]
+fn one_worker_tune_stops_candidates_on_their_floor_before_the_first_block() {
+    use multidim_codegen::{lower_planned, validate_kernels, CodegenOptions};
+    use multidim_device::GpuSpec;
+    use multidim_trace as trace;
+
+    let _lock = STORE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (engine, store, installed) = one_worker_keeping_every_span();
+    let compiler = Compiler::new();
+    let gpu = GpuSpec::tesla_k20c();
+    let lowering = CodegenOptions {
+        smem_budget: Some(gpu.smem_per_sm),
+        ..CodegenOptions::default()
+    };
+    let options = multidim_mapping::TuneOptions::default();
+    let entries: Vec<_> = catalog()
+        .into_iter()
+        .filter(|e| matches!(e.name(), "sumCols" | "bfs_step" | "msm_assign"))
+        .collect();
+    assert_eq!(entries.len(), 3);
+    for e in &entries {
+        let (program, bindings, inputs) = (&e.program, &e.bindings, &e.inputs);
+        let prepared = compiler
+            .prepare_tune(program, bindings, &options)
+            .expect("plan");
+        let analytic = compiler.analytic_mapping(&prepared, bindings);
+        let (mut expected, mut best) = (0usize, f64::INFINITY);
+        for cand in &prepared.plan.candidates {
+            let kernels = lower_planned(
+                &prepared.program,
+                &cand.mapping,
+                &lowering,
+                &prepared.dynpar,
+            )
+            .expect("every candidate lowers");
+            validate_kernels(&kernels, gpu.smem_per_sm).expect("every candidate fits");
+            let floor = multidim_sim::seconds_floor(&kernels, &gpu, bindings)
+                .expect("every size is bound")
+                .iter()
+                .fold(0.0, |sum, f| sum + f.time.total);
+            expected += usize::from(cand.mapping != analytic && floor > best);
+            let cost = compiler
+                .measure_candidate(&prepared, bindings, inputs, &cand.mapping)
+                .expect("every candidate runs");
+            best = best.min(cost);
+        }
+
+        let (record, spans) = traced_autotune(&engine, &store, e, &options);
+        assert_eq!(record.measured as usize, prepared.plan.candidates.len());
+        let before_first_block = spans
+            .iter()
+            .filter(|s| (s.cat, s.name) == ("sim", "execute"))
+            .filter(|s| s.args.iter().any(|(k, _)| *k == "cut_bound"))
+            .filter(|s| {
+                s.args
+                    .iter()
+                    .any(|(k, v)| *k == "blocks" && *v == trace::Value::UInt(0))
+            })
+            .count();
+        assert!(
+            expected > 0,
+            "{}: no candidate's floor exceeds its ceiling",
+            e.name()
+        );
+        assert_eq!(
+            before_first_block,
+            expected,
+            "{}: simulations cut before their first block",
+            e.name()
+        );
+    }
+    drop(installed);
 }
 
 #[test]

@@ -518,8 +518,8 @@ fn capped_runs_stop_above_the_ceiling_or_finish_as_run_program() {
                             "{at}: cut at {bound:e} under a ceiling of {below:e}, simulated {time:e}"
                         );
                         cut += 1;
-                        // Past the first kernel's time, only a later
-                        // kernel can be cut.
+                        // Past the first kernel's time, the bound rests
+                        // on a later kernel: its blocks run, or its floor.
                         cut_late += usize::from(below >= exact.kernels[0].time.total);
                     }
                     Capped::Finished(run) => same(&at, &run, &exact),

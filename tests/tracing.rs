@@ -300,7 +300,8 @@ fn autotune_span_counts_the_pass_and_nests_the_helpers() {
     }
 
     // Every simulation stopped early is counted, and its span records the
-    // bound it stopped at and the blocks it ran.
+    // bound it stopped at and the blocks it ran: none when the ceiling fell
+    // below its floor between the claim and the run's start.
     let trace::Value::UInt(cut) = arg("cut") else {
         panic!("`cut` is a count");
     };
@@ -313,7 +314,7 @@ fn autotune_span_counts_the_pass_and_nests_the_helpers() {
     for e in cut_spans {
         let blocks = e.args.iter().find(|(k, _)| *k == "blocks");
         assert!(
-            matches!(blocks, Some((_, trace::Value::UInt(b))) if *b > 0),
+            matches!(blocks, Some((_, trace::Value::UInt(_)))),
             "a cut sim/execute span has no block count: {:?}",
             e.args
         );
