@@ -57,7 +57,7 @@ pub use exec::{
     run_program, run_program_capped, run_program_sanitized, Capped, DeviceBuffer, KernelRun,
     SanitizerReport, SimError, SimResult, WriteConflict,
 };
-pub use floor::{seconds_floor, KernelFloor};
+pub use floor::{seconds_floor, seconds_floor_with_inputs, KernelFloor};
 pub use memory::{bank_conflicts, coalesce};
 pub use metrics::{KernelMetrics, RunCounters, RunMetrics};
 pub use report::{kernel_report, BoundBy, Efficiency};

@@ -717,3 +717,294 @@ fn random_programs_of_several_kernels_cut_within_their_floor_and_time() {
         sweep.finished
     );
 }
+
+/// Locals of the index-array kernels: the row and the loop variable, above
+/// every local [`Gen`] writes.
+const ROW: u32 = LOOP_VAR + 2;
+const NZ: u32 = LOOP_VAR + 3;
+const CARRY: u32 = LOOP_VAR + 4;
+
+/// CSR row pointers over `rows` rows whose degrees follow a Zipf law: the
+/// rank-`k` degree is proportional to `k^-alpha`, and ranks are scattered
+/// over the rows.
+fn zipf_row_ptr(rng: &mut Rng, rows: usize) -> Vec<f64> {
+    let alpha = [0.5, 1.0, 1.5][rng.below(3) as usize];
+    let nonzeros = (rows * (1 + rng.below(12) as usize)) as f64;
+    let weights: Vec<f64> = (1..=rows).map(|k| (k as f64).powf(-alpha)).collect();
+    let total: f64 = weights.iter().sum();
+    let mut order: Vec<usize> = (0..rows).collect();
+    for i in (1..rows).rev() {
+        order.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    let mut degree = vec![0.0; rows];
+    for (w, &row) in weights.iter().zip(&order) {
+        degree[row] = (nonzeros * w / total).round();
+    }
+    let mut ptr = vec![0.0];
+    for d in degree {
+        ptr.push(ptr.last().unwrap() + d);
+    }
+    ptr
+}
+
+/// `in`, `out` and the row pointers `ptr` (buffer 2, array 2) of `rows`
+/// rows.
+fn csr_program(kernels: Vec<Kernel>, rows: i64) -> KernelProgram {
+    let mut kp = program(kernels, vec![]);
+    kp.buffers.push(BufferDecl {
+        name: "ptr".into(),
+        elem_bytes: 4,
+        len: Size::from(rows + 1),
+        init: BufferInit::FromArray(ArrayId(2)),
+        array: Some(ArrayId(2)),
+    });
+    kp
+}
+
+fn ptr_at(idx: KExpr) -> KExpr {
+    load(2, idx)
+}
+
+/// Row `r`'s degree, `ptr[r + 1] - ptr[r]`.
+fn degree(r: KExpr) -> KExpr {
+    KExpr::sub(ptr_at(KExpr::add(r.clone(), KExpr::imm(1))), ptr_at(r))
+}
+
+/// One of five kernels over the rows of `ptr`, each with a loop bounded by
+/// its loads: a lane per row (`for (j = ptr[r]; j < ptr[r + 1]; j++)`
+/// under `if (r < rows)`), rows on y with lanes striding over the row on x,
+/// a block per row, the strided shape reading its row start back from a
+/// shared copy written before a `__syncthreads`, and a lane per row whose
+/// bound reads a local the block assigns only after the loop (zero at
+/// every block's start, so the loop makes no trips). The body adds an
+/// input element to the row's output, then runs `extra`.
+fn csr_kernel(shape: u64, rows: i64, block: [u32; 3], extra: Vec<Stmt>) -> Kernel {
+    let last = KExpr::imm(rows - 1);
+    let [bx, by, _] = block.map(i64::from);
+    let mut body = vec![Stmt::AtomicRmw {
+        buf: BufId(1),
+        idx: KExpr::min(local(ROW), KExpr::imm(N - 1)),
+        op: ReduceOp::Add,
+        value: load(0, Gen::clamp(local(NZ), 0, N - 1)),
+        capture: None,
+    }];
+    body.extend(extra);
+    let row_on_y = KExpr::add(
+        KExpr::mul(KExpr::Bid(Axis::X), KExpr::imm(by)),
+        KExpr::Tid(Axis::Y),
+    );
+    let assign = |value| Stmt::Assign { dst: ROW, value };
+    let (grid, stmts) = match shape {
+        0 => {
+            let lanes = bx * by;
+            let r = KExpr::add(
+                KExpr::mul(KExpr::Bid(Axis::X), KExpr::imm(lanes)),
+                KExpr::add(
+                    KExpr::Tid(Axis::X),
+                    KExpr::mul(KExpr::Tid(Axis::Y), KExpr::imm(bx)),
+                ),
+            );
+            let rows_loop = for_loop(
+                NZ,
+                ptr_at(local(ROW)),
+                ptr_at(KExpr::add(local(ROW), KExpr::imm(1))),
+                KExpr::imm(1),
+                body,
+            );
+            let guard = Stmt::If {
+                cond: KExpr::lt(local(ROW), KExpr::imm(rows)),
+                then: vec![rows_loop],
+                els: vec![],
+            };
+            ((rows + lanes - 1) / lanes, vec![assign(r), guard])
+        }
+        1 => {
+            let strided = for_loop(
+                NZ,
+                KExpr::Tid(Axis::X),
+                degree(local(ROW)),
+                KExpr::imm(bx),
+                body,
+            );
+            (
+                (rows + by - 1) / by,
+                vec![assign(KExpr::min(row_on_y, last)), strided],
+            )
+        }
+        4 => {
+            // `CARRY` is zero at the loop and `ptr[0]` is 0: no trips.
+            let r = KExpr::min(KExpr::add(KExpr::Bid(Axis::X), KExpr::Tid(Axis::X)), last);
+            let end = ptr_at(KExpr::min(local(CARRY), KExpr::imm(rows)));
+            let carried = for_loop(NZ, KExpr::imm(0), end, KExpr::imm(1), body);
+            let carry = Stmt::Assign {
+                dst: CARRY,
+                value: KExpr::imm(rows),
+            };
+            (rows, vec![assign(r), carried, carry])
+        }
+        2 => {
+            let t = KExpr::add(
+                KExpr::Tid(Axis::X),
+                KExpr::mul(KExpr::Tid(Axis::Y), KExpr::imm(bx)),
+            );
+            let spread = for_loop(NZ, t, degree(local(ROW)), KExpr::imm(bx * by), body);
+            (
+                rows,
+                vec![assign(KExpr::min(KExpr::Bid(Axis::X), last)), spread],
+            )
+        }
+        _ => {
+            let t = KExpr::add(
+                KExpr::Tid(Axis::X),
+                KExpr::mul(KExpr::Tid(Axis::Y), KExpr::imm(bx)),
+            );
+            let first = KExpr::add(KExpr::mul(KExpr::Bid(Axis::X), KExpr::imm(by)), t.clone());
+            let prefetch = Stmt::If {
+                cond: KExpr::lt(t.clone(), KExpr::imm(by)),
+                then: vec![Stmt::SmemStore {
+                    arr: 0,
+                    idx: t,
+                    value: ptr_at(KExpr::min(first, KExpr::imm(rows))),
+                }],
+                els: vec![],
+            };
+            let end = KExpr::sub(
+                ptr_at(KExpr::add(local(ROW), KExpr::imm(1))),
+                smem_load(KExpr::Tid(Axis::Y)),
+            );
+            let strided = for_loop(NZ, KExpr::Tid(Axis::X), end, KExpr::imm(bx), body);
+            let stmts = vec![
+                prefetch,
+                Stmt::Sync,
+                assign(KExpr::min(row_on_y, last)),
+                strided,
+            ];
+            ((rows + by - 1) / by, stmts)
+        }
+    };
+    kernel(grid as u32, block, (bx * by) as u32, CARRY + 1, stmts)
+}
+
+/// A kernel that empties every row, `ptr[i] = 0`: a later kernel's loops
+/// over the rows make no trips, whatever `ptr` held at the start.
+fn emptying_kernel(rows: i64) -> Kernel {
+    let body = vec![Stmt::If {
+        cond: KExpr::lt(gid(), KExpr::imm(rows + 1)),
+        then: vec![Stmt::Store {
+            buf: BufId(2),
+            idx: gid(),
+            value: KExpr::imm(0),
+        }],
+        els: vec![],
+    }];
+    kernel(((rows + 32) / 32) as u32, [32, 1, 1], 0, 0, body)
+}
+
+/// Seeded programs whose loops are bounded by loads from Zipf-skewed CSR
+/// row pointers, in every kernel shape [`csr_kernel`] builds, with random
+/// statements after the body's own. `seconds_floor_with_inputs` reads the
+/// row pointers: every counter and time term stays at or below the
+/// executor's and at or above `seconds_floor`'s. In a quarter of the
+/// programs a first kernel empties every row, so the row pointers are
+/// written and must not be read: the loops make no trips. Each
+/// program then runs through `run_program_capped` at the sweep of
+/// ceilings, plus one just below the floor that reads the inputs, which
+/// must cut before the first block at exactly that floor's sum.
+#[test]
+fn loops_bounded_by_index_arrays_stay_at_or_below_the_executor() {
+    const BLOCKS: [[u32; 3]; 6] = [
+        [32, 1, 1],
+        [64, 1, 1],
+        [8, 4, 1],
+        [4, 8, 1],
+        [16, 2, 1],
+        [1, 4, 1],
+    ];
+    let mut rng = Rng(0x51f1_5ee5_d1a6_0a1d);
+    let gpu = GpuSpec::tesla_k20c();
+    let mut sweep = Sweep::default();
+    let (mut ran, mut shapes, mut raised, mut emptied, mut cut_at_inputs) = (0, [0; 5], 0, 0, 0);
+    for case in 0..300 {
+        let rows = 4 + rng.below(61) as i64;
+        let ptr = zipf_row_ptr(&mut rng, rows as usize);
+        let shape = rng.below(5);
+        let block = BLOCKS[rng.below(BLOCKS.len() as u64) as usize];
+        let mut g = Gen {
+            rng: Rng(rng.next() | 1),
+            threads: i64::from(block.iter().product::<u32>()),
+            loops: 0,
+            lockstep: false,
+        };
+        let extra = (0..rng.below(3)).map(|_| g.stmt(1, true)).collect();
+        let csr = csr_kernel(shape, rows, block, extra);
+        let empties = rng.below(4) == 0;
+        let kernels = if empties {
+            vec![emptying_kernel(rows), csr]
+        } else {
+            vec![csr]
+        };
+        let kp = csr_program(kernels, rows);
+        let mut inputs = random_inputs();
+        inputs.insert(ArrayId(2), ptr);
+        let Ok(sim) = run_program(&kp, &gpu, &Bindings::new(), &inputs) else {
+            continue;
+        };
+        ran += 1;
+        shapes[shape as usize] += 1;
+        let name = format!("index-array program {case} (shape {shape}, {rows} rows)");
+        let floor = seconds_floor(&kp, &gpu, &Bindings::new()).expect("every size is bound");
+        let read = multidim_sim::seconds_floor_with_inputs(&kp, &gpu, &Bindings::new(), &inputs)
+            .expect("the inputs are there");
+        assert_below(&name, &read, &sim);
+        for (r, f) in read.iter().zip(&floor) {
+            assert_eq!(r.shape, f.shape, "{name}");
+            let pairs = counts(&r.cost).into_iter().zip(counts(&f.cost));
+            assert!(
+                pairs.into_iter().all(|(r, f)| r >= f),
+                "{name}: {r:?} below {f:?}"
+            );
+        }
+        let sum = |fs: &[KernelFloor]| fs.iter().fold(0.0, |sum: f64, f| sum + f.time.total);
+        let (static_sum, read_sum) = (sum(&floor), sum(&read));
+        // Emptied rows make no trips: a floor that read the row pointers
+        // as they started would charge trips the executor never makes.
+        emptied += usize::from(empties);
+        raised += usize::from(read_sum > static_sum);
+        sweep_ceilings(&name, &kp, &inputs, &floor, &sim, &mut sweep);
+        if read_sum > static_sum {
+            let ceiling = read_sum.next_down();
+            let bits = std::sync::atomic::AtomicU64::new(ceiling.to_bits());
+            match run_program_capped(&kp, &gpu, &Bindings::new(), &inputs, &bits) {
+                Ok(Capped::Cut(bound)) => {
+                    assert_eq!(
+                        bound.to_bits(),
+                        read_sum.to_bits(),
+                        "{name}: cut at {bound:e}"
+                    );
+                    cut_at_inputs += 1;
+                }
+                other => panic!("{name}: {other:?} under a ceiling just below {read_sum:e}"),
+            }
+        }
+    }
+    assert!(ran >= 250, "only {ran} of 300 index-array programs ran");
+    assert!(
+        shapes.iter().all(|&n| n >= 40),
+        "programs per shape: {shapes:?}"
+    );
+    assert!(
+        emptied >= 40,
+        "only {emptied} programs wrote their row pointers"
+    );
+    assert!(
+        raised >= ran / 2 && cut_at_inputs == raised,
+        "{raised} of {ran} floors raised by the inputs, {cut_at_inputs} cut at them"
+    );
+    assert!(
+        sweep.at_floor > 0 && sweep.later > 0 && sweep.finished > 0,
+        "{} runs cut at their floor, {} later, {} finished",
+        sweep.at_floor,
+        sweep.later,
+        sweep.finished
+    );
+}

@@ -436,8 +436,11 @@ fn capped_autotune_stops_at_the_cap_inside_the_callers_trace() {
 /// On one worker every ceiling is the best exact cost of the candidates
 /// before it in plan order, so the `sim/execute` spans cut before their
 /// first block are exactly the candidates other than the analytic one
-/// whose floor, their kernels' `seconds_floor` times added in launch
-/// order, exceeds that best.
+/// whose floor, their kernels' floor times added in launch order, exceeds
+/// that best. The capped run's floor reads the inputs
+/// (`seconds_floor_with_inputs`); sumCols and msm_assign have no loop
+/// bounded by an input, so theirs is `seconds_floor`, while bfs_step's
+/// CSR loop stops more of its candidates than `seconds_floor` alone would.
 #[test]
 fn one_worker_tune_stops_candidates_on_their_floor_before_the_first_block() {
     use multidim_codegen::{lower_planned, validate_kernels, CodegenOptions};
@@ -464,7 +467,10 @@ fn one_worker_tune_stops_candidates_on_their_floor_before_the_first_block() {
             .prepare_tune(program, bindings, &options)
             .expect("plan");
         let analytic = compiler.analytic_mapping(&prepared, bindings);
-        let (mut expected, mut best) = (0usize, f64::INFINITY);
+        let (mut expected, mut on_static, mut best) = (0usize, 0usize, f64::INFINITY);
+        let summed = |floors: Vec<multidim_sim::KernelFloor>| {
+            floors.iter().fold(0.0, |sum, f| sum + f.time.total)
+        };
         for cand in &prepared.plan.candidates {
             let kernels = lower_planned(
                 &prepared.program,
@@ -474,11 +480,25 @@ fn one_worker_tune_stops_candidates_on_their_floor_before_the_first_block() {
             )
             .expect("every candidate lowers");
             validate_kernels(&kernels, gpu.smem_per_sm).expect("every candidate fits");
-            let floor = multidim_sim::seconds_floor(&kernels, &gpu, bindings)
-                .expect("every size is bound")
-                .iter()
-                .fold(0.0, |sum, f| sum + f.time.total);
-            expected += usize::from(cand.mapping != analytic && floor > best);
+            let floor = summed(
+                multidim_sim::seconds_floor(&kernels, &gpu, bindings).expect("every size is bound"),
+            );
+            let read = summed(
+                multidim_sim::seconds_floor_with_inputs(&kernels, &gpu, bindings, inputs)
+                    .expect("the inputs are there"),
+            );
+            if e.name() != "bfs_step" {
+                assert_eq!(
+                    read.to_bits(),
+                    floor.to_bits(),
+                    "{}: {}",
+                    e.name(),
+                    cand.mapping
+                );
+            }
+            let tuned = cand.mapping != analytic;
+            expected += usize::from(tuned && read > best);
+            on_static += usize::from(tuned && floor > best);
             let cost = compiler
                 .measure_candidate(&prepared, bindings, inputs, &cand.mapping)
                 .expect("every candidate runs");
@@ -502,6 +522,13 @@ fn one_worker_tune_stops_candidates_on_their_floor_before_the_first_block() {
             "{}: no candidate's floor exceeds its ceiling",
             e.name()
         );
+        if e.name() == "bfs_step" {
+            assert!(
+                expected > on_static,
+                "bfs_step: reading the row pointers stops {expected} candidates, the static \
+                 floor {on_static}"
+            );
+        }
         assert_eq!(
             before_first_block,
             expected,

@@ -427,13 +427,15 @@ fn scattered_fixture_sound() {
     assert!(locality_cross_check(summary, &sim).is_empty());
 }
 
-/// Every tuning candidate of spmv_zipf, mandelbrot and sumRows (whose plan
-/// holds lockstep kernels), lowered as `Compiler::autotune` lowers it, and
-/// the two-kernel Split mapping DOP control picks for sumCols over four
-/// long columns, run against a ceiling. Below its simulated time, a run
-/// either stops with a bound in (ceiling, simulated time] or finishes; at
-/// that time, which no bound exceeds, the run finishes with
-/// `run_program`'s result bit for bit.
+/// Every tuning candidate of mandelbrot, sumRows (whose plan holds
+/// lockstep kernels) and every catalog program with a loop bounded by an
+/// input (spmv, spmv_zipf, pagerank_step, bfs_step and ragged_filter, whose
+/// capped runs read their row pointers), lowered as `Compiler::autotune`
+/// lowers it, and the two-kernel Split mapping DOP control picks for
+/// sumCols over four long columns, run against a ceiling. Below its
+/// simulated time, a run either stops with a bound in (ceiling, simulated
+/// time] or finishes; at that time, which no bound exceeds, the run
+/// finishes with `run_program`'s result bit for bit.
 #[test]
 fn capped_runs_stop_above_the_ceiling_or_finish_as_run_program() {
     use multidim_sim::{run_program_capped, Capped, SimResult};
@@ -447,7 +449,16 @@ fn capped_runs_stop_above_the_ceiling_or_finish_as_run_program() {
     };
     let mut entries: Vec<_> = catalog()
         .into_iter()
-        .filter(|e| matches!(e.name(), "spmv_zipf" | "mandelbrot" | "sumRows"))
+        .filter(|e| {
+            let data_bounded = [
+                "spmv",
+                "spmv_zipf",
+                "pagerank_step",
+                "bfs_step",
+                "ragged_filter",
+            ];
+            data_bounded.contains(&e.name()) || matches!(e.name(), "mandelbrot" | "sumRows")
+        })
         .map(|e| (e.program, e.bindings, e.inputs, false))
         .collect();
     let (program, rows, cols, m) = sums::sum_program(sums::SumKind::Cols);
@@ -536,5 +547,94 @@ fn capped_runs_stop_above_the_ceiling_or_finish_as_run_program() {
         lockstep > 0 && split > 0 && cut_late > 0,
         "{lockstep} lockstep candidates, {split} two-kernel ones, {cut_late} of {cut} cuts \
          past the first kernel"
+    );
+}
+
+/// With spmv_zipf's tuned best as every ceiling, more of its tuning
+/// candidates stop before their first block than the static floor alone
+/// stops: the capped run's floor reads the row pointers and prices each
+/// row loop at its slowest lane's trips. The stops are the `sim/execute`
+/// spans with `blocks = 0`, traced with every span kept.
+#[test]
+fn spmv_zipf_candidates_stop_on_the_row_pointers_before_their_first_block() {
+    use multidim_sim::{run_program_capped, seconds_floor};
+    use multidim_trace as trace;
+    use std::sync::atomic::AtomicU64;
+    use std::sync::Arc;
+    use std::time::Instant;
+    let compiler = Compiler::new();
+    let gpu = GpuSpec::tesla_k20c();
+    let lowering = CodegenOptions {
+        smem_budget: Some(gpu.smem_per_sm),
+        ..CodegenOptions::default()
+    };
+    let e = catalog()
+        .into_iter()
+        .find(|e| e.name() == "spmv_zipf")
+        .expect("spmv_zipf is in the catalog");
+    let options = TuneOptions::default();
+    let (_, tuned) = compiler
+        .autotune(&e.program, &e.bindings, &e.inputs, &options)
+        .expect("spmv_zipf tunes");
+    let prepared = compiler
+        .prepare_tune(&e.program, &e.bindings, &options)
+        .expect("spmv_zipf plans");
+    let store = Arc::new(trace::TraceStore::new(trace::TailSamplerConfig {
+        latency_threshold: 0.0,
+        max_spans_per_trace: usize::MAX,
+        ..Default::default()
+    }));
+    let installed = trace::install_store(store.clone());
+    let (ctx, start) = (trace::TraceContext::mint(), Instant::now());
+    let mut on_static = 0usize;
+    {
+        let _current = trace::set_current(ctx);
+        for cand in &prepared.plan.candidates {
+            let kernels = lower_planned(
+                &prepared.program,
+                &cand.mapping,
+                &lowering,
+                &prepared.dynpar,
+            )
+            .expect("every candidate lowers");
+            validate_kernels(&kernels, gpu.smem_per_sm).expect("every candidate fits");
+            let floor = seconds_floor(&kernels, &gpu, &e.bindings).expect("every size is bound");
+            on_static +=
+                usize::from(floor.iter().fold(0.0, |sum, f| sum + f.time.total) > tuned.best_cost);
+            let ceiling = AtomicU64::new(tuned.best_cost.to_bits());
+            run_program_capped(&kernels, &gpu, &e.bindings, &e.inputs, &ceiling)
+                .unwrap_or_else(|err| panic!("{}: {err}", cand.mapping));
+        }
+    }
+    let root = trace::RequestRoot {
+        cat: "test",
+        start,
+        workload: "spmv_zipf",
+        args: Vec::new(),
+    };
+    let elapsed = Some(start.elapsed().as_secs_f64());
+    let kept = trace::finish_request(
+        &ctx,
+        root,
+        trace::TraceOutcome::Completed,
+        None::<&String>,
+        elapsed,
+    );
+    drop(installed);
+    let spans = store.lookup(kept.expect("kept")).expect("stored").spans;
+    let stopped = spans
+        .iter()
+        .filter(|s| (s.cat, s.name) == ("sim", "execute"))
+        .filter(|s| {
+            s.args
+                .iter()
+                .any(|(k, v)| *k == "blocks" && *v == trace::Value::UInt(0))
+        })
+        .count();
+    assert!(
+        stopped > on_static,
+        "{stopped} of {} spmv_zipf candidates stopped before their first block, {on_static} \
+         on the static floor alone",
+        prepared.plan.candidates.len()
     );
 }
