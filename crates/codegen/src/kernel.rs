@@ -366,14 +366,6 @@ pub struct KernelProgram {
 }
 
 impl KernelProgram {
-    /// Find the buffer materializing `array`.
-    pub fn buffer_for_array(&self, array: ArrayId) -> Option<BufId> {
-        self.buffers
-            .iter()
-            .position(|b| b.array == Some(array))
-            .map(|i| BufId(i as u32))
-    }
-
     /// The declaration of `buf`.
     ///
     /// # Panics

@@ -514,11 +514,6 @@ impl Engine {
         }
     }
 
-    /// An engine with the paper's default compiler and default sizing.
-    pub fn with_defaults() -> Engine {
-        Engine::new(Compiler::new(), EngineConfig::default())
-    }
-
     /// What the tuning store found on disk at startup.
     pub fn store_load(&self) -> &LoadOutcome {
         &self.store_load
@@ -654,8 +649,9 @@ impl Engine {
     /// [`Compiler::autotune`] selects, and stops claiming candidates once
     /// the cap is reached. Each measurement runs against the best cost
     /// committed before it and stops once its cost provably exceeds it,
-    /// before its first block when the static floor of its kernels
-    /// already does (`multidim_sim::run_program_capped`); such a
+    /// before its first block and before copying its inputs when the
+    /// floor of its kernels already does (`multidim_sim::run_program_capped`:
+    /// the static floor, then the one that reads the inputs); such a
     /// candidate still counts as measured, with the bound it stopped at.
     /// The analytic mapping's measurement runs uncut, so the record's
     /// `analytic_cost` is exact. A measurement that panics counts as not

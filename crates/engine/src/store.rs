@@ -325,7 +325,7 @@ fn render_store(entries: &HashMap<Fingerprint, TuneRecord>) -> String {
 }
 
 fn parse_store(text: &str) -> Result<HashMap<Fingerprint, TuneRecord>, String> {
-    let j = Json::parse(text)?;
+    let j = Json::parse(text).map_err(|e| e.to_string())?;
     let version = j
         .get("version")
         .and_then(Json::as_u64)
@@ -473,6 +473,19 @@ mod tests {
         let (_, out) = TuningStore::open(&path);
         assert!(out.quarantined.is_some());
         let _ = std::fs::remove_file(out.quarantined.unwrap());
+    }
+
+    /// A file nested deeper than the JSON parser follows is refused
+    /// without overflowing its stack, so the engine survives it.
+    #[test]
+    fn deeply_nested_file_is_quarantined() {
+        let path = tmp("nested");
+        std::fs::write(&path, "[".repeat(100_000)).unwrap();
+        let (store, out) = TuningStore::open(&path);
+        assert_eq!(out.loaded, 0);
+        let q = out.quarantined.expect("must quarantine");
+        assert!(store.is_empty());
+        let _ = std::fs::remove_file(q);
     }
 
     #[test]

@@ -503,17 +503,6 @@ impl FrontDoor {
         }
     }
 
-    /// A default-config front door with `shards` shards.
-    pub fn with_shards(shards: usize) -> FrontDoor {
-        FrontDoor::new(
-            Compiler::new(),
-            FrontDoorConfig {
-                shards,
-                ..FrontDoorConfig::default()
-            },
-        )
-    }
-
     /// Number of shards.
     pub fn shards(&self) -> usize {
         self.shards.len()

@@ -48,14 +48,12 @@ impl fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 /// A device buffer during simulation.
-#[derive(Debug, Clone)]
-pub struct DeviceBuffer {
+struct DeviceBuffer {
     /// Element width in bytes (for coalescing).
-    pub elem_bytes: u64,
-    /// Contents.
-    pub data: Vec<f64>,
+    elem_bytes: u64,
+    data: Vec<f64>,
     /// Virtual base byte address (distinct buffers never share segments).
-    pub base: u64,
+    base: u64,
 }
 
 /// One parent kernel launch as the simulator ran it: the record every
@@ -219,17 +217,19 @@ pub fn run_program(
 /// with [`kernel_time`] under its launch shape; and the floor time of each
 /// kernel still to come. The floors start as
 /// [`seconds_floor`](crate::seconds_floor)'s, one per block. The first
-/// time the ceiling is finite and that bound does not exceed it, they read
-/// the inputs: each block still to run of a kernel whose loop bounds load
-/// a buffer no kernel writes gets its own floor, as
-/// [`seconds_floor_with_inputs`](crate::seconds_floor_with_inputs) walks
-/// it, and the blocks left are priced at the sum of theirs. Counters only
-/// grow, every block charges at least its floor, and [`kernel_time`] is
-/// monotone in every counter, so each term, and the sum, is at most the
-/// simulated one. The bound is checked against the ceiling before the
-/// first block, so a run whose static floor alone exceeds it stops before
-/// its buffers are copied and one whose floor that reads the inputs does
-/// stops just after; and after every block of a parent or child grid. The
+/// time the ceiling is finite and that bound does not exceed it, before
+/// the first block or after any later one, they read `inputs` themselves,
+/// not the run's copy: each block still to run of a kernel whose lane walk
+/// reaches a loop bounded by an input no kernel writes gets its own floor,
+/// as [`seconds_floor_with_inputs`](crate::seconds_floor_with_inputs)
+/// walks it, and the blocks left are priced at the sum of theirs. Counters
+/// only grow, every block charges at least its floor, and [`kernel_time`]
+/// is monotone in every counter, so each term, and the sum, is at most the
+/// simulated one. The bound is checked against the ceiling after every
+/// block of a parent or child grid, and before the first block, once the
+/// inputs are checked and before they are copied to the device: on the
+/// static floor, then on the floor that reads the inputs, so a run that
+/// either floor exceeds copies nothing. The
 /// ceiling may fall while the run goes on; once the bound exceeds it, the
 /// run stops and returns [`Capped::Cut`] with the bound. A run that would
 /// fault after that point is cut, not failed. A run that finishes returns
@@ -237,9 +237,8 @@ pub fn run_program(
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] for unbound sizes, for missing inputs unless the
-/// static floor cuts the run before its first block, and for kernels that
-/// fault before the cut.
+/// Returns [`SimError`] for unbound sizes, for missing or mis-sized
+/// inputs, and for kernels that fault before the cut.
 pub fn run_program_capped(
     kp: &KernelProgram,
     gpu: &GpuSpec,
@@ -288,27 +287,17 @@ fn run_program_inner(
         Flat::lower(kp, gpu, bindings)?
     };
     let mut span = trace::span("sim", "execute");
-    let ceiling = match ceiling {
-        Some(bits) => {
-            let c = Ceiling::new(bits, &flat, gpu);
-            // A run whose static floor alone exceeds the ceiling stops
-            // before its first block, and before its buffers are copied.
-            if let Some(bound) = c.bound_exceeds(gpu, &KernelCost::default()) {
-                return Ok((c.stop(span, bound), None));
-            }
-            Some(c)
-        }
-        None => None,
-    };
-    let mut m = Machine::new(gpu, &flat, device_buffers(kp, &flat, inputs)?, sanitize);
-    if let Some(mut c) = ceiling {
-        // Then, once the ceiling is finite, on the floor that reads the
-        // inputs.
-        if let Some(bound) = c.exceeded(gpu, &flat, &m.buffers, &KernelCost::default()) {
+    let starts = starts(kp, &flat, inputs)?;
+    let mut ceiling = ceiling.map(|bits| Ceiling::new(bits, &starts, &flat, gpu));
+    if let Some(c) = ceiling.as_mut() {
+        // A run whose floor exceeds the ceiling stops before its first
+        // block, and before its buffers are copied.
+        if let Some(bound) = c.exceeded(gpu, &flat, &KernelCost::default()) {
             return Ok((c.stop(span, bound), None));
         }
-        m.ceiling = Some(c);
     }
+    let mut m = Machine::new(gpu, &flat, device_buffers(kp, &flat, &starts), sanitize);
+    m.ceiling = ceiling;
 
     let mut runs = Vec::with_capacity(kp.kernels.len());
     let mut total = 0.0f64;
@@ -416,52 +405,68 @@ fn run_program_inner(
     ))
 }
 
-/// Allocate and initialize the device buffers.
-pub(crate) fn device_buffers(
+/// How a device buffer starts.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Start<'i> {
+    /// Every element holds this value.
+    Fill(f64),
+    /// A copy of this host array.
+    Host(&'i [f64]),
+}
+
+/// How each buffer of `kp` starts, given the host `inputs`.
+///
+/// # Errors
+///
+/// Returns [`SimError`] when `inputs` lacks an array a buffer must start
+/// from, or holds one whose length is not the buffer's.
+pub(crate) fn starts<'i>(
     kp: &KernelProgram,
     flat: &Flat<'_>,
-    inputs: &HashMap<ArrayId, Vec<f64>>,
-) -> Result<Vec<DeviceBuffer>, SimError> {
-    let mut buffers = Vec::with_capacity(kp.buffers.len());
-    for (decl, layout) in kp.buffers.iter().zip(&flat.buffers) {
-        let len = layout.len;
-        let data = match decl.init {
-            BufferInit::Zero => vec![0.0; len],
-            BufferInit::Fill(v) => vec![v; len],
+    inputs: &'i HashMap<ArrayId, Vec<f64>>,
+) -> Result<Vec<Start<'i>>, SimError> {
+    let each = kp.buffers.iter().zip(&flat.buffers);
+    each.map(|(decl, layout)| {
+        let (host, what) = match decl.init {
+            BufferInit::Zero => return Ok(Start::Fill(0.0)),
+            BufferInit::Fill(v) => return Ok(Start::Fill(v)),
             BufferInit::FromArrayOrZero(a) => match inputs.get(&a) {
-                Some(host) => {
-                    if host.len() != len {
-                        return Err(SimError(format!(
-                            "seed for `{}` has {} elements, buffer needs {len}",
-                            decl.name,
-                            host.len()
-                        )));
-                    }
-                    host.clone()
-                }
-                None => vec![0.0; len],
+                Some(host) => (host, "seed for"),
+                None => return Ok(Start::Fill(0.0)),
             },
-            BufferInit::FromArray(a) => {
-                let host = inputs.get(&a).ok_or_else(|| {
-                    SimError(format!("missing host input for buffer `{}`", decl.name))
-                })?;
-                if host.len() != len {
-                    return Err(SimError(format!(
-                        "input `{}` has {} elements, buffer needs {len}",
-                        decl.name,
-                        host.len()
-                    )));
+            BufferInit::FromArray(a) => match inputs.get(&a) {
+                Some(host) => (host, "input"),
+                None => {
+                    let e = format!("missing host input for buffer `{}`", decl.name);
+                    return Err(SimError(e));
                 }
-                host.clone()
-            }
+            },
         };
-        buffers.push(DeviceBuffer {
-            elem_bytes: decl.elem_bytes,
-            data,
-            base: layout.base,
-        });
-    }
-    Ok(buffers)
+        if host.len() != layout.len {
+            return Err(SimError(format!(
+                "{what} `{}` has {} elements, buffer needs {}",
+                decl.name,
+                host.len(),
+                layout.len
+            )));
+        }
+        Ok(Start::Host(host))
+    })
+    .collect()
+}
+
+/// The device buffers of `kp`, initialized as `starts` says.
+fn device_buffers(kp: &KernelProgram, flat: &Flat<'_>, starts: &[Start<'_>]) -> Vec<DeviceBuffer> {
+    let each = kp.buffers.iter().zip(&flat.buffers).zip(starts);
+    each.map(|((decl, layout), start)| DeviceBuffer {
+        elem_bytes: decl.elem_bytes,
+        data: match *start {
+            Start::Fill(v) => vec![v; layout.len],
+            Start::Host(host) => host.to_vec(),
+        },
+        base: layout.base,
+    })
+    .collect()
 }
 
 pub(crate) const W: usize = WARP_SIZE as usize;
@@ -497,6 +502,8 @@ struct Ceiling<'c> {
     /// The ceiling, an `f64`'s bits, read before the first block and after
     /// every block.
     bits: &'c AtomicU64,
+    /// How each buffer starts: the floors read the host arrays.
+    starts: &'c [Start<'c>],
     /// Every parent kernel's floor, in launch order.
     floors: Vec<LaunchFloor>,
     /// The floors have read the inputs ([`read_inputs`]).
@@ -512,12 +519,14 @@ struct Ceiling<'c> {
 }
 
 impl<'c> Ceiling<'c> {
-    /// A ceiling at `bits` for a run of `flat`, before its first kernel.
-    fn new(bits: &'c AtomicU64, flat: &Flat<'_>, gpu: &GpuSpec) -> Self {
+    /// A ceiling at `bits` for a run of `flat` whose buffers start as
+    /// `starts` says, before its first kernel.
+    fn new(bits: &'c AtomicU64, starts: &'c [Start<'c>], flat: &Flat<'_>, gpu: &GpuSpec) -> Self {
         let floors = launch_floors(flat, gpu);
         let left = floors.first().map_or(0, |f| f.kernel.shape.blocks);
         Ceiling {
             bits,
+            starts,
             floors,
             read: false,
             kernel: 0,
@@ -556,14 +565,8 @@ impl<'c> Ceiling<'c> {
     /// [`Ceiling::bound_exceeds`]; and, the first time the ceiling is
     /// finite and the bound does not exceed it, the same once the floors
     /// of the running kernel's blocks left and of the later kernels have
-    /// read the inputs from `buffers`, the run's own ([`read_inputs`]).
-    fn exceeded(
-        &mut self,
-        gpu: &GpuSpec,
-        flat: &Flat<'_>,
-        buffers: &[DeviceBuffer],
-        cost: &KernelCost,
-    ) -> Option<f64> {
+    /// read the inputs ([`read_inputs`]).
+    fn exceeded(&mut self, gpu: &GpuSpec, flat: &Flat<'_>, cost: &KernelCost) -> Option<f64> {
         let bound = self.bound_exceeds(gpu, cost);
         let finite = f64::from_bits(self.bits.load(Ordering::Relaxed)).is_finite();
         if bound.is_some() || self.read || !finite {
@@ -571,7 +574,7 @@ impl<'c> Ceiling<'c> {
         }
         self.read = true;
         let running = (self.kernel, self.left);
-        if !read_inputs(&mut self.floors, flat, running, gpu, buffers) {
+        if !read_inputs(&mut self.floors, flat, running, gpu, self.starts) {
             return None;
         }
         self.bound_exceeds(gpu, cost)
@@ -704,9 +707,7 @@ impl<'f, 'p> Machine<'f, 'p> {
                         // Child grids run after the parent's last block,
                         // when it has none left.
                         c.left = c.left.saturating_sub(1);
-                        if let Some(bound) =
-                            c.exceeded(self.gpu, self.flat, &self.buffers, &self.cost)
-                        {
+                        if let Some(bound) = c.exceeded(self.gpu, self.flat, &self.cost) {
                             return Ok(Some(bound));
                         }
                     }

@@ -37,29 +37,34 @@
 //! makes as many trips as the data says, which no interval can see. So
 //! [`seconds_floor_with_inputs`], and a capped run
 //! ([`run_program_capped`](crate::run_program_capped)) that its static
-//! floor has not cut once its ceiling is finite, walk every block of such a
-//! kernel again (a capped run only the blocks it has still to run; the
-//! lane walk, in `lanes`), warp by warp in the executor's order, with
-//! lane-exact values:
+//! floor has not cut once its ceiling is finite, walk every block of a
+//! kernel with such a loop again (a capped run only the blocks it has
+//! still to run; the lane walk, in `lanes`), warp by warp in the
+//! executor's order, with lane-exact values. The walk follows lane by lane
+//! only statements that hold no `__syncthreads`, and reaches a loop at the
+//! top of the kernel or in a branch of an `If`; a kernel where it reaches
+//! no such loop is not walked:
 //!
 //! * thread and block indices, sizes and immediates are exact; a load from
-//!   a buffer no `Store` or `Atomic` of any parent or child kernel writes
-//!   reads its element, every other load is unknown; a lane's local keeps
-//!   the value it was assigned, and a shared word the value an earlier
-//!   statement of the block stored (a prefetched row pointer read back
-//!   after a `__syncthreads`), both zero at the block's start;
+//!   a buffer that no `Store` or `Atomic` of any parent or child kernel
+//!   writes, and that starts as the caller's input array, reads that
+//!   array's element; every other load, and every `Select`, is unknown; a
+//!   lane's local keeps the value it was assigned, and a shared word the
+//!   value an earlier statement of the block stored (a prefetched row
+//!   pointer read back after a `__syncthreads`), both zero at the block's
+//!   start;
 //! * a loop whose bounds load such a buffer charges its check, plus its
 //!   slowest active lane's trip count times the interval walk's floor of
-//!   one trip at that point (body, check and step) — each lane's bounds are
+//!   one trip at that point (body, check and step), or no trips when its
+//!   active lanes step by different amounts — each lane's bounds are
 //!   evaluated after forgetting what the body writes, so they hold at every
 //!   check, and the warp runs until its slowest lane is done;
 //! * an `If` that holds such a loop, or writes a value such bounds read,
 //!   runs each branch on exactly its lanes, as the executor does, when
-//!   every active lane knows its condition; a lockstep loop that holds one
-//!   makes its exact scalar trips, each charged as its body's walk from a
-//!   state that forgets what the body writes;
-//! * every other statement charges what the interval walk charged it, and
-//!   forgets what it writes.
+//!   every active lane knows its condition;
+//! * every other statement, a `__syncthreads` and each statement holding
+//!   one included, charges what the interval walk charged it, and forgets
+//!   what it writes.
 //!
 //! Each block's floor is the larger, counter by counter, of the lane walk's
 //! and the static per-block floor; a capped run prices the blocks it has
@@ -68,7 +73,7 @@
 mod lanes;
 
 use crate::cost::{kernel_time, KernelCost, KernelTime, LaunchShape};
-use crate::exec::{device_buffers, DeviceBuffer, SimError};
+use crate::exec::{starts, SimError, Start};
 use crate::flat::{Body, Expr, FStmt, Flat, FlatKernel, Kind, Op};
 use lanes::LaneWalk;
 use multidim_codegen::KernelProgram;
@@ -112,12 +117,14 @@ pub fn seconds_floor(
 }
 
 /// [`seconds_floor`], raised by what the contents of `inputs` fix: the
-/// trips of every loop whose bounds load a buffer no kernel writes (see
-/// the module notes), over every block. A run of
+/// trips of every loop the lane walk follows whose bounds load an input no
+/// kernel writes, over every block (see the module notes: a loop that
+/// holds no `__syncthreads`, at the top of its kernel or in a branch of an
+/// `If` that holds none). A run of
 /// [`run_program`](crate::run_program) on these inputs that succeeds
 /// charges each kernel at least its floor's counters, and its floor is at
-/// least [`seconds_floor`]'s, term by term. A kernel without such a loop
-/// keeps [`seconds_floor`]'s floor.
+/// least [`seconds_floor`]'s, term by term. A kernel where the walk reaches
+/// no such loop keeps [`seconds_floor`]'s floor.
 ///
 /// # Errors
 ///
@@ -130,10 +137,10 @@ pub fn seconds_floor_with_inputs(
     inputs: &HashMap<ArrayId, Vec<f64>>,
 ) -> Result<Vec<KernelFloor>, SimError> {
     let flat = Flat::lower(kp, gpu, bindings)?;
-    let buffers = device_buffers(kp, &flat, inputs)?;
+    let starts = starts(kp, &flat, inputs)?;
     let mut floors = launch_floors(&flat, gpu);
     let blocks = floors.first().map_or(0, |f| f.kernel.shape.blocks);
-    read_inputs(&mut floors, &flat, (0, blocks), gpu, &buffers);
+    read_inputs(&mut floors, &flat, (0, blocks), gpu, &starts);
     Ok(floors.into_iter().map(|f| f.kernel).collect())
 }
 
@@ -200,30 +207,29 @@ pub(crate) fn launch_floors(flat: &Flat<'_>, gpu: &GpuSpec) -> Vec<LaunchFloor> 
 }
 
 /// Raises `floors`, [`launch_floors`] of `flat`, from parent kernel `from`
-/// on, block by block with the lane walk over `buffers`, a run's device
-/// buffers (it reads only those no kernel writes, which hold their initial
-/// contents throughout), in every kernel with a loop whose bounds load
-/// such a buffer (see the module notes). Kernel `from` has only its last
-/// `left` blocks still to run, and only those are walked; a kernel's floor
-/// prices its other blocks at the static per-block floor. Each block's
-/// floor is the larger, counter by counter, of the walk's and the static
-/// one. Returns whether any kernel had such a loop.
+/// on, block by block with the lane walk over the host arrays `starts`
+/// gives the buffers no kernel writes (they hold them throughout), in
+/// every kernel where the walk reaches a loop whose bounds load one (see
+/// the module notes). Kernel `from` has only its last `left` blocks still
+/// to run, and only those are walked; a kernel's floor prices its other
+/// blocks at the static per-block floor. Each block's floor is the larger,
+/// counter by counter, of the walk's and the static one. Returns whether
+/// any kernel had such a loop.
 pub(crate) fn read_inputs(
     floors: &mut [LaunchFloor],
     flat: &Flat<'_>,
     (from, left): (usize, u64),
     gpu: &GpuSpec,
-    buffers: &[DeviceBuffer],
+    starts: &[Start<'_>],
 ) -> bool {
-    let readable = readable(flat);
-    let data = contents(buffers, &readable);
+    let data = inputs(flat, starts);
     let mut read = false;
     for (i, (f, k)) in floors.iter_mut().zip(&flat.kernels).enumerate().skip(from) {
-        if !bounds_read(flat, k.body, &readable) {
+        if !bounds_read(flat, k.body, &data) {
             continue;
         }
         read = true;
-        let mut walk = LaneWalk::new(flat, k, &readable);
+        let mut walk = LaneWalk::new(flat, k, &data);
         let blocks = f.kernel.shape.blocks;
         let walked = if i == from { left.min(blocks) } else { blocks };
         let mut suffix = Vec::with_capacity(walked as usize + 1);
@@ -240,47 +246,56 @@ pub(crate) fn read_inputs(
     read
 }
 
-/// The contents of every buffer no kernel writes, `None` for the others.
+/// The host array each buffer no kernel writes starts as, `None` for the
+/// others.
 type Inputs<'d> = [Option<&'d [f64]>];
 
-/// Which buffers no `Store` or `Atomic` of any parent or child kernel of
-/// `flat` writes: a run reads them as they started.
-fn readable(flat: &Flat<'_>) -> Vec<bool> {
-    let mut readable = vec![true; flat.buffers.len()];
+/// The host array each buffer of `flat` starts as, where no `Store` or
+/// `Atomic` of any parent or child kernel writes it: a run reads it as it
+/// started.
+fn inputs<'d>(flat: &Flat<'_>, starts: &[Start<'d>]) -> Vec<Option<&'d [f64]>> {
+    let host = starts.iter().map(|s| match *s {
+        Start::Host(host) => Some(host),
+        Start::Fill(_) => None,
+    });
+    let mut data: Vec<_> = host.collect();
     for s in &flat.stmts {
         if let Kind::Store { buf, .. } | Kind::Atomic { buf, .. } = s.kind {
-            readable[buf as usize] = false;
+            data[buf as usize] = None;
         }
     }
-    readable
+    data
 }
 
-/// `buffers`' contents where `readable`.
-fn contents<'d>(buffers: &'d [DeviceBuffer], readable: &[bool]) -> Vec<Option<&'d [f64]>> {
-    let all = buffers.iter().zip(readable);
-    all.map(|(b, &r)| r.then_some(&b.data[..])).collect()
+/// Whether the lane walk follows `s` for its bounds: a loop that holds no
+/// `__syncthreads` and whose start, end or step loads a buffer `data`
+/// holds.
+fn walked_loop(flat: &Flat<'_>, s: &FStmt, data: &Inputs<'_>) -> bool {
+    let Kind::For {
+        start, end, step, ..
+    } = s.kind
+    else {
+        return false;
+    };
+    let loads = |e: Expr| {
+        let ops = &flat.ops[e.start as usize..e.end as usize];
+        ops.iter()
+            .any(|op| matches!(*op, Op::Load { buf, .. } if data[buf as usize].is_some()))
+    };
+    !s.sync && [start, end, step].into_iter().any(loads)
 }
 
-/// Whether `e` loads a buffer marked `readable`.
-fn loads(flat: &Flat<'_>, e: &Expr, readable: &[bool]) -> bool {
-    flat.ops[e.start as usize..e.end as usize]
-        .iter()
-        .any(|op| matches!(*op, Op::Load { buf, .. } if readable[buf as usize]))
-}
-
-/// Whether `body` holds a loop whose start, end or step loads a buffer
-/// marked `readable`.
-fn bounds_read(flat: &Flat<'_>, body: Body, readable: &[bool]) -> bool {
-    let mut found = false;
-    each_stmt(flat, body, &mut |s| {
-        if let Kind::For {
-            start, end, step, ..
-        } = s.kind
-        {
-            found |= [start, end, step].iter().any(|e| loads(flat, e, readable));
+/// Whether the lane walk reaches a loop it follows for its bounds
+/// ([`walked_loop`]): at the top of `body`, or in a branch of an `If` that
+/// holds no `__syncthreads`.
+fn bounds_read(flat: &Flat<'_>, body: Body, data: &Inputs<'_>) -> bool {
+    let stmts = &flat.stmts[body.0 as usize..body.1 as usize];
+    stmts.iter().any(|s| match s.kind {
+        Kind::If { then, els, .. } if !s.sync => {
+            bounds_read(flat, then, data) || bounds_read(flat, els, data)
         }
-    });
-    found
+        _ => walked_loop(flat, s, data),
+    })
 }
 
 /// Block `b` of `grid` in launch order (x fastest, as the executor runs
@@ -1028,10 +1043,10 @@ mod tests {
         let inputs = HashMap::from([(ArrayId(0), ptrs.collect::<Vec<_>>())]);
         let gpu = GpuSpec::tesla_k20c();
         let flat = Flat::lower(&kp, &gpu, &Bindings::new()).expect("no sizes to bind");
-        let buffers = device_buffers(&kp, &flat, &inputs).expect("inputs fit");
+        let starts = starts(&kp, &flat, &inputs).expect("inputs fit");
         let floors = |left| {
             let mut floors = launch_floors(&flat, &gpu);
-            assert!(read_inputs(&mut floors, &flat, (0, left), &gpu, &buffers));
+            assert!(read_inputs(&mut floors, &flat, (0, left), &gpu, &starts));
             floors.remove(0)
         };
         let (every, none) = (floors(4), launch_floors(&flat, &gpu).remove(0));

@@ -4,7 +4,8 @@
 //! [`floor`](super)).
 
 use super::{
-    can_break, each_assigned, each_index, each_stmt, loads, Charged, Counts, Inputs, Walk, EXACT,
+    can_break, each_assigned, each_index, each_stmt, walked_loop, Charged, Counts, Inputs, Walk,
+    EXACT,
 };
 use crate::exec::{bin_on, full_mask, lanes, lanes_where, un_on, Lanes, Mask, W};
 use crate::flat::{Body, Expr, Flat, FlatKernel, Kind, Op};
@@ -57,36 +58,32 @@ fn exact_int(v: f64) -> bool {
 
 /// The most trips a lane of `mask` makes through `for (v = s; v < e; v +=
 /// st)`, over the lanes whose bounds are exact as [`trips`](super::trips)
-/// needs them:
-/// integer `s` and `st ≥ 1`, all at most [`EXACT`]. Each lane makes
-/// `⌈(⌈e⌉ − s) / st⌉` trips; the rounded quotient never exceeds it. Where
-/// every such lane steps by the same `st`, as generated loops do, the
-/// slowest lane is the one with the largest gap `⌈e⌉ − s = ⌈e − s⌉`, whose
-/// rounded difference never exceeds it either. The scan tests each lane
-/// without a cast.
+/// needs them: integer `s` and `st ≥ 1`, all at most [`EXACT`]. Each lane
+/// makes `⌈(⌈e⌉ − s) / st⌉` trips. Where every such lane steps by the same
+/// `st`, as generated loops do, the slowest lane is the one with the
+/// largest gap `⌈e⌉ − s = ⌈e − s⌉`, whose rounded difference and quotient
+/// never exceed it; where they step by different amounts, none is counted.
+/// The scan tests each lane without a cast.
 fn warp_trips(s: &Lanes, e: &Lanes, st: &Lanes, mask: Mask) -> u64 {
     let by = st[mask.trailing_zeros() as usize % W];
-    let (mut exact, mut uniform, mut gap) = (0, true, f64::NEG_INFINITY);
+    let (mut uniform, mut gap) = (true, f64::NEG_INFINITY);
     for l in 0..W {
         let ok = (mask >> l & 1 != 0)
             & exact_int(s[l])
             & exact_int(st[l])
             & (st[l] >= 1.0)
             & (e[l].abs() <= EXACT);
-        exact |= Mask::from(ok) << l;
         uniform &= !ok | (st[l] == by);
         let g = e[l] - s[l];
         if ok & (g > gap) {
             gap = g;
         }
     }
-    let most = if exact == 0 {
-        0.0
-    } else if uniform {
+    // With an exact lane and one step, `by` is that step.
+    let most = if uniform && gap > f64::NEG_INFINITY {
         ceil(ceil(gap) / by)
     } else {
-        let each = lanes(exact).map(|l| ceil((ceil(e[l]) - s[l]) / st[l]));
-        each.fold(0.0, f64::max)
+        0.0
     };
     most.max(0.0) as u64
 }
@@ -100,22 +97,23 @@ enum Step {
     /// What the interval walk charged it; forget what it writes when that
     /// is relevant.
     Charged(bool),
-    /// Lane by lane: a loop whose bounds load an input, or an `If` or
-    /// lockstep loop that holds one or writes something relevant; and
-    /// whether a loop's body writes something relevant.
+    /// Lane by lane: a loop whose bounds load an input, or an `If` that
+    /// holds one or writes something relevant, neither holding a
+    /// `__syncthreads`; and whether a loop's body writes something
+    /// relevant.
     Lanes(bool),
 }
 
 /// One parent kernel's lane walk (see the module notes), block by block.
 ///
-/// It follows lane by lane only the statements that can raise the floor:
-/// each loop whose bounds load a buffer `data` holds, and each `If` or
-/// lockstep loop that holds such a loop or writes a relevant value. A local
-/// or shared array is *relevant* when the bounds or conditions the walk
-/// follows read it, or when the assignment of a relevant local or a store
-/// to a relevant array does. Every other statement charges what the
-/// interval walk charged it, and the locals that are not relevant stay
-/// unknown.
+/// It follows lane by lane only the statements that can raise the floor and
+/// hold no `__syncthreads`: each loop whose bounds load a buffer `data`
+/// holds, and each `If` that holds such a loop or writes a relevant value.
+/// A local or shared array is *relevant* when the bounds or conditions the
+/// walk follows read it, or when the assignment of a relevant local or a
+/// store to a relevant array does. Every other statement charges what the
+/// interval walk charged it (a statement holding a `__syncthreads`, once
+/// per block), and the locals that are not relevant stay unknown.
 pub(super) struct LaneWalk<'a, 'p> {
     flat: &'a Flat<'p>,
     kernel: &'a FlatKernel<'p>,
@@ -141,7 +139,7 @@ pub(super) struct LaneWalk<'a, 'p> {
 }
 
 impl<'a, 'p> LaneWalk<'a, 'p> {
-    pub(super) fn new(flat: &'a Flat<'p>, kernel: &'a FlatKernel<'p>, readable: &[bool]) -> Self {
+    pub(super) fn new(flat: &'a Flat<'p>, kernel: &'a FlatKernel<'p>, data: &Inputs<'_>) -> Self {
         let k = kernel;
         let warps = k.warps as usize;
         let [dx, dy, _] = k.src.block.map(|d| d.max(1) as usize);
@@ -189,24 +187,18 @@ impl<'a, 'p> LaneWalk<'a, 'p> {
         let mut grew = true;
         while grew {
             grew = false;
-            // Statements that write something relevant, or hold a loop
-            // followed lane by lane, are followed too where they can be.
+            // Branches that write something relevant, or hold a loop
+            // followed lane by lane, are followed too.
             each_index(flat, k.body, &mut |i| {
                 let s = flat.stmts[i as usize];
                 let follow = match s.kind {
-                    Kind::For {
-                        start, end, step, ..
-                    } if [start, end, step].iter().any(|e| loads(flat, e, readable)) => true,
-                    Kind::For { body, .. } if s.sync => {
-                        holds(flat, body, &lanes) || writes(flat, body, &local, &array)
-                    }
-                    Kind::If { then, els, .. } => {
+                    Kind::If { then, els, .. } if !s.sync => {
                         holds(flat, then, &lanes)
                             || holds(flat, els, &lanes)
                             || writes(flat, then, &local, &array)
                             || writes(flat, els, &local, &array)
                     }
-                    _ => false,
+                    _ => walked_loop(flat, &s, data),
                 };
                 grew |= follow && !lanes[i as usize];
                 lanes[i as usize] |= follow;
@@ -287,10 +279,6 @@ impl<'a, 'p> LaneWalk<'a, 'p> {
                     operands(args);
                     Step::Fixed(c, false)
                 }
-                Kind::Sync => {
-                    c.syncs += 1;
-                    Step::Fixed(c, false)
-                }
                 Kind::For { body, .. } if lanes[i as usize] => {
                     Step::Lanes(writes(flat, body, &local, &array))
                 }
@@ -306,14 +294,8 @@ impl<'a, 'p> LaneWalk<'a, 'p> {
             let s = flat.stmts[i as usize];
             let per_block = match (plan[i as usize], charged[i as usize].once) {
                 _ if breaks => None,
-                _ if k.lockstep && matches!(s.kind, Kind::Sync) => Some(Counts {
-                    syncs: warps64,
-                    ..Counts::default()
-                }),
                 (Some(Step::Fixed(fixed, false)), _) => Some(fixed.times(warps64)),
-                (Some(Step::Charged(false)), Some((once, true))) if k.lockstep && s.sync => {
-                    Some(once)
-                }
+                (Some(Step::Charged(false)), Some((once, true))) if s.sync => Some(once),
                 (Some(Step::Charged(false)), Some((once, true))) => Some(once.times(warps64)),
                 _ => None,
             };
@@ -440,26 +422,9 @@ impl<'a, 'p> LaneWalk<'a, 'p> {
                     x.known &= mask;
                     un_on(op, &mut x.v, 0..W);
                 }
-                Op::Select { at } => {
-                    let (x, rest) = self.regs[at as usize..].split_first_mut().expect("slot");
-                    let (t, f) = (&rest[0], &rest[1]);
-                    let mut taken = 0;
-                    for l in 0..W {
-                        taken |= Mask::from(x.v[l] != 0.0) << l;
-                        x.v[l] = if x.v[l] != 0.0 { t.v[l] } else { f.v[l] };
-                    }
-                    x.known &= mask & ((taken & t.known) | (!taken & f.known));
-                }
+                Op::Select { at } => self.regs[at as usize].known = 0,
             }
         }
-    }
-
-    /// `e` on lane 0 of warp 0, as `exec_block` evaluates a block-uniform
-    /// bound or condition.
-    fn scalar(&mut self, data: &Inputs<'_>, e: Expr, c: &mut Counts) -> Option<f64> {
-        self.eval(data, e, 0, 1, c);
-        let v = &self.regs[0];
-        (v.known & 1 != 0).then_some(v.v[0])
     }
 
     /// Forgets, on the lanes of `mask` of warp `w`, every local `body` may
@@ -634,122 +599,22 @@ impl<'a, 'p> LaneWalk<'a, 'p> {
         }
     }
 
-    /// One block running `body` in lockstep, as `exec_block` does (see
-    /// [`Walk::block`]).
-    fn block(&mut self, data: &Inputs<'_>, body: Body, total: &mut Counts) {
-        for i in body.0..body.1 {
-            self.block_stmt(data, i, total);
-        }
-    }
-
+    /// Top-level statement `i` of a lockstep block, as `exec_block` runs
+    /// it: once per block, as the interval walk charged it, when it holds a
+    /// `__syncthreads`; else on every warp's full mask, where a `Break` ends
+    /// only the statement.
     fn block_stmt(&mut self, data: &Inputs<'_>, i: u32, total: &mut Counts) {
         let k = self.kernel;
-        let s = self.flat.stmts[i as usize];
-        if !s.sync {
-            match self.plan[i as usize] {
-                Some(Step::Fixed(fixed, false)) => {
-                    *total = total.plus(fixed.times(u64::from(k.warps)));
-                }
-                Some(Step::Charged(false)) => {
-                    let mut own = Counts::default();
-                    self.charged(i, None, Mask::MAX, false, &mut own);
-                    *total = total.plus(own.times(u64::from(k.warps)));
-                }
-                _ => {
-                    for w in 0..k.warps {
-                        let mask = full_mask(k.threads, w);
-                        if !self.stmt(data, i, w, mask, total) {
-                            // A `Break` the executor steps over.
-                            self.forget(w, mask, (i, i + 1));
-                        }
-                    }
-                }
-            }
+        if self.flat.stmts[i as usize].sync {
+            let forget = matches!(self.plan[i as usize], Some(Step::Charged(true)));
+            self.charged(i, None, Mask::MAX, forget, total);
             return;
         }
-        {
-            let mut own = Counts::default();
-            let c = &mut own;
-            match (self.plan[i as usize], s.kind) {
-                (_, Kind::Sync) => c.syncs += u64::from(k.warps),
-                (
-                    Some(Step::Lanes(_)),
-                    Kind::For {
-                        var,
-                        start,
-                        end,
-                        step,
-                        body,
-                    },
-                ) => {
-                    c.instr += start.nodes;
-                    let from = self.scalar(data, start, c);
-                    self.block_loop(data, var, from, (end, step), body, c);
-                }
-                (Some(Step::Lanes(_)), Kind::If { cond, then, els }) => {
-                    c.instr += cond.nodes;
-                    match self.scalar(data, cond, c) {
-                        Some(v) => self.block(data, if v != 0.0 { then } else { els }, c),
-                        None => {
-                            *c = Counts::default();
-                            self.charged(i, None, Mask::MAX, true, c);
-                        }
-                    }
-                }
-                (Some(Step::Charged(forget)), _) => {
-                    self.charged(i, None, Mask::MAX, forget, c);
-                }
-                _ => unreachable!("only loops, branches and barriers hold a barrier"),
+        for w in 0..k.warps {
+            let mask = full_mask(k.threads, w);
+            if !self.stmt(data, i, w, mask, total) {
+                self.forget(w, mask, (i, i + 1));
             }
-            *total = total.plus(own);
-        }
-    }
-
-    /// A lockstep loop whose variable starts at `from`: its checks and
-    /// step, and its trips times the floor of one trip walked in lockstep
-    /// from a state that forgets what the body writes.
-    fn block_loop(
-        &mut self,
-        data: &Inputs<'_>,
-        var: u32,
-        from: Option<f64>,
-        (end, step): (Expr, Expr),
-        body: Body,
-        c: &mut Counts,
-    ) {
-        let (flat, warps) = (self.flat, self.kernel.warps);
-        let mut writes_var = false;
-        each_assigned(flat, body, &mut |l| writes_var |= l == var);
-        let forget = |walk: &mut Self| {
-            for w in 0..warps {
-                walk.forget(w, Mask::MAX, body);
-                walk.local(var, w).known = 0;
-            }
-        };
-        forget(self);
-        let mut check = Counts {
-            instr: end.nodes,
-            ..Counts::default()
-        };
-        let mut advance = Counts {
-            instr: step.nodes,
-            ..Counts::default()
-        };
-        let to = self.scalar(data, end, &mut check);
-        let by = self.scalar(data, step, &mut advance);
-        *c = c.plus(advance).plus(check);
-        if writes_var || can_break(flat, body) {
-            return;
-        }
-        let n = match (from, to, by) {
-            (Some(s), Some(e), Some(st)) => warp_trips(&[s; W], &[e; W], &[st; W], 1),
-            _ => 0,
-        };
-        if n > 0 {
-            let mut trip = Counts::default();
-            self.block(data, body, &mut trip);
-            *c = c.plus(trip.plus(check).times(n));
-            forget(self);
         }
     }
 }

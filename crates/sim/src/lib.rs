@@ -54,8 +54,8 @@ mod report;
 pub use cost::{kernel_time, memory_floor_seconds, occupancy, KernelCost, KernelTime, LaunchShape};
 pub use cpu::{estimate_cpu, random_access_fraction, run_cpu, CpuEstimate};
 pub use exec::{
-    run_program, run_program_capped, run_program_sanitized, Capped, DeviceBuffer, KernelRun,
-    SanitizerReport, SimError, SimResult, WriteConflict,
+    run_program, run_program_capped, run_program_sanitized, Capped, KernelRun, SanitizerReport,
+    SimError, SimResult, WriteConflict,
 };
 pub use floor::{seconds_floor, seconds_floor_with_inputs, KernelFloor};
 pub use memory::{bank_conflicts, coalesce};

@@ -112,7 +112,7 @@ impl RunMetrics {
     ///
     /// Returns a message for malformed JSON or a schema mismatch.
     pub fn parse(text: &str) -> Result<RunMetrics, String> {
-        RunMetrics::from_json(&Json::parse(text)?)
+        RunMetrics::from_json(&Json::parse(text).map_err(|e| e.to_string())?)
     }
 
     /// The run as the simulated-GPU lane of a Chrome trace

@@ -5,9 +5,43 @@
 //! round-trip through [`Json`]. Numbers are `f64` (Rust's `Display` for
 //! `f64` prints the shortest representation that parses back exactly, so
 //! `render → parse` is lossless for every finite value); non-finite
-//! numbers render as `null`.
+//! numbers render as `null`. The parser recurses once per nesting level,
+//! so it refuses documents nested deeper than [`MAX_DEPTH`].
 
 use std::fmt;
+
+/// How deep arrays and objects may nest in a document [`Json::parse`]
+/// accepts.
+pub const MAX_DEPTH: usize = 128;
+
+/// Why [`Json::parse`] rejected a document.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JsonError {
+    /// Malformed text: what was wrong, and at which byte.
+    Syntax(String),
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`]: the byte offset
+    /// of the first bracket past it.
+    TooDeep(usize),
+}
+
+impl fmt::Display for JsonError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JsonError::Syntax(what) => f.write_str(what),
+            JsonError::TooDeep(at) => {
+                write!(f, "nested deeper than {MAX_DEPTH} levels at byte {at}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for JsonError {}
+
+impl From<String> for JsonError {
+    fn from(what: String) -> Self {
+        JsonError::Syntax(what)
+    }
+}
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,15 +152,17 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message naming the byte offset of the
-    /// first syntax error.
-    pub fn parse(text: &str) -> Result<Json, String> {
+    /// Returns [`JsonError::Syntax`] with a human-readable message naming
+    /// the byte offset of the first syntax error, or
+    /// [`JsonError::TooDeep`] for a document nested deeper than
+    /// [`MAX_DEPTH`].
+    pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
-            return Err(format!("trailing characters at byte {pos}"));
+            return Err(format!("trailing characters at byte {pos}").into());
         }
         Ok(value)
     }
@@ -157,14 +193,16 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// The value at `pos`, inside `depth` arrays and objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(b, pos);
     match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'n') => parse_lit(b, pos, "null", Json::Null),
-        Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
+        None => Err(String::from("unexpected end of input").into()),
+        Some(b'n') => Ok(parse_lit(b, pos, "null", Json::Null)?),
+        Some(b't') => Ok(parse_lit(b, pos, "true", Json::Bool(true))?),
+        Some(b'f') => Ok(parse_lit(b, pos, "false", Json::Bool(false))?),
         Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(JsonError::TooDeep(*pos)),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -174,7 +212,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -182,7 +220,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                         *pos += 1;
                         return Ok(Json::Arr(items));
                     }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
+                    _ => return Err(format!("expected ',' or ']' at byte {pos}").into()),
                 }
             }
         }
@@ -199,10 +237,10 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
+                    return Err(format!("expected ':' at byte {pos}").into());
                 }
                 *pos += 1;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -211,11 +249,11 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                         *pos += 1;
                         return Ok(Json::Obj(fields));
                     }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
+                    _ => return Err(format!("expected ',' or '}}' at byte {pos}").into()),
                 }
             }
         }
-        Some(_) => parse_number(b, pos),
+        Some(_) => Ok(parse_number(b, pos)?),
     }
 }
 
@@ -360,6 +398,25 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{\"a\" 1}").is_err());
         assert!(Json::parse("").is_err());
+    }
+
+    /// The parser recurses once per level, so a document nested deeper
+    /// than any real one must be an error, not a stack overflow.
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            Json::parse(&nested(MAX_DEPTH + 1)),
+            Err(JsonError::TooDeep(MAX_DEPTH))
+        );
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        let at = 5 * MAX_DEPTH;
+        assert_eq!(Json::parse(&objects), Err(JsonError::TooDeep(at)));
+        assert_eq!(
+            Json::parse(&"[".repeat(100_000)),
+            Err(JsonError::TooDeep(MAX_DEPTH))
+        );
     }
 
     #[test]

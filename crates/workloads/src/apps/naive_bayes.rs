@@ -9,7 +9,7 @@
 //! matrix (Section VI-E).
 
 use crate::data;
-use crate::runner::{HostRun, Outcome, WorkloadError};
+use crate::runner::{HostRun, WorkloadError};
 use multidim::prelude::*;
 use multidim_ir::{ArrayId, ReduceOp, SymId};
 use std::collections::HashMap;
@@ -115,26 +115,6 @@ pub fn cpu_seconds(docs: usize, words: usize) -> f64 {
     let i2: HashMap<_, _> = [(m2, m), (lab2, labels)].into_iter().collect();
     let (_, e2) = multidim_sim::run_cpu(&p2, &cpu, &b2, &i2).expect("cpu baseline");
     e1.seconds + e2.seconds
-}
-
-/// Convenience wrapper matching the other apps' signature (no transfer).
-///
-/// # Errors
-///
-/// Propagates pipeline failures.
-pub fn run_outcome(
-    strategy: Strategy,
-    docs: usize,
-    words: usize,
-) -> Result<Outcome, WorkloadError> {
-    let nb = run(strategy, docs, words)?;
-    Ok(Outcome {
-        gpu_seconds: nb.gpu_seconds,
-        launches: 2,
-        checksum: nb.checksum,
-        outputs: HashMap::new(),
-        metrics: Vec::new(),
-    })
 }
 
 #[cfg(test)]

@@ -62,69 +62,6 @@ pub fn update_program() -> (Program, SymId, SymId, ArrayId) {
     (p, n, k, m)
 }
 
-/// Panel-limited trailing update for blocked LU: like
-/// [`update_program`] but columns stop at the panel edge `PEND`
-/// (`m[i][j] -= m[i][k]·m[k][j]` for `j ∈ (k, PEND)`); rows still span the
-/// whole trailing range. Used by the manual blocked baseline.
-pub fn panel_update_program() -> (Program, SymId, SymId, SymId, ArrayId) {
-    let mut b = ProgramBuilder::new("lud_panel_update");
-    let n = b.sym("N");
-    let k = b.sym("K");
-    let pend = b.sym("PEND");
-    let m = b.output("m", ScalarKind::F32, &[Size::sym(n), Size::sym(n)]);
-    let rows = Size::sym(n) - Size::sym(k) - Size::from(1);
-    let cols = Size::sym(pend) - Size::sym(k) - Size::from(1);
-    let root = b.foreach(rows, |b, i| {
-        let inner = b.foreach(cols.clone(), |b, j| {
-            let row = Expr::var(i) + Expr::size(Size::sym(k)) + Expr::lit(1.0);
-            let col = Expr::var(j) + Expr::size(Size::sym(k)) + Expr::lit(1.0);
-            let kk = Expr::size(Size::sym(k));
-            let v = b.read(m, &[row.clone(), col.clone()])
-                - b.read(m, &[row.clone(), kk.clone()]) * b.read(m, &[kk, col.clone()]);
-            vec![Effect::Write {
-                cond: None,
-                array: m,
-                idx: vec![row, col],
-                value: v,
-            }]
-        });
-        vec![b.nested_effect(inner)]
-    });
-    let p = b.finish_foreach(root).expect("valid panel update program");
-    (p, n, k, pend, m)
-}
-
-/// U-block update for blocked LU: rows *inside* the panel
-/// (`r ∈ (k, PEND)`), columns *beyond* it (`j ∈ [PEND, N)`):
-/// `m[r][j] -= m[r][k]·m[k][j]`.
-pub fn u_update_program() -> (Program, SymId, SymId, SymId, ArrayId) {
-    let mut b = ProgramBuilder::new("lud_u_update");
-    let n = b.sym("N");
-    let k = b.sym("K");
-    let pend = b.sym("PEND");
-    let m = b.output("m", ScalarKind::F32, &[Size::sym(n), Size::sym(n)]);
-    let rows = Size::sym(pend) - Size::sym(k) - Size::from(1);
-    let cols = Size::sym(n) - Size::sym(pend);
-    let root = b.foreach(rows, |b, i| {
-        let inner = b.foreach(cols.clone(), |b, j| {
-            let row = Expr::var(i) + Expr::size(Size::sym(k)) + Expr::lit(1.0);
-            let col = Expr::var(j) + Expr::size(Size::sym(pend));
-            let kk = Expr::size(Size::sym(k));
-            let v = b.read(m, &[row.clone(), col.clone()])
-                - b.read(m, &[row.clone(), kk.clone()]) * b.read(m, &[kk, col.clone()]);
-            vec![Effect::Write {
-                cond: None,
-                array: m,
-                idx: vec![row, col],
-                value: v,
-            }]
-        });
-        vec![b.nested_effect(inner)]
-    });
-    let p = b.finish_foreach(root).expect("valid u update program");
-    (p, n, k, pend, m)
-}
-
 /// Run the full decomposition of an `n × n` SPD matrix.
 ///
 /// # Errors
