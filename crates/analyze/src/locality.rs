@@ -603,24 +603,41 @@ fn proven_once<K: Copy + PartialEq>(
     result
 }
 
-/// Call `per_warp` with the offsets `coeff · (tx, ty, tz)` of each warp's
-/// lanes, warp by warp, for a block with the given dims. Lanes are grouped
-/// into warps by flat thread id, exactly like the hardware (and the
-/// simulator). One buffer holds every warp's offsets in turn.
+/// Call `per_warp` with the offsets `coeff · (tx, ty, tz)` of a block's
+/// warps, one warp per shape, for a block with the given dims. Lanes are
+/// grouped into warps by flat thread id, exactly like the hardware (and
+/// the simulator). Two warps share a shape when their lanes' offsets from
+/// their first lane agree, so a caller must take a shift-invariant result
+/// per warp. One buffer holds every visited warp's offsets in turn.
 fn for_each_warp(dims: [u64; 3], coeff: [i128; 3], mut per_warp: impl FnMut(&mut [i128])) {
     let total = (dims[0] * dims[1] * dims[2]).max(1);
     let mut lanes = Vec::with_capacity(WARP_SIZE as usize);
+    let mut shapes = Vec::new();
     let mut first = 0u64;
     while first < total {
         let end = (first + u64::from(WARP_SIZE)).min(total);
-        lanes.clear();
-        lanes.extend((first..end).map(|i| {
-            let tx = (i % dims[0]) as i128;
-            let ty = ((i / dims[0]) % dims[1]) as i128;
-            let tz = (i / (dims[0] * dims[1])) as i128;
-            coeff[0] * tx + coeff[1] * ty + coeff[2] * tz
-        }));
-        per_warp(&mut lanes);
+        // A shape is the first lane's x index if the warp runs into further
+        // rows, its y index if those rows wrap into further z planes, and
+        // the lane count.
+        let x0 = first % dims[0];
+        let rows = (x0 + end - first - 1) / dims[0];
+        let y0 = first / dims[0] % dims[1];
+        let shape = (
+            (rows > 0).then_some(x0),
+            (y0 + rows >= dims[1]).then_some(y0),
+            end - first,
+        );
+        if !shapes.contains(&shape) {
+            shapes.push(shape);
+            lanes.clear();
+            lanes.extend((first..end).map(|i| {
+                let tx = (i % dims[0]) as i128;
+                let ty = ((i / dims[0]) % dims[1]) as i128;
+                let tz = (i / (dims[0] * dims[1])) as i128;
+                coeff[0] * tx + coeff[1] * ty + coeff[2] * tz
+            }));
+            per_warp(&mut lanes);
+        }
         first = end;
     }
 }
@@ -1527,6 +1544,55 @@ mod unit {
                     "dims {dims:?}, coefficients {c:?}, {} banks",
                     gpu.smem_banks
                 );
+            }
+        }
+    }
+
+    /// `warp_capacity` and `conflict_degree` visit one warp per shape; they
+    /// must prove what a visit of every warp proves.
+    #[test]
+    fn one_warp_per_shape_proves_what_every_warp_proves() {
+        let mut rng = Rng(0x1357_9bdf_2468_ace1);
+        // Odd extents, rows that wrap into a further z plane mid-warp,
+        // partial last warps and the 1,024-thread extremes come first.
+        let fixed = [
+            [3, 7, 5],
+            [16, 3, 8],
+            [5, 5, 5],
+            [33, 31, 1],
+            [2, 1, 512],
+            [1, 1, 1024],
+            [1024, 1, 1],
+            [32, 32, 1],
+        ];
+        for trial in 0..200 {
+            let dims = fixed.get(trial).copied().unwrap_or_else(|| rng.dims());
+            for _ in 0..6 {
+                // The pool's terms, a large one, or a z term that undoes or
+                // nearly undoes a row's wrap into the next z plane (so a warp
+                // that wraps can pack tighter than one that does not).
+                let mut c = rng.coeffs();
+                match rng.below(3) {
+                    0 => {
+                        let large = [1 << 20, -(1 << 31), i64::from(i32::MAX)];
+                        c[rng.below(3) as usize] = large[rng.below(3) as usize];
+                    }
+                    1 => c[2] = c[1] * (dims[1] as i64 - 1) + rng.below(3) as i64 - 1,
+                    _ => {}
+                }
+                let bytes = c.map(i128::from);
+                assert_eq!(
+                    warp_capacity(dims, bytes),
+                    capacity_by_warp(dims, bytes),
+                    "dims {dims:?}, byte coefficients {c:?}"
+                );
+                for banks in [32, 16, 48] {
+                    assert_eq!(
+                        conflict_degree(dims, c, banks),
+                        degree_by_warp(dims, c, banks),
+                        "dims {dims:?}, coefficients {c:?}, {banks} banks"
+                    );
+                }
             }
         }
     }

@@ -950,9 +950,10 @@ impl<'f, 'p> Machine<'f, 'p> {
         Ok(self.regs[0][0])
     }
 
-    /// Run `e`'s ops for the active lanes of `warp`. Operands that cannot
-    /// fault (immediates, locals, indices) fill all 32 lanes: a lane
-    /// outside `mask` is never read.
+    /// Run `e`'s ops for the active lanes of `warp`. Every op, operands
+    /// that cannot fault (immediates, locals, indices) included, writes
+    /// only the lanes of `mask`; a lane outside it is neither read nor
+    /// written.
     fn eval(&mut self, b: &Block<'f, 'p>, e: Expr, warp: u32, mask: Mask) -> Result<(), SimError> {
         let flat = self.flat;
         for op in &flat.ops[e.start as usize..e.end as usize] {
@@ -1166,7 +1167,23 @@ pub(crate) fn un_on(op: UnOp, x: &mut Lanes, on: impl Iterator<Item = usize>) {
     arms!(Neg Not Sqrt Exp Log Abs Floor);
 }
 
+/// `v` as an element index into `len` elements. One cast round trip and
+/// one unsigned compare accept it: NaN, infinities and fractions do not
+/// survive the round trip, and a negative index, as a `u64`, is past any
+/// `len`.
+#[inline]
 fn to_index(v: f64, len: usize, what: &str) -> Result<usize, SimError> {
+    let i = v as i64;
+    if i as f64 == v && (i as u64) < len as u64 {
+        Ok(i as usize)
+    } else {
+        index_fault(v, len, what)
+    }
+}
+
+/// The fault [`to_index`] reports for an index it did not accept.
+#[cold]
+fn index_fault(v: f64, len: usize, what: &str) -> Result<usize, SimError> {
     if !v.is_finite() || v.fract() != 0.0 {
         return Err(SimError(format!("{what}: non-integral index {v}")));
     }
@@ -1728,5 +1745,26 @@ mod more_tests {
         for (i, &v) in out.iter().enumerate() {
             assert_eq!(v, if i % 2 == 1 { 1.0 } else { 2.0 });
         }
+    }
+
+    /// An index is a finite integral value in `0..len`; anything else
+    /// faults with a message naming the access and the value.
+    #[test]
+    fn to_index_accepts_in_bounds_integers_and_names_every_fault() {
+        for (v, want) in [(0.0, 0), (-0.0, 0), (9.0, 9)] {
+            assert_eq!(to_index(v, 10, "global access").unwrap(), want, "{v}");
+        }
+        let fault = |v: f64| to_index(v, 10, "global access").unwrap_err().0;
+        let non_integral = "global access: non-integral index";
+        assert_eq!(fault(f64::NAN), format!("{non_integral} NaN"));
+        assert_eq!(fault(f64::INFINITY), format!("{non_integral} inf"));
+        assert_eq!(fault(f64::NEG_INFINITY), format!("{non_integral} -inf"));
+        assert_eq!(fault(0.5), format!("{non_integral} 0.5"));
+        let out_of_bounds = |i: i64| format!("global access: index {i} out of bounds (len 10)");
+        assert_eq!(fault(-1.0), out_of_bounds(-1));
+        assert_eq!(fault(10.0), out_of_bounds(10));
+        // Beyond i64 the cast saturates, and the message names the bound.
+        assert_eq!(fault(2f64.powi(63)), out_of_bounds(i64::MAX));
+        assert_eq!(fault(1e300), out_of_bounds(i64::MAX));
     }
 }
