@@ -49,7 +49,7 @@ use multidim_bench::loadgen::{run_load, run_load_fleet, LoadConfig, LoadMode};
 use multidim_bench::regression::DEFAULT_TOLERANCE;
 use multidim_engine::{Engine, EngineConfig};
 use multidim_obs::Slo;
-use multidim_serve::{FrontDoor, FrontDoorConfig, QuotaPolicy};
+use multidim_serve::{FrontDoor, FrontDoorConfig};
 use multidim_trace::json::Json;
 use multidim_trace::{install_store, TailSamplerConfig, TraceStore};
 use multidim_workloads::catalog::catalog;
@@ -223,7 +223,6 @@ fn main() {
             FrontDoorConfig {
                 shards,
                 shard: config,
-                quota: QuotaPolicy::default(),
                 ..FrontDoorConfig::default()
             },
         );

@@ -436,8 +436,11 @@ impl Compiler {
     }
 
     /// Lower one tuning candidate with the prepared consolidation plan and
-    /// validate it against device limits; `None` when either fails.
-    fn lower_candidate(
+    /// validate it against device limits; `None` when either fails. These
+    /// are exactly the kernels both tuners simulate: [`Compiler::autotune`]
+    /// bounds and runs them, and `Engine::autotune` runs them through
+    /// [`Compiler::measure_candidate_capped`].
+    pub fn lower_candidate(
         &self,
         prepared: &TunePrepared,
         mapping: &MappingDecision,
@@ -1010,37 +1013,18 @@ mod tests {
                 span: Span::All,
             },
         ]);
-        let store = std::sync::Arc::new(trace::TraceStore::new(trace::TailSamplerConfig {
-            latency_threshold: 0.0,
-            ..Default::default()
-        }));
-        let installed = trace::install_store(store.clone());
-        let ctx = trace::TraceContext::mint();
-        let start = std::time::Instant::now();
-        let exe = {
-            let _current = trace::set_current(ctx);
+        let config = trace::TailSamplerConfig::keep_all();
+        let installed = trace::install_store(std::sync::Arc::new(trace::TraceStore::new(config)));
+        let (exe, kept) = trace::collect("test", "sumCols", || {
             Compiler::new()
                 .compile_with_mapping(&p, &bind, mapping.clone())
                 .unwrap()
-        };
-        let root = trace::RequestRoot {
-            cat: "test",
-            start,
-            workload: "sumCols",
-            args: Vec::new(),
-        };
-        let kept = trace::finish_request(
-            &ctx,
-            root,
-            trace::TraceOutcome::Completed,
-            None::<&String>,
-            Some(0.0),
-        );
+        });
         drop(installed);
         assert_eq!(exe.mapping, mapping);
         // An explicit-mapping compile (the engine's tuned-store path) opens
         // the same `core/compile` span as `compile`.
-        let spans = store.lookup(kept.expect("kept")).expect("stored").spans;
+        let spans = kept.expect("kept").spans;
         let span = spans
             .iter()
             .find(|s| (s.cat, s.name) == ("core", "compile"))

@@ -856,15 +856,6 @@ impl Engine {
             .set(self.store_len() as f64);
     }
 
-    /// Persist the tuning store now (also happens on shutdown/drop).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying IO failure.
-    pub fn flush(&self) -> Result<(), std::io::Error> {
-        self.shared.store.save()
-    }
-
     /// Drain the queue, join the workers, and persist the tuning store.
     /// Also performed on drop.
     pub fn shutdown(mut self) {

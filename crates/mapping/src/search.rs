@@ -664,32 +664,11 @@ mod tests {
     fn traced<T>(f: impl FnOnce() -> T) -> (T, trace::StoredTrace) {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         let _lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let store = std::sync::Arc::new(trace::TraceStore::new(trace::TailSamplerConfig {
-            latency_threshold: 0.0,
-            ..Default::default()
-        }));
-        let _installed = trace::install_store(store.clone());
-        let ctx = trace::TraceContext::mint();
-        let start = std::time::Instant::now();
-        let out = {
-            let _current = trace::set_current(ctx);
-            f()
-        };
-        let root = trace::RequestRoot {
-            cat: "test",
-            start,
-            workload: "search",
-            args: Vec::new(),
-        };
-        let kept = trace::finish_request(
-            &ctx,
-            root,
-            trace::TraceOutcome::Completed,
-            None::<&String>,
-            Some(start.elapsed().as_secs_f64()),
-        );
-        let trace = store.lookup(kept.expect("kept")).expect("stored");
-        (out, trace)
+        let config = trace::TailSamplerConfig::keep_all();
+        let store = std::sync::Arc::new(trace::TraceStore::new(config));
+        let _installed = trace::install_store(store);
+        let (out, kept) = trace::collect("test", "search", f);
+        (out, kept.expect("kept"))
     }
 
     /// The `search/analyze` span of a kept trace, as an event.

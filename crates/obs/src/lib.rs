@@ -9,10 +9,11 @@
 //!   [`Gauge`]s, and log-bucketed mergeable [`Histogram`]s (p50/p90/p99/
 //!   p999 estimation), with Prometheus-style text exposition
 //!   ([`Registry::render_text`]) and JSON export ([`Registry::to_json`]);
-//! * **labelled metric families** ([`CounterFamily`], [`GaugeFamily`],
-//!   [`HistogramFamily`]) — one metric name fanned out per label value
-//!   (per-workload outcome counters and latency histograms under load,
-//!   per-shard queue-depth gauges in the sharded serving tier);
+//! * **labelled metric families** (one generic [`Family`], named
+//!   [`CounterFamily`], [`GaugeFamily`] and [`HistogramFamily`] by kind)
+//!   — one metric name fanned out per label value (per-workload outcome
+//!   counters and latency histograms under load, per-shard queue-depth
+//!   gauges in the sharded serving tier);
 //! * an **[`slo`] module** — SLO definitions, error-budget accounting,
 //!   and multi-window burn rates ([`SloTracker`]) over windows the caller
 //!   rotates explicitly;
@@ -67,7 +68,7 @@ pub use alerts::{
 };
 pub use hist::{Exemplar, Histogram, HistogramSnapshot, BUCKETS, SUB_BUCKETS};
 pub use registry::{
-    Counter, CounterFamily, Gauge, GaugeFamily, HistogramFamily, Registry, QUANTILES,
+    Counter, CounterFamily, Family, Gauge, GaugeFamily, HistogramFamily, Registry, QUANTILES,
 };
 pub use slo::{BurnRate, LatencyObjective, Slo, SloStatus, SloTracker};
 pub use timeseries::{SeriesStats, TimeSeries};

@@ -57,15 +57,6 @@ pub struct FrontDoorConfig {
     pub shard: EngineConfig,
     /// Per-tenant admission policy. Default: unlimited.
     pub quota: QuotaPolicy,
-    /// Spill to the least-loaded shard when the home shard rejects.
-    /// Default on.
-    pub spill: bool,
-    /// The SLO each tenant's tracker is judged against. Default 99%
-    /// availability, p99 ≤ 50 ms.
-    pub tenant_slo: Slo,
-    /// SLO windows retained per tenant (the burn-rate horizon).
-    /// Default 64.
-    pub slo_windows: usize,
 }
 
 impl Default for FrontDoorConfig {
@@ -74,12 +65,19 @@ impl Default for FrontDoorConfig {
             shards: 4,
             shard: EngineConfig::default(),
             quota: QuotaPolicy::default(),
-            spill: true,
-            tenant_slo: Slo::new("tenant", 0.99, 0.050),
-            slo_windows: 64,
         }
     }
 }
+
+/// The availability each tenant's SLO tracker is judged against.
+const TENANT_AVAILABILITY: f64 = 0.99;
+
+/// The p99 latency, in seconds, each tenant's SLO tracker is judged
+/// against.
+const TENANT_P99_SECONDS: f64 = 0.050;
+
+/// SLO windows retained per tenant (the burn-rate horizon).
+const SLO_WINDOWS: usize = 64;
 
 /// Front-door metric handles, all registered on one [`Registry`].
 struct FrontMetrics {
@@ -202,8 +200,6 @@ struct DoorShared {
     registry: Arc<Registry>,
     metrics: FrontMetrics,
     slo: Mutex<BTreeMap<String, SloTracker>>,
-    tenant_slo: Slo,
-    slo_windows: usize,
 }
 
 impl DoorShared {
@@ -212,12 +208,8 @@ impl DoorShared {
     fn record_slo(&self, tenant: &str, latency_seconds: f64, success: bool) {
         let mut map = self.slo.lock().expect("slo lock poisoned");
         let tracker = map.entry(tenant.to_string()).or_insert_with(|| {
-            let slo = Slo::new(
-                tenant,
-                self.tenant_slo.availability,
-                self.tenant_slo.latency.threshold,
-            );
-            SloTracker::new(slo, self.slo_windows)
+            let slo = Slo::new(tenant, TENANT_AVAILABILITY, TENANT_P99_SECONDS);
+            SloTracker::new(slo, SLO_WINDOWS)
         });
         tracker.record(latency_seconds, success);
     }
@@ -470,7 +462,6 @@ pub struct FrontDoor {
     shards: Vec<Engine>,
     router: Router,
     admission: Admission,
-    spill: bool,
     shard_deadline: Option<Duration>,
     epoch: Instant,
     shared: Arc<DoorShared>,
@@ -489,15 +480,12 @@ impl FrontDoor {
         FrontDoor {
             router: Router::new(shards.len()),
             admission: Admission::new(config.quota),
-            spill: config.spill,
             shard_deadline: config.shard.default_deadline,
             epoch: Instant::now(),
             shared: Arc::new(DoorShared {
                 registry,
                 metrics,
                 slo: Mutex::new(BTreeMap::new()),
-                tenant_slo: config.tenant_slo,
-                slo_windows: config.slo_windows.max(1),
             }),
             shards,
         }
@@ -636,7 +624,7 @@ impl FrontDoor {
         }
 
         // 4. Queue on the home shard; spill once on backpressure.
-        let spillable = self.spill && self.shards.len() > 1;
+        let spillable = self.shards.len() > 1;
         let retry = spillable.then(|| request.clone());
         match self.shards[home].submit(request) {
             Ok(inner) => Ok(self.admitted(inner, tenant, home, false, door_trace)),

@@ -14,7 +14,8 @@ use crate::json::Json;
 use crate::{Event, Phase, SpanRecord, Value, PID_PIPELINE, PID_SIM};
 use std::io::{self, Write};
 
-fn value_json(v: &Value) -> Json {
+/// An argument value as JSON, for Chrome events and kept traces alike.
+pub(crate) fn value_json(v: &Value) -> Json {
     match v {
         Value::Int(v) => Json::Num(*v as f64),
         Value::UInt(v) => Json::Num(*v as f64),

@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
 
-use crate::store::{SpanRecord, TraceOutcome, TraceStore};
+use crate::store::{SpanRecord, StoredTrace, TraceOutcome, TraceStore};
 use crate::Value;
 
 /// A request-scoped trace context: everything a hop needs to attach its
@@ -310,6 +310,43 @@ pub fn finish_request(
         .then_some(ctx.trace_id)
 }
 
+/// Run `f` as one request of its own and return its result with the
+/// request's kept trace: the collector for work that runs without an
+/// engine or a front door (tests, examples, profiles).
+///
+/// A freshly minted context is current while `f` runs, so its spans, and
+/// those of helper threads that adopt [`current`], land in the trace. The
+/// trace then finishes as [`TraceOutcome::Completed`] with the elapsed
+/// latency, under a root of `cat` and `workload`. The trace is `None` when
+/// no store is installed or the installed store did not keep it.
+pub fn collect<T>(
+    cat: &'static str,
+    workload: &str,
+    f: impl FnOnce() -> T,
+) -> (T, Option<StoredTrace>) {
+    let ctx = TraceContext::mint();
+    let start = Instant::now();
+    let out = {
+        let _current = set_current(ctx);
+        f()
+    };
+    let root = RequestRoot {
+        cat,
+        start,
+        workload,
+        args: Vec::new(),
+    };
+    let latency = Some(start.elapsed().as_secs_f64());
+    let kept = finish_request(
+        &ctx,
+        root,
+        TraceOutcome::Completed,
+        None::<&String>,
+        latency,
+    );
+    (out, kept.and_then(|id| store()?.lookup(id)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,6 +513,42 @@ mod tests {
             done.spans[0].args.iter().all(|(k, _)| *k != "reason"),
             "a completed root carries no reason"
         );
+    }
+
+    #[test]
+    fn collect_keeps_a_helper_threads_spans_under_one_root() {
+        let _l = lock();
+        // With no store installed the work still runs, and there is no trace.
+        let (ran, none) = collect("t", "w", || 7);
+        assert_eq!((ran, none), (7, None));
+        let store = Arc::new(TraceStore::new(TailSamplerConfig::keep_all()));
+        let _gs = install_store(store);
+        let ((), kept) = collect("test", "saxpy", || {
+            let ctx = current().expect("collect makes a context current");
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let _adopted = set_current(ctx);
+                    drop(span("t", "helper").expect("the helper's span opens"));
+                });
+            });
+        });
+        let kept = kept.expect("keep_all keeps the trace");
+        assert_eq!(kept.outcome, TraceOutcome::Completed);
+        assert!(kept.latency_seconds.is_some());
+        let [helper, root] = &kept.spans[..] else {
+            panic!("one helper span and the root: {:?}", kept.spans);
+        };
+        assert_eq!((helper.name, helper.parent), ("helper", Some(root.span_id)));
+        assert_eq!(
+            (root.cat, root.name, root.parent),
+            ("test", "request", None)
+        );
+        let arg = |k| {
+            let (_, v) = root.args.iter().find(|(key, _)| *key == k)?;
+            Some(v.to_string())
+        };
+        assert_eq!(arg("workload").as_deref(), Some("saxpy"));
+        assert_eq!(arg("outcome").as_deref(), Some("completed"));
     }
 
     #[test]

@@ -36,28 +36,19 @@
 //!
 //! With no [`TraceStore`] installed, or no sampled current
 //! [`TraceContext`] on the thread, [`span`] returns `None` and allocates
-//! nothing. A collector installs a store, mints a context, makes it
-//! current around the work, and ends it with [`finish_request`]:
+//! nothing. A collector installs a store and runs the work under
+//! [`collect`], which mints a context, makes it current around the work,
+//! finishes the request and returns its kept trace:
 //!
 //! ```
 //! use multidim_trace as trace;
 //! use std::sync::Arc;
-//! use std::time::Instant;
-//! let store = Arc::new(trace::TraceStore::new(trace::TailSamplerConfig {
-//!     latency_threshold: 0.0,
-//!     ..Default::default()
-//! }));
-//! let _installed = trace::install_store(store.clone());
-//! let ctx = trace::TraceContext::mint();
-//! let start = Instant::now();
-//! {
-//!     let _current = trace::set_current(ctx);
+//! let store = Arc::new(trace::TraceStore::new(trace::TailSamplerConfig::keep_all()));
+//! let _installed = trace::install_store(store);
+//! let ((), kept) = trace::collect("example", "w", || {
 //!     let _span = trace::span("core", "compile");
-//! }
-//! let root = trace::RequestRoot { cat: "example", start, workload: "w", args: Vec::new() };
-//! let kept = trace::finish_request(&ctx, root, trace::TraceOutcome::Completed, None::<&String>, Some(0.0));
-//! let trace = store.lookup(kept.expect("kept")).expect("stored");
-//! assert_eq!(trace.spans[0].name, "compile");
+//! });
+//! assert_eq!(kept.expect("kept").spans[0].name, "compile");
 //! ```
 //!
 //! Work that hops threads — a request served by an engine worker — is
@@ -75,8 +66,8 @@ pub mod json;
 pub mod store;
 
 pub use context::{
-    current, finish_request, install_store, instant_us, record_elapsed_span, set_current, store,
-    store_enabled, trace_id_hex, ContextGuard, RequestRoot, StoreGuard, TraceContext,
+    collect, current, finish_request, install_store, instant_us, record_elapsed_span, set_current,
+    store, store_enabled, trace_id_hex, ContextGuard, RequestRoot, StoreGuard, TraceContext,
 };
 pub use store::{SpanRecord, StoredTrace, TailSamplerConfig, TailStats, TraceOutcome, TraceStore};
 

@@ -23,6 +23,7 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
+use crate::chrome::value_json;
 use crate::context::{splitmix64, trace_id_hex, TraceContext};
 use crate::json::Json;
 use crate::Value;
@@ -71,16 +72,7 @@ impl SpanRecord {
                 Json::Obj(
                     self.args
                         .iter()
-                        .map(|(k, v)| {
-                            let jv = match v {
-                                Value::Int(i) => Json::Num(*i as f64),
-                                Value::UInt(u) => Json::Num(*u as f64),
-                                Value::Float(f) => Json::Num(*f),
-                                Value::Bool(b) => Json::Bool(*b),
-                                Value::Str(s) => Json::Str(s.clone()),
-                            };
-                            (k.to_string(), jv)
-                        })
+                        .map(|(k, v)| (k.to_string(), value_json(v)))
                         .collect(),
                 ),
             ));
@@ -147,6 +139,21 @@ impl Default for TailSamplerConfig {
             max_spans_per_trace: 64,
             latency_threshold: 0.050,
             keep_fraction: 0.05,
+        }
+    }
+}
+
+impl TailSamplerConfig {
+    /// Keep every trace and every span: a zero latency threshold keeps
+    /// every completion that reports its latency, a keep fraction of one
+    /// keeps the rest, and no trace drops a span. The kept ring still
+    /// holds at most `capacity` traces.
+    pub fn keep_all() -> TailSamplerConfig {
+        TailSamplerConfig {
+            latency_threshold: 0.0,
+            keep_fraction: 1.0,
+            max_spans_per_trace: usize::MAX,
+            ..TailSamplerConfig::default()
         }
     }
 }

@@ -35,7 +35,6 @@ fn main() -> Result<(), Box<dyn Error>> {
             // 40-request bursts per tenant, no refill over this short
             // demo; 20 more requests of shared spare capacity.
             quota: QuotaPolicy::per_tenant(0.0, 40.0).with_spare(TenantQuota::new(0.0, 20.0)),
-            ..FrontDoorConfig::default()
         },
     );
 

@@ -33,7 +33,6 @@ use std::fs::File;
 use std::io::BufWriter;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
@@ -43,36 +42,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (program, bindings, inputs) = build_workload(&workload)?;
 
     // Compile and run as one request whose trace the store keeps.
-    let store = Arc::new(trace::TraceStore::new(trace::TailSamplerConfig {
-        latency_threshold: 0.0,
-        ..Default::default()
-    }));
-    let _installed = trace::install_store(store.clone());
-    let ctx = trace::TraceContext::mint();
-    let start = Instant::now();
-    let (exe, run) = {
-        let _current = trace::set_current(ctx);
+    let store = trace::TraceStore::new(trace::TailSamplerConfig::keep_all());
+    let _installed = trace::install_store(Arc::new(store));
+    let (compiled, kept) = trace::collect("profile", &workload, || {
         let exe = Compiler::new().compile(&program, &bindings)?;
         let run = exe.run(&inputs)?;
-        (exe, run)
-    };
-    let root = trace::RequestRoot {
-        cat: "profile",
-        start,
-        workload: &workload,
-        args: Vec::new(),
-    };
-    let latency = start.elapsed().as_secs_f64();
-    let kept = trace::finish_request(
-        &ctx,
-        root,
-        trace::TraceOutcome::Completed,
-        None::<&String>,
-        Some(latency),
-    );
-    let record = kept
-        .and_then(|id| store.lookup(id))
-        .ok_or("the request's trace was not kept")?;
+        Ok::<_, Box<dyn std::error::Error>>((exe, run))
+    });
+    let (exe, run) = compiled?;
+    let record = kept.ok_or("the request's trace was not kept")?;
 
     print_search(&exe, &bindings, &record);
     print_decisions(&exe);

@@ -11,10 +11,10 @@
 //! hit the content-addressed cache and share the compiled executables.
 //! One workload is auto-tuned in between, so the final rounds also show
 //! the persistent tuning store being preferred over the analytic mapping.
-//! A trace store keeps every request's trace (`latency_threshold: 0.0`)
-//! with all its spans: the run checks that a cold request's trace nests
-//! each compile stage's span under `core/compile` and the pipeline's spans
-//! under the engine's, that the tune's own trace holds one
+//! A trace store keeps every request's trace with all its spans
+//! ([`TailSamplerConfig::keep_all`]): the run checks that a cold request's
+//! trace nests each compile stage's span under `core/compile` and the
+//! pipeline's spans under the engine's, that the tune's own trace holds one
 //! `engine/autotune` span whose counts match the tuning record and the
 //! simulations it cut, and ends with the last response's kept trace and
 //! the registry's Prometheus-style text exposition.
@@ -22,10 +22,7 @@
 use multidim::Compiler;
 use multidim_engine::{Engine, EngineConfig, Request};
 use multidim_obs::Histogram;
-use multidim_trace::{
-    finish_request, install_store, set_current, RequestRoot, SpanRecord, TailSamplerConfig,
-    TraceContext, TraceOutcome, TraceStore, Value,
-};
+use multidim_trace::{collect, install_store, SpanRecord, TailSamplerConfig, TraceStore, Value};
 use multidim_workloads::catalog::catalog;
 use std::error::Error;
 use std::sync::Arc;
@@ -48,8 +45,7 @@ fn count(span: &SpanRecord, key: &str) -> Option<u64> {
 /// The kept trace of a tune holds exactly one `engine/autotune` span: its
 /// `measured` is the tuning record's, and its `cut` counts the trace's
 /// `sim/execute` spans that record a `cut_bound`.
-fn check_tune_trace(traces: &TraceStore, trace_id: u128, measured: u64) {
-    let spans = traces.lookup(trace_id).expect("every trace is kept").spans;
+fn check_tune_trace(spans: &[SpanRecord], measured: u64) {
     let tunes: Vec<_> = spans
         .iter()
         .filter(|s| (s.cat, s.name) == ("engine", "autotune"))
@@ -80,14 +76,9 @@ fn check_tune_trace(traces: &TraceStore, trace_id: u128, measured: u64) {
 }
 
 fn main() -> Result<(), Box<dyn Error>> {
-    // Every completion counts as slow, so the sampler keeps every trace,
-    // and every span of it: the tune's trace holds one simulation per
-    // candidate.
-    let traces = Arc::new(TraceStore::new(TailSamplerConfig {
-        latency_threshold: 0.0,
-        max_spans_per_trace: usize::MAX,
-        ..TailSamplerConfig::default()
-    }));
+    // The sampler keeps every trace, and every span of it: the tune's
+    // trace holds one simulation per candidate.
+    let traces = Arc::new(TraceStore::new(TailSamplerConfig::keep_all()));
     let _traces_guard = install_store(traces.clone());
     let store_path = std::env::temp_dir().join("multidim-serve-tuning.json");
     let config = EngineConfig {
@@ -162,27 +153,11 @@ fn main() -> Result<(), Box<dyn Error>> {
             // served with the stored empirically-best mapping.
             let e = &entries[0];
             let options = multidim_mapping::TuneOptions::default();
-            let ctx = TraceContext::mint();
-            let start = Instant::now();
-            let (_exe, record) = {
-                let _current = set_current(ctx);
-                engine.autotune(&e.program, &e.bindings, &e.inputs, &options)?
-            };
-            let root = RequestRoot {
-                cat: "example",
-                start,
-                workload: e.name(),
-                args: Vec::new(),
-            };
-            let elapsed = Some(start.elapsed().as_secs_f64());
-            let kept = finish_request(
-                &ctx,
-                root,
-                TraceOutcome::Completed,
-                None::<&String>,
-                elapsed,
-            );
-            check_tune_trace(&traces, kept.expect("every trace is kept"), record.measured);
+            let (tuned, kept) = collect("example", e.name(), || {
+                engine.autotune(&e.program, &e.bindings, &e.inputs, &options)
+            });
+            let (_exe, record) = tuned?;
+            check_tune_trace(&kept.expect("every trace is kept").spans, record.measured);
             match record.analytic_delta() {
                 Some(delta) => println!(
                     "tuned {}: cost {:.3e}, {delta:.2}x vs analytic mapping ({} candidates measured)",

@@ -18,7 +18,7 @@ use multidim_engine::{EngineConfig, Request};
 use multidim_obs::{
     AlertEngine, AlertRule, AlertSeverity, BurnObjective, BurnRateRule, Registry, Slo, SloTracker,
 };
-use multidim_serve::{FrontDoor, FrontDoorConfig, QuotaPolicy, ServeError};
+use multidim_serve::{FrontDoor, FrontDoorConfig, ServeError};
 use multidim_trace::{install_store, trace_id_hex, SpanRecord, TailSamplerConfig, TraceStore};
 use multidim_workloads::catalog::{catalog, CatalogEntry};
 use std::error::Error;
@@ -67,7 +67,6 @@ fn main() -> Result<(), Box<dyn Error>> {
                 queue_capacity: 2,
                 ..EngineConfig::default()
             },
-            quota: QuotaPolicy::default(),
             ..FrontDoorConfig::default()
         },
     );

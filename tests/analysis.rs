@@ -9,7 +9,6 @@ use multidim_trace as trace;
 use multidim_workloads::catalog::catalog;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Run `f` as one request whose trace a fresh store keeps, and return its
 /// result with the kept spans as events. Tests that install the store
@@ -17,31 +16,10 @@ use std::time::Instant;
 fn traced<T>(f: impl FnOnce() -> T) -> (T, Vec<trace::Event>) {
     static LOCK: Mutex<()> = Mutex::new(());
     let _lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let store = Arc::new(trace::TraceStore::new(trace::TailSamplerConfig {
-        latency_threshold: 0.0,
-        ..Default::default()
-    }));
-    let _installed = trace::install_store(store.clone());
-    let ctx = trace::TraceContext::mint();
-    let start = Instant::now();
-    let out = {
-        let _current = trace::set_current(ctx);
-        f()
-    };
-    let root = trace::RequestRoot {
-        cat: "test",
-        start,
-        workload: "analysis",
-        args: Vec::new(),
-    };
-    let kept = trace::finish_request(
-        &ctx,
-        root,
-        trace::TraceOutcome::Completed,
-        None::<&String>,
-        Some(start.elapsed().as_secs_f64()),
-    );
-    let spans = store.lookup(kept.expect("kept")).expect("stored").spans;
+    let store = Arc::new(trace::TraceStore::new(trace::TailSamplerConfig::keep_all()));
+    let _installed = trace::install_store(store);
+    let (out, kept) = trace::collect("test", "analysis", f);
+    let spans = kept.expect("kept").spans;
     (out, spans.iter().map(trace::chrome::span_event).collect())
 }
 

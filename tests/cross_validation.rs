@@ -188,14 +188,9 @@ fn explicit_mappings_sweep_agrees() {
 /// clamps its row to the last one and must read that row's start.
 #[test]
 fn graph_kernel_tuning_candidates_match_the_interpreter() {
-    use multidim_codegen::{lower_planned, validate_kernels};
     use multidim_mapping::TuneOptions;
     let compiler = Compiler::new();
     let gpu = GpuSpec::tesla_k20c();
-    let lowering = CodegenOptions {
-        smem_budget: Some(gpu.smem_per_sm),
-        ..CodegenOptions::default()
-    };
     for e in multidim_workloads::catalog::catalog() {
         if !matches!(e.name(), "spmv" | "pagerank_step") {
             continue;
@@ -219,17 +214,9 @@ fn graph_kernel_tuning_candidates_match_the_interpreter() {
         let want = multidim_ir::interpret(&e.program, &e.bindings, &inputs).unwrap();
         let mut checked = 0;
         for cand in &prepared.plan.candidates {
-            let Ok(kernels) = lower_planned(
-                &prepared.program,
-                &cand.mapping,
-                &lowering,
-                &prepared.dynpar,
-            ) else {
+            let Some(kernels) = compiler.lower_candidate(&prepared, &cand.mapping) else {
                 continue;
             };
-            if validate_kernels(&kernels, gpu.smem_per_sm).is_err() {
-                continue;
-            }
             let sim = multidim_sim::run_program(&kernels, &gpu, &e.bindings, &inputs)
                 .unwrap_or_else(|err| panic!("{}: {}: {err}", e.name(), cand.mapping));
             for decl in &e.program.arrays {

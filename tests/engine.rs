@@ -337,18 +337,10 @@ fn parallel_autotune_matches_serial_selection() {
 
 /// A 1-worker engine, and an installed store that keeps every trace and
 /// every span of it. Callers hold `STORE_LOCK`.
-fn one_worker_keeping_every_span() -> (
-    Engine,
-    Arc<multidim_trace::TraceStore>,
-    multidim_trace::StoreGuard,
-) {
+fn one_worker_keeping_every_span() -> (Engine, multidim_trace::StoreGuard) {
     use multidim_trace as trace;
-    let store = Arc::new(trace::TraceStore::new(trace::TailSamplerConfig {
-        latency_threshold: 0.0,
-        max_spans_per_trace: usize::MAX,
-        ..Default::default()
-    }));
-    let installed = trace::install_store(store.clone());
+    let store = trace::TraceStore::new(trace::TailSamplerConfig::keep_all());
+    let installed = trace::install_store(Arc::new(store));
     let engine = Engine::new(
         Compiler::new(),
         EngineConfig {
@@ -356,42 +348,22 @@ fn one_worker_keeping_every_span() -> (
             ..small_config()
         },
     );
-    (engine, store, installed)
+    (engine, installed)
 }
 
 /// Tune `e` on `engine` inside a fresh trace kept with every span, and
 /// return the tuning record with the trace's spans.
 fn traced_autotune(
     engine: &Engine,
-    store: &multidim_trace::TraceStore,
     e: &multidim_workloads::catalog::CatalogEntry,
     options: &multidim_mapping::TuneOptions,
 ) -> (multidim_engine::TuneRecord, Vec<multidim_trace::SpanRecord>) {
-    use multidim_trace as trace;
-    use std::time::Instant;
-    let ctx = trace::TraceContext::mint();
-    let start = Instant::now();
-    let (_exe, record) = {
-        let _current = trace::set_current(ctx);
+    let ((_exe, record), kept) = multidim_trace::collect("test", e.name(), || {
         engine
             .autotune(&e.program, &e.bindings, &e.inputs, options)
             .expect("tune")
-    };
-    let root = trace::RequestRoot {
-        cat: "test",
-        start,
-        workload: e.name(),
-        args: Vec::new(),
-    };
-    let kept = trace::finish_request(
-        &ctx,
-        root,
-        trace::TraceOutcome::Completed,
-        None::<&String>,
-        Some(start.elapsed().as_secs_f64()),
-    );
-    let spans = store.lookup(kept.expect("kept")).expect("stored").spans;
-    (record, spans)
+    });
+    (record, kept.expect("kept").spans)
 }
 
 /// A capped engine tune stops claiming candidates at the cap, and its
@@ -405,12 +377,12 @@ fn capped_autotune_stops_at_the_cap_inside_the_callers_trace() {
         .into_iter()
         .find(|e| e.name() == "spmv_zipf")
         .expect("spmv_zipf is in the catalog");
-    let (engine, store, installed) = one_worker_keeping_every_span();
+    let (engine, installed) = one_worker_keeping_every_span();
     let capped = multidim_mapping::TuneOptions {
         max_measurements: 5,
         ..Default::default()
     };
-    let (record, spans) = traced_autotune(&engine, &store, &e, &capped);
+    let (record, spans) = traced_autotune(&engine, &e, &capped);
     drop(installed);
 
     assert_eq!(record.measured, 5, "the cap bounds measurements");
@@ -443,18 +415,13 @@ fn capped_autotune_stops_at_the_cap_inside_the_callers_trace() {
 /// CSR loop stops more of its candidates than `seconds_floor` alone would.
 #[test]
 fn one_worker_tune_stops_candidates_on_their_floor_before_the_first_block() {
-    use multidim_codegen::{lower_planned, validate_kernels, CodegenOptions};
     use multidim_device::GpuSpec;
     use multidim_trace as trace;
 
     let _lock = STORE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (engine, store, installed) = one_worker_keeping_every_span();
+    let (engine, installed) = one_worker_keeping_every_span();
     let compiler = Compiler::new();
     let gpu = GpuSpec::tesla_k20c();
-    let lowering = CodegenOptions {
-        smem_budget: Some(gpu.smem_per_sm),
-        ..CodegenOptions::default()
-    };
     let options = multidim_mapping::TuneOptions::default();
     let entries: Vec<_> = catalog()
         .into_iter()
@@ -472,14 +439,9 @@ fn one_worker_tune_stops_candidates_on_their_floor_before_the_first_block() {
             floors.iter().fold(0.0, |sum, f| sum + f.time.total)
         };
         for cand in &prepared.plan.candidates {
-            let kernels = lower_planned(
-                &prepared.program,
-                &cand.mapping,
-                &lowering,
-                &prepared.dynpar,
-            )
-            .expect("every candidate lowers");
-            validate_kernels(&kernels, gpu.smem_per_sm).expect("every candidate fits");
+            let kernels = compiler
+                .lower_candidate(&prepared, &cand.mapping)
+                .expect("every candidate lowers and fits");
             let floor = summed(
                 multidim_sim::seconds_floor(&kernels, &gpu, bindings).expect("every size is bound"),
             );
@@ -505,7 +467,7 @@ fn one_worker_tune_stops_candidates_on_their_floor_before_the_first_block() {
             best = best.min(cost);
         }
 
-        let (record, spans) = traced_autotune(&engine, &store, e, &options);
+        let (record, spans) = traced_autotune(&engine, e, &options);
         assert_eq!(record.measured as usize, prepared.plan.candidates.len());
         let before_first_block = spans
             .iter()
@@ -709,14 +671,11 @@ fn trace_stitches_spans_and_backdated_admission_charges_full_wait() {
     use std::time::Instant;
 
     let _lock = STORE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // `latency_threshold: 0.0` marks every completion slow, so the tail
-    // sampler keeps this trace deterministically. Other tests in this
-    // binary may stream traces into the same process-wide store while the
-    // guard is held; every assertion below is scoped to our own trace id.
-    let store = Arc::new(TraceStore::new(TailSamplerConfig {
-        latency_threshold: 0.0,
-        ..TailSamplerConfig::default()
-    }));
+    // The store keeps every trace, so this one is kept deterministically.
+    // Other tests in this binary may stream traces into the same
+    // process-wide store while the guard is held; every assertion below is
+    // scoped to our own trace id.
+    let store = Arc::new(TraceStore::new(TailSamplerConfig::keep_all()));
     let _guard = install_store(store.clone());
 
     let entries = catalog();

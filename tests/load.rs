@@ -297,7 +297,6 @@ fn test_fleet(shards: usize, queue: usize, quota: QuotaPolicy) -> FrontDoor {
                 ..EngineConfig::default()
             },
             quota,
-            ..FrontDoorConfig::default()
         },
     )
 }

@@ -7,7 +7,7 @@ use multidim::prelude::*;
 use multidim::{
     locality_cross_check, locality_of, seconds_lower_bound, AccessClass, LocalityFacts,
 };
-use multidim_codegen::{lower_planned, validate_kernels, CodegenOptions};
+use multidim_codegen::CodegenOptions;
 use multidim_ir::ArrayId;
 use multidim_mapping::{
     select, tune_pruned, Dim, LevelMapping, MappingDecision, Span, TuneOptions, TuneResult,
@@ -99,11 +99,8 @@ fn pruned_search_is_bit_identical_and_prunes() {
     let compiler = Compiler::new().checks(false);
     let opts = TuneOptions::default();
     let gpu = GpuSpec::tesla_k20c();
-    // The options `Compiler::autotune` lowers its candidates with.
-    let lowering = CodegenOptions {
-        smem_budget: Some(gpu.smem_per_sm),
-        ..CodegenOptions::default()
-    };
+    // The prefetch setting `Compiler::autotune` bounds its candidates with.
+    let prefetch = CodegenOptions::default().smem_prefetch;
     let mut workloads_with_pruning = 0usize;
     let (mut candidates, mut pruned) = (0usize, 0usize);
     for e in catalog() {
@@ -122,15 +119,8 @@ fn pruned_search_is_bit_identical_and_prunes() {
                 &prepared.plan,
                 cap,
                 |cand| {
-                    let kernels = lower_planned(
-                        &prepared.program,
-                        &cand.mapping,
-                        &lowering,
-                        &prepared.dynpar,
-                    )
-                    .ok()
-                    .filter(|k| validate_kernels(k, gpu.smem_per_sm).is_ok());
-                    let (b, prefetch) = (&e.bindings, lowering.smem_prefetch);
+                    let kernels = compiler.lower_candidate(&prepared, &cand.mapping);
+                    let b = &e.bindings;
                     let bound = kernels
                         .as_ref()
                         .map(|k| seconds_lower_bound(&facts, &cand.mapping, k, b, &gpu, prefetch));
@@ -208,18 +198,10 @@ fn pruned_search_is_bit_identical_and_prunes() {
         pruned += fast.pruned;
 
         for (cand, cost) in prepared.plan.candidates.iter().zip(&costs) {
-            let Ok(kernels) = lower_planned(
-                &prepared.program,
-                &cand.mapping,
-                &lowering,
-                &prepared.dynpar,
-            ) else {
+            let Some(kernels) = compiler.lower_candidate(&prepared, &cand.mapping) else {
                 continue;
             };
-            if validate_kernels(&kernels, gpu.smem_per_sm).is_err() {
-                continue;
-            }
-            let (b, prefetch) = (&e.bindings, lowering.smem_prefetch);
+            let b = &e.bindings;
             let summary = locality_of(&facts, &cand.mapping, &kernels, b, &gpu, prefetch);
             let floor = seconds_lower_bound(&facts, &cand.mapping, &kernels, b, &gpu, prefetch);
             assert_eq!(
@@ -443,10 +425,6 @@ fn capped_runs_stop_above_the_ceiling_or_finish_as_run_program() {
     use std::sync::atomic::AtomicU64;
     let compiler = Compiler::new();
     let gpu = GpuSpec::tesla_k20c();
-    let lowering = CodegenOptions {
-        smem_budget: Some(gpu.smem_per_sm),
-        ..CodegenOptions::default()
-    };
     let mut entries: Vec<_> = catalog()
         .into_iter()
         .filter(|e| {
@@ -492,14 +470,9 @@ fn capped_runs_stop_above_the_ceiling_or_finish_as_run_program() {
             plan.map(|c| c.mapping.clone()).collect()
         };
         for (i, mapping) in mappings.iter().enumerate() {
-            let Ok(kernels) =
-                lower_planned(&prepared.program, mapping, &lowering, &prepared.dynpar)
-            else {
+            let Some(kernels) = compiler.lower_candidate(&prepared, mapping) else {
                 continue;
             };
-            if validate_kernels(&kernels, gpu.smem_per_sm).is_err() {
-                continue;
-            }
             lockstep += usize::from(kernels.kernels.iter().any(|k| k.has_sync()));
             split += usize::from(kernels.kernels.len() == 2);
             let at = format!("{}: {mapping}", program.name);
@@ -561,13 +534,8 @@ fn spmv_zipf_candidates_stop_on_the_row_pointers_before_their_first_block() {
     use multidim_trace as trace;
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
-    use std::time::Instant;
     let compiler = Compiler::new();
     let gpu = GpuSpec::tesla_k20c();
-    let lowering = CodegenOptions {
-        smem_budget: Some(gpu.smem_per_sm),
-        ..CodegenOptions::default()
-    };
     let e = catalog()
         .into_iter()
         .find(|e| e.name() == "spmv_zipf")
@@ -579,25 +547,14 @@ fn spmv_zipf_candidates_stop_on_the_row_pointers_before_their_first_block() {
     let prepared = compiler
         .prepare_tune(&e.program, &e.bindings, &options)
         .expect("spmv_zipf plans");
-    let store = Arc::new(trace::TraceStore::new(trace::TailSamplerConfig {
-        latency_threshold: 0.0,
-        max_spans_per_trace: usize::MAX,
-        ..Default::default()
-    }));
-    let installed = trace::install_store(store.clone());
-    let (ctx, start) = (trace::TraceContext::mint(), Instant::now());
-    let mut on_static = 0usize;
-    {
-        let _current = trace::set_current(ctx);
+    let store = trace::TraceStore::new(trace::TailSamplerConfig::keep_all());
+    let installed = trace::install_store(Arc::new(store));
+    let (on_static, kept) = trace::collect("test", "spmv_zipf", || {
+        let mut on_static = 0usize;
         for cand in &prepared.plan.candidates {
-            let kernels = lower_planned(
-                &prepared.program,
-                &cand.mapping,
-                &lowering,
-                &prepared.dynpar,
-            )
-            .expect("every candidate lowers");
-            validate_kernels(&kernels, gpu.smem_per_sm).expect("every candidate fits");
+            let kernels = compiler
+                .lower_candidate(&prepared, &cand.mapping)
+                .expect("every candidate lowers and fits");
             let floor = seconds_floor(&kernels, &gpu, &e.bindings).expect("every size is bound");
             on_static +=
                 usize::from(floor.iter().fold(0.0, |sum, f| sum + f.time.total) > tuned.best_cost);
@@ -605,23 +562,10 @@ fn spmv_zipf_candidates_stop_on_the_row_pointers_before_their_first_block() {
             run_program_capped(&kernels, &gpu, &e.bindings, &e.inputs, &ceiling)
                 .unwrap_or_else(|err| panic!("{}: {err}", cand.mapping));
         }
-    }
-    let root = trace::RequestRoot {
-        cat: "test",
-        start,
-        workload: "spmv_zipf",
-        args: Vec::new(),
-    };
-    let elapsed = Some(start.elapsed().as_secs_f64());
-    let kept = trace::finish_request(
-        &ctx,
-        root,
-        trace::TraceOutcome::Completed,
-        None::<&String>,
-        elapsed,
-    );
+        on_static
+    });
     drop(installed);
-    let spans = store.lookup(kept.expect("kept")).expect("stored").spans;
+    let spans = kept.expect("kept").spans;
     let stopped = spans
         .iter()
         .filter(|s| (s.cat, s.name) == ("sim", "execute"))

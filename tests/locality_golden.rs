@@ -24,7 +24,6 @@ mod golden;
 
 use multidim::prelude::*;
 use multidim::{locality_of, seconds_lower_bound, LocalityFacts};
-use multidim_codegen::{lower_planned, validate_kernels};
 use multidim_mapping::TuneOptions;
 use multidim_sim::{seconds_floor, seconds_floor_with_inputs, KernelFloor};
 use multidim_workloads::catalog::catalog;
@@ -33,20 +32,12 @@ use std::fmt::Write as _;
 const GOLDEN: &str = include_str!("golden/locality_golden.txt");
 const INPUT_FLOOR: &str = include_str!("golden/input_floor.txt");
 
-/// The options `Compiler::autotune` lowers its candidates with.
-fn lowering(gpu: &GpuSpec) -> CodegenOptions {
-    CodegenOptions {
-        smem_budget: Some(gpu.smem_per_sm),
-        ..CodegenOptions::default()
-    }
-}
-
 /// One line per catalog program.
 fn record() -> String {
     let compiler = Compiler::new();
     let gpu = GpuSpec::tesla_k20c();
-    let lowering = lowering(&gpu);
-    let prefetch = lowering.smem_prefetch;
+    // The prefetch setting `Compiler::autotune` bounds its candidates with.
+    let prefetch = CodegenOptions::default().smem_prefetch;
     let mut out = String::new();
     for e in catalog() {
         let prepared = compiler
@@ -56,15 +47,7 @@ fn record() -> String {
         let (mut lowered, mut accesses, mut banks) = (0usize, 0usize, 0usize);
         let mut proofs = String::new();
         for (i, cand) in prepared.plan.candidates.iter().enumerate() {
-            let kernels = lower_planned(
-                &prepared.program,
-                &cand.mapping,
-                &lowering,
-                &prepared.dynpar,
-            )
-            .ok()
-            .filter(|k| validate_kernels(k, gpu.smem_per_sm).is_ok());
-            let Some(kernels) = kernels else {
+            let Some(kernels) = compiler.lower_candidate(&prepared, &cand.mapping) else {
                 let _ = writeln!(proofs, "{i}: not lowered");
                 continue;
             };
@@ -111,7 +94,6 @@ fn record() -> String {
 fn input_floor_record() -> String {
     let compiler = Compiler::new();
     let gpu = GpuSpec::tesla_k20c();
-    let lowering = lowering(&gpu);
     let summed = |floors: &[KernelFloor]| floors.iter().fold(0.0, |sum, f| sum + f.time.total);
     let mut out = String::new();
     for e in catalog() {
@@ -121,15 +103,7 @@ fn input_floor_record() -> String {
         let mut raised = 0usize;
         let mut floors = String::new();
         for (i, cand) in prepared.plan.candidates.iter().enumerate() {
-            let kernels = lower_planned(
-                &prepared.program,
-                &cand.mapping,
-                &lowering,
-                &prepared.dynpar,
-            )
-            .ok()
-            .filter(|k| validate_kernels(k, gpu.smem_per_sm).is_ok());
-            let Some(kernels) = kernels else {
+            let Some(kernels) = compiler.lower_candidate(&prepared, &cand.mapping) else {
                 let _ = writeln!(floors, "{i}: not lowered");
                 continue;
             };

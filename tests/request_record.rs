@@ -18,17 +18,14 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 /// Take the file-level lock and return the binary's one store, installed
-/// on first use and never uninstalled. `latency_threshold: 0.0` keeps
-/// every completion as well as every failure.
+/// on first use and never uninstalled. It keeps every completion as well
+/// as every failure.
 fn locked_store() -> (MutexGuard<'static, ()>, Arc<TraceStore>) {
     static LOCK: Mutex<()> = Mutex::new(());
     static STORE: OnceLock<(Arc<TraceStore>, StoreGuard)> = OnceLock::new();
     let lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (store, _guard) = STORE.get_or_init(|| {
-        let store = Arc::new(TraceStore::new(TailSamplerConfig {
-            latency_threshold: 0.0,
-            ..TailSamplerConfig::default()
-        }));
+        let store = Arc::new(TraceStore::new(TailSamplerConfig::keep_all()));
         let guard = install_store(store.clone());
         (store, guard)
     });

@@ -27,7 +27,6 @@ fn door_with(shards: usize, shard: EngineConfig, quota: QuotaPolicy) -> FrontDoo
             shards,
             shard,
             quota,
-            ..FrontDoorConfig::default()
         },
     )
 }
@@ -363,10 +362,7 @@ fn spilled_request_trace_is_one_stitched_tree_with_a_spill_span() {
     // Keep every finished trace deterministically; the store is
     // process-wide within this test binary, so every assertion below is
     // scoped to trace ids returned by our own tickets.
-    let store = Arc::new(TraceStore::new(TailSamplerConfig {
-        latency_threshold: 0.0,
-        ..TailSamplerConfig::default()
-    }));
+    let store = Arc::new(TraceStore::new(TailSamplerConfig::keep_all()));
     let _guard = install_store(store.clone());
 
     // Same saturation fixture as the spill test above: distinct programs

@@ -6,7 +6,7 @@
 
 use multidim::Compiler;
 use multidim_engine::{EngineConfig, Request};
-use multidim_serve::{FrontDoor, FrontDoorConfig, QuotaPolicy};
+use multidim_serve::{FrontDoor, FrontDoorConfig};
 use multidim_trace::{install_store, TailSamplerConfig, TraceOutcome, TraceStore};
 use multidim_workloads::catalog::catalog;
 use std::collections::HashSet;
@@ -19,13 +19,13 @@ const TOTAL: usize = CLIENTS * PER_CLIENT;
 
 #[test]
 fn eight_clients_on_eight_shards_lose_and_duplicate_no_spans() {
-    // `latency_threshold: 0.0` marks every completion slow, so the tail
-    // sampler keeps all of them — any missing trace below is a lost
-    // span, not a sampling decision.
+    // The tail sampler keeps every trace, so any missing trace below is a
+    // lost span, not a sampling decision. The default span cap stays, so
+    // `spans_dropped` still counts spans past it.
     let store = Arc::new(TraceStore::new(TailSamplerConfig {
-        latency_threshold: 0.0,
         capacity: 16_384,
-        ..TailSamplerConfig::default()
+        max_spans_per_trace: TailSamplerConfig::default().max_spans_per_trace,
+        ..TailSamplerConfig::keep_all()
     }));
     let _guard = install_store(store.clone());
 
@@ -39,7 +39,6 @@ fn eight_clients_on_eight_shards_lose_and_duplicate_no_spans() {
                 queue_capacity: 64,
                 ..EngineConfig::default()
             },
-            quota: QuotaPolicy::default(),
             ..FrontDoorConfig::default()
         },
     );

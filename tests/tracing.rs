@@ -12,7 +12,6 @@ use multidim_trace as trace;
 use multidim_trace::json::Json;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 fn sum_rows(r: i64, c: i64) -> (Program, Bindings, multidim_ir::ArrayId) {
     let mut b = ProgramBuilder::new("sumRows");
@@ -40,34 +39,15 @@ fn traced_run(r: i64, c: i64) -> (multidim::Executable, multidim::RunReport, Vec
         .into_iter()
         .collect();
     let _lock = STORE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let store = Arc::new(trace::TraceStore::new(trace::TailSamplerConfig {
-        latency_threshold: 0.0,
-        ..Default::default()
-    }));
-    let installed = trace::install_store(store.clone());
-    let ctx = trace::TraceContext::mint();
-    let start = Instant::now();
-    let (exe, run) = {
-        let _current = trace::set_current(ctx);
+    let store = Arc::new(trace::TraceStore::new(trace::TailSamplerConfig::keep_all()));
+    let installed = trace::install_store(store);
+    let ((exe, run), kept) = trace::collect("test", "sumRows", || {
         let exe = Compiler::new().compile(&p, &bind).unwrap();
         let run = exe.run(&inputs).unwrap();
         (exe, run)
-    };
-    let root = trace::RequestRoot {
-        cat: "test",
-        start,
-        workload: "sumRows",
-        args: Vec::new(),
-    };
-    let kept = trace::finish_request(
-        &ctx,
-        root,
-        trace::TraceOutcome::Completed,
-        None::<&String>,
-        Some(start.elapsed().as_secs_f64()),
-    );
+    });
     drop(installed);
-    let spans = store.lookup(kept.expect("kept")).expect("stored").spans;
+    let spans = kept.expect("kept").spans;
     let mut events: Vec<trace::Event> = spans.iter().map(trace::chrome::span_event).collect();
     events.extend(exe.metrics(&run).trace_events());
     (exe, run, events)
@@ -220,41 +200,16 @@ fn autotune_span_counts_the_pass_and_nests_the_helpers() {
     let (p, bind, m) = sum_rows(64, 128);
     let inputs: HashMap<_, _> = [(m, vec![1.0; 64 * 128])].into_iter().collect();
     let _lock = STORE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // Keeps every trace, and every span of it.
-    let store = Arc::new(trace::TraceStore::new(trace::TailSamplerConfig {
-        latency_threshold: 0.0,
-        max_spans_per_trace: usize::MAX,
-        ..Default::default()
-    }));
-    let installed = trace::install_store(store.clone());
-    let ctx = trace::TraceContext::mint();
-    let start = Instant::now();
-    let (_, result) = {
-        let _current = trace::set_current(ctx);
+    let store = Arc::new(trace::TraceStore::new(trace::TailSamplerConfig::keep_all()));
+    let installed = trace::install_store(store);
+    let ((_, result), kept) = trace::collect("test", "sumRows", || {
+        let options = multidim_mapping::TuneOptions::default();
         Compiler::new()
-            .autotune(
-                &p,
-                &bind,
-                &inputs,
-                &multidim_mapping::TuneOptions::default(),
-            )
+            .autotune(&p, &bind, &inputs, &options)
             .unwrap()
-    };
-    let root = trace::RequestRoot {
-        cat: "test",
-        start,
-        workload: "sumRows",
-        args: Vec::new(),
-    };
-    let kept = trace::finish_request(
-        &ctx,
-        root,
-        trace::TraceOutcome::Completed,
-        None::<&String>,
-        Some(start.elapsed().as_secs_f64()),
-    );
+    });
     drop(installed);
-    let spans = store.lookup(kept.expect("kept")).expect("stored").spans;
+    let spans = kept.expect("kept").spans;
 
     let tunes: Vec<_> = spans
         .iter()
